@@ -7,7 +7,6 @@ from .darboux import (
     DarbouxCertificate,
     InternalInvariantError,
     NonCoprimeError,
-    NotProperError,
     RationalIntegral,
     ReversalVacuousError,
     certificate_holds,
@@ -81,4 +80,4 @@ from .structure import (
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "1.0.0"
+__version__ = "0.1.0"

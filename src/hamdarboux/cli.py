@@ -24,7 +24,7 @@ from .darboux import (
 )
 from .hamsys import NaturalHamiltonian, load_system
 from .numcheck import drift
-from .parsing import ParseContext, ParseError, format_field_spec, format_poly, parse_poly
+from .parsing import ParseContext, format_field_spec, format_poly, parse_poly
 from .search import BranchCapExceededError, SearchReport, search_darboux
 from .structure import (
     FactorWitness,
@@ -150,15 +150,22 @@ def _parse_arg_poly(system: NaturalHamiltonian, text: str):
     return parse_poly(text, ParseContext(system.varset, system.field))
 
 
-def _run(args) -> tuple[int, dict]:
+def _report(
+    command: str, system: NaturalHamiltonian | None, results: list[dict], residuals: list[str]
+) -> dict:
+    return {
+        "command": command,
+        "system": _system_block(system),
+        "results": results,
+        "residual_conditions": residuals,
+    }
+
+
+def _run(args, system: NaturalHamiltonian | None) -> tuple[int, dict]:
     command = args.command
     results: list[dict] = []
     residuals: list[str] = []
-    system: NaturalHamiltonian | None = None
     status = 0
-
-    if command != "examples":
-        system = _load(args)
 
     if command == "cofactor":
         F = _parse_arg_poly(system, args.poly)
@@ -289,36 +296,30 @@ def _run(args) -> tuple[int, dict]:
         if not all_ok:
             status = 1
 
-    report = {
-        "command": command,
-        "system": _system_block(system),
-        "results": results,
-        "residual_conditions": residuals,
-    }
-    return status, report
+    return status, _report(command, system, results, residuals)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.monotonic()
+    system: NaturalHamiltonian | None = None
     try:
-        status, report = _run(args)
+        if args.command != "examples":
+            system = _load(args)
+        status, report = _run(args, system)
     except BranchCapExceededError as exc:
         print(f"error: {exc}; partial results follow", file=_sys.stderr)
         partial: SearchReport = exc.partial
-        report = {
-            "command": args.command,
-            "system": None,
-            "results": [_cert_result(c) for c in partial.certificates],
-            "residual_conditions": list(partial.residual_conditions),
-        }
+        report = _report(
+            args.command,
+            system,
+            [_cert_result(c) for c in partial.certificates],
+            list(partial.residual_conditions),
+        )
         _emit(report, args.output, int((time.monotonic() - start) * 1000))
         return 1
-    except (UserError, ParseError, OSError) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
     except (InternalInvariantError, AssertionError) as exc:

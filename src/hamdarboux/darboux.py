@@ -13,10 +13,6 @@ class InternalInvariantError(RuntimeError):
     """A structural invariant that should be impossible to violate failed."""
 
 
-class NotProperError(ValueError):
-    pass
-
-
 class ReversalVacuousError(ValueError):
     """deg V odd: every Darboux polynomial is already a first integral."""
 

@@ -270,36 +270,28 @@ def format_field_element(x: FieldElement) -> str:
     return " ".join(pieces)
 
 
-def _format_term(exps: tuple[int, ...], coef: FieldElement, varset: VarSet) -> tuple[int, str]:
-    """Return (sign, body) for one term in canonical text."""
-    monos = []
-    for i, a in enumerate(exps):
-        if a == 0:
-            continue
-        name = varset.name(i + 1)
-        monos.append(name if a == 1 else f"{name}^{a}")
-    comps = _component_strs(coef)
-    if len(comps) == 1:
-        sign, mag = comps[0]
-        if monos and mag == "1":
-            return sign, "*".join(monos)
-        return sign, "*".join([mag] + monos)
-    body = "(" + format_field_element(coef) + ")"
-    return 1, "*".join([body] + monos)
-
-
-def format_poly(A: MultiPoly) -> str:
-    """Canonical text: terms in decreasing canonical order; reparses bit-exactly."""
-    if A.is_zero():
-        return "0"
+def format_terms(items, names: list[str]) -> str:
+    """Canonical text of (exponents, coefficient) items in the given order;
+    exponent k is the power of names[k]."""
     pieces = []
-    for idx, (exps, coef) in enumerate(A.sorted_terms()):
-        sign, body = _format_term(exps, coef, A.varset)
+    for idx, (exps, coef) in enumerate(items):
+        monos = [name if a == 1 else f"{name}^{a}" for name, a in zip(names, exps) if a]
+        comps = _component_strs(coef)
+        if len(comps) == 1:
+            sign, mag = comps[0]
+            body = "*".join(monos) if monos and mag == "1" else "*".join([mag] + monos)
+        else:
+            sign, body = 1, "*".join(["(" + format_field_element(coef) + ")"] + monos)
         if idx == 0:
             pieces.append(("-" if sign < 0 else "") + body)
         else:
             pieces.append(("- " if sign < 0 else "+ ") + body)
-    return " ".join(pieces)
+    return " ".join(pieces) or "0"
+
+
+def format_poly(A: MultiPoly) -> str:
+    """Canonical text: terms in decreasing canonical order; reparses bit-exactly."""
+    return format_terms(A.sorted_terms(), A.varset.names())
 
 
 # -- system-definition files -----------------------------------------------------

@@ -391,17 +391,6 @@ def _coeffs_in_var(A: MultiPoly, index: int) -> dict[int, MultiPoly]:
     return {d: MultiPoly(A.varset, A.field, t) for d, t in out.items()}
 
 
-def _from_coeffs(varset: VarSet, field: FieldSpec, index: int, coeffs: dict[int, MultiPoly]) -> MultiPoly:
-    i = index - 1
-    terms: dict[Exponents, FieldElement] = {}
-    for deg, poly in coeffs.items():
-        for exps, coef in poly.terms.items():
-            new = list(exps)
-            new[i] = deg
-            terms[tuple(new)] = coef
-    return MultiPoly(varset, field, terms)
-
-
 def _pseudo_remainder(A: MultiPoly, B: MultiPoly, index: int) -> MultiPoly:
     """lc(B)^(deg A - deg B + 1) * A mod B, in the main variable `index`."""
     cb = _coeffs_in_var(B, index)

@@ -7,6 +7,11 @@ eliminated fraction-free over the polynomial ring in lam, branching on
 whether each pivot vanishes; univariate lam-constraints of degree <= 4 are
 factored over the configured field, in-field roots branch the search and
 out-of-field factors are reported as residual conditions.
+
+Each branch keeps the pivot rows it eliminates.  At a leaf every remaining
+row is empty and every pivot is nonzero at the leaf's lam-values, so those
+rows, evaluated there, span the same kernel as the full ansatz: the leaf
+reads its Darboux polynomials from its own branch's rows.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from fractions import Fraction
 
 import sympy as sp
 
-from .darboux import DarbouxCertificate, cofactor_of
+from .darboux import DarbouxCertificate, InternalInvariantError, cofactor_of
 from .field import FieldElement, FieldKind, FieldSpec
 from .hamsys import (
     NaturalHamiltonian,
@@ -25,6 +30,7 @@ from .hamsys import (
     is_homogeneous_potential,
     lie_derivative,
 )
+from .parsing import format_terms
 from .poly import Exponents, MultiPoly, monomial_key
 
 
@@ -257,29 +263,8 @@ class PPoly:
         return next(iter(self.terms.values())).spec
 
     def render(self, names: list[str]) -> str:
-        if not self.terms:
-            return "0"
-        from .parsing import _component_strs, format_field_element
-
         items = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
-        pieces = []
-        for idx, (exps, coef) in enumerate(items):
-            monos = []
-            for i, a in enumerate(exps):
-                if a:
-                    monos.append(names[i] if a == 1 else f"{names[i]}^{a}")
-            comps = _component_strs(coef)
-            if len(comps) == 1:
-                sign, mag = comps[0]
-                body = "*".join(monos) if monos and mag == "1" else "*".join([mag] + monos)
-            else:
-                sign = 1
-                body = "*".join(["(" + format_field_element(coef) + ")"] + monos)
-            if idx == 0:
-                pieces.append(("-" if sign < 0 else "") + body)
-            else:
-                pieces.append(("- " if sign < 0 else "+ ") + body)
-        return " ".join(pieces)
+        return format_terms(items, names)
 
 
 # -- ansatz enumeration ----------------------------------------------------------
@@ -314,6 +299,7 @@ class _State:
     assign: dict[int, FieldElement]
     nonzero: list[PPoly]
     pending: list[PPoly]
+    pivots: list[dict[int, PPoly]]  # eliminated rows, never mutated once kept
     prev_pivot: PPoly | None = None
 
     def clone(self) -> "_State":
@@ -322,6 +308,7 @@ class _State:
             assign=dict(self.assign),
             nonzero=list(self.nonzero),
             pending=list(self.pending),
+            pivots=list(self.pivots),
             prev_pivot=self.prev_pivot,
         )
 
@@ -332,7 +319,6 @@ class _Context:
     f_monomials: list[Exponents]
     lam_monomials: list[Exponents]
     lam_names: list[str]
-    original_rows: list[dict[int, PPoly]]
     ncols: int
     cap: int
     branches: int = 0
@@ -635,7 +621,9 @@ def _eliminate_with_pivot(state: _State, col: int, pivot_ri: int) -> None:
     """Fraction-free (Bareiss) elimination of one column.  Every new entry is
     pv*a - e*b, then the whole row is divided by the previous pivot when that
     division is exact; the previous pivot is nonzero on this branch, so the
-    division never changes which lam-values admit a kernel."""
+    division never changes which lam-values admit a kernel.  The pivot row
+    is kept on the state for the leaf kernel."""
+    state.pivots.append(dict(state.rows[pivot_ri]))  # type: ignore[arg-type]
     if _eliminate_fast(state, col, pivot_ri):
         return
     rows = state.rows
@@ -803,17 +791,20 @@ def _handle_leaf(ctx: _Context, state: _State) -> None:
         for p in state.nonzero:
             if p.substitute(assign, spec).is_zero():
                 return
+    # the branch's pivot rows at the leaf's lam-values: every pivot is
+    # nonzero there and every dropped entry vanishes, so their kernel is the
+    # kernel of the full ansatz
     numeric_rows: list[dict[int, FieldElement]] = []
-    for row in ctx.original_rows:
+    for row in state.pivots:
         nrow: dict[int, FieldElement] = {}
         for col, p in row.items():
             p2 = p.substitute(assign, spec)
             if p2.is_zero():
                 continue
-            assert p2.is_constant()
+            if not p2.is_constant():
+                raise InternalInvariantError("leaf pivot row still depends on a cofactor unknown")
             nrow[col] = p2.constant_value()
-        if nrow:
-            numeric_rows.append(nrow)
+        numeric_rows.append(nrow)
     for vector in _kernel_basis(numeric_rows, ctx.ncols, spec):
         F = MultiPoly.from_terms(
             ctx.sys.varset,
@@ -944,22 +935,21 @@ def search_darboux(
             bump(prod, col, PPoly.var(nlam, t, spec).scale(-spec.one()))
 
     ordered = sorted(rows_by_monomial, key=key, reverse=True)
-    original_rows = [rows_by_monomial[mono] for mono in ordered]
 
     ctx = _Context(
         sys=sys,
         f_monomials=f_monomials,
         lam_monomials=lam_monomials,
         lam_names=lam_names,
-        original_rows=original_rows,
         ncols=ncols,
         cap=branch_cap,
     )
     state = _State(
-        rows=[dict(r) for r in original_rows],
+        rows=[rows_by_monomial[mono] for mono in ordered],
         assign={},
         nonzero=[],
         pending=[],
+        pivots=[],
     )
     ctx.tick()
     _explore(ctx, state)

@@ -6,15 +6,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
-from fractions import Fraction
 
-from .darboux import DarbouxCertificate, cofactor_of, reversal_integral, verify_first_integral
-from .field import FieldElement
+from .darboux import (
+    DarbouxCertificate,
+    InternalInvariantError,
+    reversal_integral,
+    verify_first_integral,
+)
 from .hamsys import (
     NaturalHamiltonian,
     gamma_direction,
     is_homogeneous_potential,
-    make_system,
 )
 from .poly import MultiPoly, monomial_key
 from .search import search_darboux, sqrt_in_field
@@ -106,7 +108,8 @@ def factor_ansatz_search(sys: NaturalHamiltonian) -> FactorWitness | None:
     G1 = p_k + W1
     G2 = p_k.scale(sys.mu[k]) - W1.scale(sys.mu[k])
     two_h = sys.H.scale(spec.from_rational(2))
-    assert (G1 * G2 - two_h).is_zero()
+    if not (G1 * G2 - two_h).is_zero():
+        raise InternalInvariantError("factor witness does not multiply back to 2H")
     return FactorWitness(G1=G1, G2=G2)
 
 
@@ -234,31 +237,3 @@ def check_theorem2_pipeline(
     notes.append("tau(F)*F is a first integral functionally independent of H")
     return TheoremReport(verdict=Verdict.CONSISTENT, evidence=[integral], notes=notes)
 
-
-def random_small_system(rng, m: int = 2, max_degree: int = 4) -> NaturalHamiltonian:
-    """Random system with small integer data, for agreement tests."""
-    from .field import RATIONALS
-    from .poly import VarSet
-
-    varset = VarSet(m)
-    while True:
-        mu = [rng.choice([-2, -1, 0, 1, 2]) for _ in range(m)]
-        if any(mu):
-            break
-    terms = {}
-    for _ in range(rng.randint(1, 5)):
-        exps = [0] * (2 * m)
-        for i in range(m):
-            exps[i] = rng.randint(0, max_degree)
-        if sum(exps) == 0:
-            continue
-        coef = Fraction(rng.randint(-3, 3))
-        if coef:
-            terms[tuple(exps)] = RATIONALS.from_rational(coef)
-    if not terms:
-        terms[(2,) + (0,) * (2 * m - 1)] = RATIONALS.one()
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return make_system(mu, MultiPoly(varset, RATIONALS, terms))

@@ -1,10 +1,11 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
 
 from hamdarboux.field import RATIONALS, FieldSpec, quad_gauss
-from hamdarboux.hamsys import NaturalHamiltonian, load_system
+from hamdarboux.hamsys import NaturalHamiltonian, load_system, make_system
 from hamdarboux.parsing import ParseContext, parse_poly
 from hamdarboux.poly import MultiPoly, VarSet
 
@@ -56,6 +57,30 @@ def rand_poly(
 
 def poly_of(system: NaturalHamiltonian, text: str) -> MultiPoly:
     return parse_poly(text, ParseContext(system.varset, system.field))
+
+
+def random_small_system(rng, m: int = 2, max_degree: int = 4) -> NaturalHamiltonian:
+    """Random system with small integer data, for agreement tests."""
+    varset = VarSet(m)
+    while True:
+        mu = [rng.choice([-2, -1, 0, 1, 2]) for _ in range(m)]
+        if any(mu):
+            break
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        exps = [0] * (2 * m)
+        for i in range(m):
+            exps[i] = rng.randint(0, max_degree)
+        if sum(exps) == 0:
+            continue
+        coef = Fraction(rng.randint(-3, 3))
+        if coef:
+            terms[tuple(exps)] = RATIONALS.from_rational(coef)
+    if not terms:
+        terms[(2,) + (0,) * (2 * m - 1)] = RATIONALS.one()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return make_system(mu, MultiPoly(varset, RATIONALS, terms))
 
 
 @pytest.fixture(scope="session")

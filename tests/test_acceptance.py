@@ -286,7 +286,7 @@ def test_criterion_7_irreducibility(sys_s2, sys_s3, sys_s5):
     if isinstance(witness, FactorWitness):
         two_h = reducible.H.scale(reducible.field.from_rational(2))
         ok = ok and witness.G1 * witness.G2 == two_h
-    from hamdarboux.structure import random_small_system
+    from conftest import random_small_system
 
     rng = random.Random(1009)
     for _ in range(100):

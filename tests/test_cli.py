@@ -76,6 +76,18 @@ def test_search_extension_field(capsys, s1_ext):
     assert report["residual_conditions"] == []
 
 
+def test_branch_cap_error_keeps_system_block(capsys, tmp_path):
+    path = tmp_path / "quartic.sys"
+    path.write_text("m = 2\nfield = Q(i,sqrt2)\nmu = 1, 1\nV = q1^4 + q2^4\n")
+    code, report = run_json(
+        capsys,
+        ["search", "--system", str(path), "--max-gamma-degree", "8", "--branch-cap", "2"],
+    )
+    assert code == 1
+    assert report["system"]["m"] == 2
+    assert report["system"]["V"] == "q1^4 + q2^4"
+
+
 def test_reversal_and_theorem2(capsys, tmp_path):
     path = tmp_path / "s3.sys"
     path.write_text("m = 2\nfield = Q(i,sqrt2)\nmu = 1, 1\nV = q1^2 + q2^4\n")

@@ -190,3 +190,76 @@ def test_random_certificates_verify():
         assert len(proper) == 4, (c1, c2, [str(c.F) for c in report.certificates])
         for cert in report.certificates:
             assert certificate_holds(system, cert)
+
+
+# Ordered reports of searches in which some leaf kernel has dimension >= 2,
+# pinned so that the leaf's kernel routine can change without moving a single
+# certificate: q1^3 + q2^3 runs the generic Bareiss path with no cofactor
+# unknown, the second system the integer path with one unknown, and q1^4 over
+# Q(i, sqrt2) the generic path with two unknowns, forks and residuals.
+PINNED_REPORTS = [
+    pytest.param(
+        "Q", "q1^3 + q2^3", 12, 1,
+        [
+            ("p2^2 + 2*q2^3", "0"),
+            ("p2^4 + 4*q2^3*p2^2 + 4*q2^6", "0"),
+            ("p1^2 + 2*q1^3", "0"),
+            ("p1^2*p2^2 + 2*q2^3*p1^2 + 2*q1^3*p2^2 + 4*q1^3*q2^3", "0"),
+            ("p1^4 + 4*q1^3*p1^2 + 4*q1^6", "0"),
+        ],
+        (),
+        id="cubic-generic",
+    ),
+    pytest.param(
+        "Q", "q1^3 - 2*q2^3 + q1^2 - q2", 10, 7,
+        [
+            ("p2^2 - 4*q2^3 - 2*q2", "0"),
+            ("p1^2 + 2*q1^3 + 2*q1^2", "0"),
+        ],
+        (),
+        id="cubic-integer-path",
+    ),
+    pytest.param(
+        "Q(i,sqrt2)", "q1^4", 8, 94,
+        [
+            ("p2", "0"),
+            ("p2^2", "0"),
+            ("p1 - i*sqrt(2)*q1^2", "-2*i*sqrt(2)*q1"),
+            ("p1 + i*sqrt(2)*q1^2", "2*i*sqrt(2)*q1"),
+            ("p1*p2 - i*sqrt(2)*q1^2*p2", "-2*i*sqrt(2)*q1"),
+            ("p1*p2 + i*sqrt(2)*q1^2*p2", "2*i*sqrt(2)*q1"),
+            ("p1^2 + 2*q1^4", "0"),
+            ("p1^2 - 2*i*sqrt(2)*q1^2*p1 - 2*q1^4", "-4*i*sqrt(2)*q1"),
+            ("p1^2 + 2*i*sqrt(2)*q1^2*p1 - 2*q1^4", "4*i*sqrt(2)*q1"),
+        ],
+        (
+            "-3*l1^3*l2^7 - 24*l1*l2^7",
+            "-3*l1^4*l2^6 - 24*l1^2*l2^6",
+            "-5*l1^5*l2^8 - 32*l1^3*l2^8 + 64*l1*l2^8",
+            "-l1^2*l2^5 - 8*l2^5",
+            "-l1^2*l2^7 - 8*l2^7",
+            "-l1^4*l2^8 - 8*l1^2*l2^8",
+            "-l1^4*l2^9 - 8*l1^2*l2^9",
+            "-l1^5*l2^5 - 16*l1^3*l2^5 - 64*l1*l2^5",
+            "-l1^5*l2^7 - 16*l1^3*l2^7 - 64*l1*l2^7",
+            "5*l1^7*l2^6 + 128*l1^5*l2^6 + 1088*l1^3*l2^6 + 3072*l1*l2^6",
+            "l1^2*l2^10 + 8*l2^10",
+            "l1^2*l2^8 + 8*l2^8",
+            "l1^3*l2^6 + 8*l1*l2^6",
+            "l1^4*l2^5 + 8*l1^2*l2^5",
+            "l1^8*l2^5 + 48*l1^6*l2^5 + 576*l1^4*l2^5 + 2048*l1^2*l2^5",
+        ),
+        id="quartic-extension",
+    ),
+]
+
+
+@pytest.mark.parametrize("field, V, degree, branches, certificates, residuals", PINNED_REPORTS)
+def test_pinned_ordered_reports(field, V, degree, branches, certificates, residuals):
+    from hamdarboux.hamsys import load_system
+
+    system = load_system(f"m = 2\nfield = {field}\nmu = 1, 1\nV = {V}\n")
+    report = search_darboux(system, degree)
+    assert [(format_poly(c.F), format_poly(c.Lambda)) for c in report.certificates] == certificates
+    assert report.residual_conditions == residuals
+    assert report.branches_explored == branches

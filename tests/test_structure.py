@@ -13,10 +13,9 @@ from hamdarboux.structure import (
     factor_ansatz_search,
     is_irreducible_natural_H,
     jacobian_independent,
-    random_small_system,
 )
 
-from conftest import poly_of
+from conftest import poly_of, random_small_system
 
 
 def test_irreducible_examples(sys_s2, sys_s3, sys_s5):
