@@ -35,13 +35,6 @@ from .hamsys import (
     tau,
     top_hamiltonian,
 )
-from .numcheck import (
-    NotRealEvaluableError,
-    Trajectory,
-    drift,
-    evaluate_float,
-    integrate_rk4,
-)
 from .parsing import (
     ParseContext,
     ParseError,
@@ -79,5 +72,23 @@ from .structure import (
     jacobian_independent,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# numcheck needs numpy, so its names are loaded on first access (PEP 562)
+_NUMCHECK_NAMES = (
+    "NotRealEvaluableError",
+    "Trajectory",
+    "drift",
+    "evaluate_float",
+    "integrate_rk4",
+)
+
+
+def __getattr__(name: str):
+    if name in _NUMCHECK_NAMES:
+        from . import numcheck
+
+        return getattr(numcheck, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_NUMCHECK_NAMES))
 __version__ = "0.1.0"

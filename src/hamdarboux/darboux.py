@@ -6,11 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hamsys import NaturalHamiltonian, gamma_direction, lie_derivative, tau
-from .poly import MultiPoly, multivariate_gcd
-
-
-class InternalInvariantError(RuntimeError):
-    """A structural invariant that should be impossible to violate failed."""
+from .poly import InternalInvariantError, MultiPoly, multivariate_gcd
 
 
 class ReversalVacuousError(ValueError):

@@ -18,6 +18,10 @@ MAX_TERMS = 10**6
 Exponents = tuple[int, ...]
 
 
+class InternalInvariantError(RuntimeError):
+    """A structural invariant that should be impossible to violate failed."""
+
+
 class VarSetMismatchError(ValueError):
     """Operands live in different polynomial rings."""
 
@@ -372,7 +376,7 @@ class MultiPoly:
             piece = MultiPoly(self.varset, self.field, {diff: qc})
             rem = rem - piece * other
             if not rem.is_zero() and key(rem.leading_term()[0]) >= key(rexps):
-                raise AssertionError("division did not reduce the leading term")  # pragma: no cover
+                raise InternalInvariantError("division did not reduce the leading term")  # pragma: no cover
         return MultiPoly(self.varset, self.field, quotient)
 
 
@@ -449,7 +453,8 @@ def multivariate_gcd(A: MultiPoly, B: MultiPoly, _monic: bool = True) -> MultiPo
     cont_g = multivariate_gcd(cont_a, cont_b, _monic=False)
     pa = A.divide_exact(cont_a)
     pb = B.divide_exact(cont_b)
-    assert pa is not None and pb is not None
+    if pa is None or pb is None:
+        raise InternalInvariantError("an input is not divisible by its own content")
     # primitive PRS in the main variable
     da = max(_coeffs_in_var(pa, x))
     db = max(_coeffs_in_var(pb, x))
@@ -462,8 +467,10 @@ def multivariate_gcd(A: MultiPoly, B: MultiPoly, _monic: bool = True) -> MultiPo
             pb = rem
         else:
             pb = rem.divide_exact(_content(rem, x))
-            assert pb is not None
+            if pb is None:
+                raise InternalInvariantError("a pseudo-remainder is not divisible by its content")
     if pa.variables_used() and x in pa.variables_used():
         pa = pa.divide_exact(_content(pa, x))
-        assert pa is not None
+        if pa is None:
+            raise InternalInvariantError("the gcd candidate is not divisible by its content")
     return finish(cont_g * pa)

@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-
-import sympy as sp
+from typing import Callable
 
 from .darboux import DarbouxCertificate, InternalInvariantError, cofactor_of
 from .field import FieldElement, FieldKind, FieldSpec
@@ -52,9 +51,13 @@ class SearchReport:
 
 
 # -- sympy bridge (exact roots over Q and Q(i, sqrt d)) -------------------------
+# sympy is imported inside these functions: only a search that factors a
+# cofactor constraint pays for loading it.
 
 
 def _fe_to_sympy(x: FieldElement):
+    import sympy as sp
+
     expr = sp.Rational(x.a)
     if x.b or x.c or x.e:
         s = sp.sqrt(x.spec.d)
@@ -63,6 +66,8 @@ def _fe_to_sympy(x: FieldElement):
 
 
 def _sympy_to_fe(expr, spec: FieldSpec) -> FieldElement:
+    import sympy as sp
+
     expr = sp.expand(expr)
     if spec.kind is FieldKind.RATIONALS:
         rat = sp.Rational(expr)
@@ -83,6 +88,8 @@ def roots_in_field(
 ) -> tuple[list[FieldElement], list[list[FieldElement]]]:
     """Roots of sum coeffs[k] x^k lying in the field, plus the monic
     irreducible-over-the-field factors whose roots fall outside it."""
+    import sympy as sp
+
     x = sp.Symbol("x")
     expr = sp.Add(*(_fe_to_sympy(c) * x**k for k, c in enumerate(coeffs)))
     if spec.kind is FieldKind.QUAD_GAUSS:
@@ -109,12 +116,77 @@ def roots_in_field(
     return uniq, residuals
 
 
+# -- exact square roots up the tower Q < Q(sqrt d) < Q(sqrt d)(i) ----------------
+
+
+def _sqrt_rational(x: FieldElement) -> FieldElement | None:
+    """A square root of a rational element (only its `a` component is read)."""
+    a = x.a
+    if a < 0:
+        return None
+    num, den = math.isqrt(a.numerator), math.isqrt(a.denominator)
+    if num * num != a.numerator or den * den != a.denominator:
+        return None
+    return x.spec.from_rational(Fraction(num, den))
+
+
+def _sqrt_step(
+    u: FieldElement,
+    v: FieldElement,
+    c: int,
+    g: FieldElement,
+    sqrt_below: Callable[[FieldElement], FieldElement | None],
+) -> FieldElement | None:
+    """A square root of u + v*g, where g^2 = c and u, v, c lie in the field
+    below, whose square roots `sqrt_below` takes; None when there is none.
+
+    A root y = s + t*g has y^2 = (s^2 + c*t^2) + 2*s*t*g, so the norm
+    u^2 - c*v^2 equals (s^2 - c*t^2)^2 and s^2 = (u +- n)/2 for a root n
+    of the norm; then t = v/(2s), or t^2 = u/c when s = 0."""
+    n = sqrt_below(u * u - v * v * c)
+    if n is None:
+        return None
+    x = u + v * g
+    for norm_root in (n, -n):
+        s = sqrt_below((u + norm_root) * Fraction(1, 2))
+        if s is None:
+            continue
+        if s.is_zero():
+            t = sqrt_below(u * Fraction(1, c))
+            if t is None:
+                continue
+        else:
+            t = v * (s + s).inverse()
+        y = s + t * g
+        if y * y == x:
+            return y
+    return None
+
+
+def _sqrt_real(x: FieldElement) -> FieldElement | None:
+    """A square root of an element of Q(sqrt d) (its `a` and `c` components)."""
+    spec = x.spec
+    return _sqrt_step(
+        spec.from_rational(x.a), spec.from_rational(x.c), spec.d, spec.sqrt_d(), _sqrt_rational
+    )
+
+
 def sqrt_in_field(x: FieldElement) -> FieldElement | None:
-    """A square root of x in its own field, or None."""
+    """The square root of x in its own field with the smaller `sort_key`, or
+    None when x is not a square there.  Exact and free of sympy: it climbs
+    Q < Q(sqrt d) < Q(sqrt d)(i), taking each level's root from norms that
+    must be squares one level down."""
     if x.is_zero():
         return x
-    roots, _ = roots_in_field([-x, x.spec.zero(), x.spec.one()], x.spec)
-    return roots[0] if roots else None
+    spec = x.spec
+    if spec.kind is FieldKind.RATIONALS:
+        y = _sqrt_rational(x)
+    else:
+        real, imag = spec.element(x.a, 0, x.c), spec.element(x.b, 0, x.e)
+        y = _sqrt_step(real, imag, -1, spec.i(), _sqrt_real)
+    if y is None:
+        return None
+    return min(y, -y, key=lambda z: z.sort_key())
 
 
 # -- polynomials in the cofactor unknowns ---------------------------------------
@@ -250,7 +322,8 @@ class PPoly:
     def univariate_coeffs(self) -> tuple[int, list[FieldElement]]:
         """(var index, low-to-high coefficient list); requires one variable."""
         used = self.vars_used()
-        assert len(used) == 1
+        if len(used) != 1:
+            raise InternalInvariantError(f"expected one lam-variable, got {sorted(used)}")
         var = next(iter(used))
         deg = max(e[var] for e in self.terms)
         spec = self.constant_spec()
@@ -517,13 +590,11 @@ def _int_div_exact(num: list[int], den: list[int]) -> tuple[list[int], int] | No
     return None
 
 
-def _eliminate_fast(state: _State, col: int, pivot_ri: int) -> bool:
+def _eliminate_fast(state: _State, col: int, pivot_ri: int, pivot_row: dict[int, PPoly]) -> bool:
     """Integer specialization of the Bareiss step for a single lam-unknown
     over Q: dense int coefficient lists instead of PPoly dicts.  Returns
     False (without touching the state) when any entry does not convert."""
     rows = state.rows
-    pivot_row = rows[pivot_ri]
-    assert pivot_row is not None
     pv_poly = pivot_row[col]
     spec = pv_poly.constant_spec()
     if spec.kind is not FieldKind.RATIONALS:
@@ -540,7 +611,7 @@ def _eliminate_fast(state: _State, col: int, pivot_ri: int) -> bool:
         if v is None:
             return False
         pr[c] = v
-    others: dict[int, dict[int, list[int]]] = {}
+    others: list[tuple[dict[int, PPoly], dict[int, list[int]]]] = []
     for rj, row in enumerate(rows):
         if rj == pivot_ri or row is None:
             continue
@@ -550,12 +621,12 @@ def _eliminate_fast(state: _State, col: int, pivot_ri: int) -> bool:
             if v is None:
                 return False
             rd[c] = v
-        others[rj] = rd
+        others.append((row, rd))
     # conversion complete: commit
     rows[pivot_ri] = None
     pvv = pr.pop(col)
     skip_untouched = len(pvv) == 1 and (prevv is None or len(prevv) == 1)
-    for rj, rd in others.items():
+    for row, rd in others:
         e = rd.pop(col, None)
         if e is None and skip_untouched:
             continue
@@ -609,8 +680,6 @@ def _eliminate_fast(state: _State, col: int, pivot_ri: int) -> bool:
                     g = math.gcd(g, x)
         if g > 1:
             scaled = {c: [x // g for x in vec] for c, vec in scaled.items()}
-        row = rows[rj]
-        assert row is not None
         row.clear()
         row.update({c: _from_dense(vec, spec) for c, vec in scaled.items()})
     state.prev_pivot = pv_poly
@@ -623,12 +692,13 @@ def _eliminate_with_pivot(state: _State, col: int, pivot_ri: int) -> None:
     division is exact; the previous pivot is nonzero on this branch, so the
     division never changes which lam-values admit a kernel.  The pivot row
     is kept on the state for the leaf kernel."""
-    state.pivots.append(dict(state.rows[pivot_ri]))  # type: ignore[arg-type]
-    if _eliminate_fast(state, col, pivot_ri):
-        return
     rows = state.rows
     pivot_row = rows[pivot_ri]
-    assert pivot_row is not None
+    if pivot_row is None:
+        raise InternalInvariantError(f"pivot row {pivot_ri} was already eliminated")
+    state.pivots.append(dict(pivot_row))
+    if _eliminate_fast(state, col, pivot_ri, pivot_row):
+        return
     rows[pivot_ri] = None
     pv = pivot_row.pop(col)
     prev = state.prev_pivot
@@ -815,7 +885,7 @@ def _handle_leaf(ctx: _Context, state: _State) -> None:
             continue
         cert = cofactor_of(ctx.sys, F.monic())
         if cert is None:
-            continue  # pragma: no cover - kernel vectors are Darboux by construction
+            raise InternalInvariantError(f"leaf kernel vector {F} is not a Darboux polynomial")
         key = (cert.F.canonical_key(), cert.Lambda.canonical_key())
         ctx.certificates.setdefault(key, cert)
 

@@ -125,7 +125,7 @@ def is_irreducible_natural_H(sys: NaturalHamiltonian) -> tuple[bool, FactorWitne
     witness = factor_ansatz_search(sys) if sys.m <= 3 else None
     if nonzero_mu >= 2:
         if witness is not None:
-            raise AssertionError(
+            raise InternalInvariantError(
                 "factor search contradicts the two-nonzero-mu irreducibility argument"
             )  # pragma: no cover
         return True, "at least two mu_i nonzero: H is irreducible"

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +130,15 @@ def test_irreducible(capsys, tmp_path, s2):
     assert code == 0
     assert report["results"][0]["verdict"] is False
     assert "G1" in report["results"][0]["evidence"]
+    # over Q(i, sqrt2) the factors need the square root of -2 in the field
+    path.write_text("m = 2\nfield = Q(i,sqrt2)\nmu = 1, 0\nV = q2^4\n")
+    code, report = run_json(capsys, ["irreducible", "--system", str(path)])
+    assert code == 0
+    assert report["results"][0]["verdict"] is False
+    assert report["results"][0]["evidence"] == {
+        "G1": "p1 - i*sqrt(2)*q2^2",
+        "G2": "p1 + i*sqrt(2)*q2^2",
+    }
 
 
 def test_theorem1(capsys, tmp_path):
@@ -200,3 +213,67 @@ def test_text_output_smoke(capsys, s1_ext):
     assert code == 0
     assert "darboux_certificate" in out
     assert "timing_ms:" in out
+
+
+def _run_fresh(script: str) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_exact_commands_load_neither_sympy_nor_numpy(tmp_path):
+    # the exact checks need no factoring and no floating point: a CLI process
+    # that runs them must not pay for importing sympy or numpy
+    script = f"""
+import contextlib, io, sys
+from pathlib import Path
+from hamdarboux.cli import main
+from hamdarboux.corpus import CORPUS
+
+paths = []
+for k, entry in enumerate(CORPUS):
+    path = Path({str(tmp_path)!r}) / f"corpus{{k}}.sys"
+    path.write_text(entry.definition)
+    paths.append(str(path))
+reducible = Path({str(tmp_path)!r}) / "reducible.sys"
+reducible.write_text("m = 2\\nfield = Q(i,sqrt2)\\nmu = 1, 0\\nV = q2^4\\n")
+runs = [
+    ["cofactor", "--system", paths[2], "--poly", "i*p2 + sqrt(2)*q2^2"],
+    ["verify-integral", "--system", paths[1], "--poly", "q1*p2 - q2*p1"],
+    ["reversal", "--system", paths[2], "--poly", "i*p2 + sqrt(2)*q2^2"],
+    ["independence", "--system", paths[1], "--poly", "q1*p2 - q2*p1", "--poly", "p1^2"],
+    ["irreducible", "--system", paths[0]],
+    ["irreducible", "--system", paths[2]],
+    ["irreducible", "--system", str(reducible)],
+    ["theorem2", "--system", paths[2], "--poly", "i*p2 + sqrt(2)*q2^2"],
+    ["examples"],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = main(argv + ["--output", "json"])
+    assert status == 0, (argv, status)
+print(sorted(name for name in ("sympy", "numpy") if name in sys.modules))
+"""
+    proc = _run_fresh(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_numcheck_names_load_numpy_on_first_use():
+    script = """
+import sys
+import hamdarboux
+assert "numpy" not in sys.modules
+from hamdarboux import drift
+assert "numpy" in sys.modules
+assert drift is sys.modules["hamdarboux.numcheck"].drift
+names = {"NotRealEvaluableError", "Trajectory", "drift", "evaluate_float", "integrate_rk4"}
+assert names <= set(hamdarboux.__all__)
+"""
+    proc = _run_fresh(script)
+    assert proc.returncode == 0, proc.stderr

@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy as sp
 
-from hamdarboux.darboux import certificate_holds
+from hamdarboux.darboux import InternalInvariantError, certificate_holds
 from hamdarboux.field import RATIONALS, quad_gauss
 from hamdarboux.parsing import format_poly
 from hamdarboux.search import (
@@ -13,7 +17,7 @@ from hamdarboux.search import (
     sqrt_in_field,
 )
 
-from conftest import poly_of
+from conftest import poly_of, rand_element
 
 Q2 = quad_gauss(2)
 
@@ -64,11 +68,49 @@ def test_roots_of_cubic_and_quartic():
 
 
 def test_sqrt_in_field():
-    assert str(sqrt_in_field(Q2.from_rational(2))) in ("sqrt(2)", "-sqrt(2)")
-    assert sqrt_in_field(Q2.from_rational(-1)) is not None
+    # the root with the smaller sort_key, as the factoring route returns it
+    assert str(sqrt_in_field(Q2.from_rational(2))) == "-sqrt(2)"
+    assert str(sqrt_in_field(Q2.from_rational(-1))) == "-i"
+    assert str(sqrt_in_field(RATIONALS.from_rational(4))) == "-2"
+    assert str(sqrt_in_field(Q2.element(3, 0, 2, 0))) == "-1 - sqrt(2)"
+    assert str(sqrt_in_field(Q2.element(0, 2, 0, 0))) == "-1 - i"
     assert sqrt_in_field(Q2.from_rational(3)) is None
     assert sqrt_in_field(RATIONALS.from_rational(-1)) is None
-    assert str(sqrt_in_field(RATIONALS.from_rational(4))) in ("2", "-2")
+    assert sqrt_in_field(Q2.zero()) == Q2.zero()
+
+
+def _sparse_element(rng, spec):
+    """A random element with each component zeroed with probability 1/2, so
+    the real subfield Q(sqrt d) and the rationals inside it come up often."""
+    x = rand_element(rng, spec)
+    if spec is RATIONALS:
+        return x
+    return spec.element(*(c if rng.random() < 0.5 else 0 for c in x.components()))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [RATIONALS, quad_gauss(2), quad_gauss(3), quad_gauss(6)],
+    ids=["Q", "sqrt2", "sqrt3", "sqrt6"],
+)
+def test_sqrt_in_field_matches_factoring(spec):
+    # oracle: the sympy route, the smaller root of x^2 - x factored over the field
+    rng = random.Random(31)
+    multipliers = [spec.from_rational(k) for k in (-1, 2, 3, 5)]
+    if spec is not RATIONALS:
+        multipliers += [spec.i(), spec.sqrt_d(), spec.element(1, 1)]
+    squares = tested = 0
+    for k in range(75):
+        y = _sparse_element(rng, spec)
+        x = (y * y, y * y * rng.choice(multipliers), _sparse_element(rng, spec))[k % 3]
+        if x.is_zero():
+            continue
+        roots, _ = roots_in_field([-x, spec.zero(), spec.one()], spec)
+        got = sqrt_in_field(x)
+        assert got == (roots[0] if roots else None), str(x)
+        squares += got is not None
+        tested += 1
+    assert squares >= 20 and tested - squares >= 20, (squares, tested)
 
 
 def test_search_v_q1_4_over_extension(sys_s1_ext):
@@ -263,3 +305,36 @@ def test_pinned_ordered_reports(field, V, degree, branches, certificates, residu
     assert [(format_poly(c.F), format_poly(c.Lambda)) for c in report.certificates] == certificates
     assert report.residual_conditions == residuals
     assert report.branches_explored == branches
+
+
+def test_leaf_rejects_a_kernel_vector_that_is_not_darboux(sys_s1_ext, monkeypatch):
+    # a leaf never drops a kernel vector silently: one that fails the
+    # cofactor check is a broken elimination invariant
+    import hamdarboux.search as search_module
+
+    monkeypatch.setattr(search_module, "cofactor_of", lambda system, F: None)
+    with pytest.raises(InternalInvariantError, match="not a Darboux polynomial"):
+        search_darboux(sys_s1_ext, 4)
+
+
+def test_leaf_invariant_survives_optimized_mode():
+    # python -O strips assert statements; the invariant must still raise
+    script = """
+import hamdarboux.search as search_module
+from hamdarboux.corpus import CORPUS
+from hamdarboux.darboux import InternalInvariantError
+
+assert False, "assertions are stripped under -O"
+search_module.cofactor_of = lambda system, F: None
+try:
+    search_module.search_darboux(CORPUS[0].system(), 4)
+except InternalInvariantError:
+    raise SystemExit(0)
+raise SystemExit(3)
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
