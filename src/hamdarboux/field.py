@@ -205,7 +205,7 @@ class FieldElement:
         n = z * w
         if not n.is_rational() or n.is_zero():
             raise ArithmeticError("norm computation failed")  # pragma: no cover
-        return (y * w) * Fraction(1, 1) * self.spec.from_rational(1 / n.a)
+        return (y * w) * self.spec.from_rational(1 / n.a)
 
     def __truediv__(self, other):
         o = self._coerce(other)

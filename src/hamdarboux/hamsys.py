@@ -124,8 +124,7 @@ def gamma_direction(sys: NaturalHamiltonian) -> GammaGrading:
 
 def top_hamiltonian(sys: NaturalHamiltonian) -> NaturalHamiltonian:
     """Replace V by its top total-degree component (same mu)."""
-    grading = gamma_direction(sys)  # enforces r >= 3
-    del grading
+    gamma_direction(sys)  # enforces r >= 3
     top_terms = {
         exps: coef
         for exps, coef in sys.V.terms.items()

@@ -3,7 +3,9 @@
 Variables are the canonical phase-space variables q1..qm, p1..pm of an
 m-degree-of-freedom system, indexed 1..2m.  The canonical term order is
 lexicographic with significance p1 > p2 > ... > pm > q1 > ... > qm, which
-makes monic normalisation and printed output deterministic.
+makes monic normalisation and printed output deterministic.  The search's
+polynomials in the unknown cofactor coefficients l1..lk use the same class
+over `VarSet.cofactor_unknowns(k)`, ordered lexicographically in l1 > ... > lk.
 """
 
 from __future__ import annotations
@@ -31,23 +33,32 @@ class TooDenseError(ValueError):
 
 
 class VarSet:
-    """The 2m phase-space variables q1..qm, p1..pm."""
+    """Names the variables of a polynomial ring: the 2m phase-space variables
+    q1..qm, p1..pm, or (`cofactor_unknowns`) the search's unknowns l1..lk."""
 
-    __slots__ = ("m",)
+    __slots__ = ("m", "n")
 
     def __init__(self, m: int):
         if m < 1:
             raise ValueError("need m >= 1")
         self.m = m
+        self.n = 2 * m
 
-    @property
-    def n(self) -> int:
-        return 2 * self.m
+    @classmethod
+    def cofactor_unknowns(cls, k: int) -> "VarSet":
+        """The k unknown cofactor coefficients l1..lk.  Their m is 0, so the
+        canonical order is plain lexicographic with l1 > l2 > ... > lk."""
+        varset = object.__new__(cls)
+        varset.m = 0
+        varset.n = k
+        return varset
 
     def name(self, index: int) -> str:
-        """1-based variable name: 1..m are q's, m+1..2m are p's."""
+        """1-based variable name: 1..m are q's, m+1..2m are p's (l's when m is 0)."""
         if not 1 <= index <= self.n:
             raise IndexError(f"variable index {index} out of range 1..{self.n}")
+        if not self.m:
+            return f"l{index}"
         if index <= self.m:
             return f"q{index}"
         return f"p{index - self.m}"
@@ -56,12 +67,14 @@ class VarSet:
         return [self.name(i) for i in range(1, self.n + 1)]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, VarSet) and self.m == other.m
+        return isinstance(other, VarSet) and self.m == other.m and self.n == other.n
 
     def __hash__(self) -> int:
-        return hash(("VarSet", self.m))
+        return hash(("VarSet", self.m, self.n))
 
     def __repr__(self) -> str:
+        if not self.m:
+            return f"VarSet.cofactor_unknowns({self.n})"
         return f"VarSet(m={self.m})"
 
 
@@ -201,6 +214,8 @@ class MultiPoly:
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: "MultiPoly") -> None:
+        if self.varset is other.varset and self.field is other.field:
+            return
         if self.varset != other.varset or self.field != other.field:
             raise VarSetMismatchError(
                 f"ring mismatch: {self.varset!r}/{self.field!r} vs {other.varset!r}/{other.field!r}"
@@ -308,17 +323,46 @@ class MultiPoly:
             terms[tuple(new)] = coef * a
         return MultiPoly(self.varset, self.field, terms)
 
+    def substitute(self, assign: dict[int, FieldElement]) -> "MultiPoly":
+        """Give the variables indexed (1-based) in `assign` their values; the
+        result stays in this polynomial's ring."""
+        if not assign or not (self.variables_used() & assign.keys()):
+            return self
+        terms: dict[Exponents, FieldElement] = {}
+        for exps, coef in self.terms.items():
+            val = coef
+            new = list(exps)
+            for i, a in enumerate(exps, 1):
+                if a and i in assign:
+                    x = assign[i]
+                    for _ in range(a):
+                        val = val * x
+                    new[i - 1] = 0
+            if val.is_zero():
+                continue
+            key = tuple(new)
+            cur = terms.get(key)
+            s = val if cur is None else cur + val
+            if s.is_zero():
+                terms.pop(key, None)
+            else:
+                terms[key] = s
+        return MultiPoly(self.varset, self.field, terms)
+
     def evaluate(self, point: Sequence[FieldElement]) -> FieldElement:
         if len(point) != self.varset.n:
             raise ValueError(f"point must have {self.varset.n} coordinates")
-        total = self.field.zero()
-        for exps, coef in self.terms.items():
-            val = coef
-            for x, a in zip(point, exps):
-                for _ in range(a):
-                    val = val * x
-            total = total + val
-        return total
+        return self.substitute(dict(enumerate(point, 1))).constant_value()
+
+    def univariate_coeffs(self, index: int) -> list[FieldElement]:
+        """Coefficients, lowest degree first, of a polynomial in variable
+        `index` alone; ValueError when another variable occurs."""
+        by_degree = _coeffs_in_var(self, index)
+        zero = self.field.zero()
+        return [
+            by_degree[d].constant_value() if d in by_degree else zero
+            for d in range(max(by_degree, default=-1) + 1)
+        ]
 
     # -- gamma grading ----------------------------------------------------------
 

@@ -16,6 +16,7 @@ reads its Darboux polynomials from its own branch's rows.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
@@ -30,7 +31,7 @@ from .hamsys import (
     lie_derivative,
 )
 from .parsing import format_terms
-from .poly import Exponents, MultiPoly, monomial_key
+from .poly import Exponents, MultiPoly, VarSet, monomial_key
 
 
 class BranchCapExceededError(RuntimeError):
@@ -190,154 +191,18 @@ def sqrt_in_field(x: FieldElement) -> FieldElement | None:
 
 
 # -- polynomials in the cofactor unknowns ---------------------------------------
+# Ansatz entries are MultiPolys over VarSet.cofactor_unknowns(k).  Residual
+# strings list their terms highest total degree first, and candidate pivots
+# break ties on the sorted term list; both orders are part of the report.
 
 
-class PPoly:
-    """Sparse polynomial in the lam-unknowns over the coefficient field."""
+def _render(p: MultiPoly, names: list[str]) -> str:
+    items = sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+    return format_terms(items, names)
 
-    __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: dict[tuple[int, ...], FieldElement]):
-        self.nvars = nvars
-        self.terms = terms
-
-    @classmethod
-    def const(cls, nvars: int, value: FieldElement) -> "PPoly":
-        if value.is_zero():
-            return cls(nvars, {})
-        return cls(nvars, {(0,) * nvars: value})
-
-    @classmethod
-    def var(cls, nvars: int, index: int, spec: FieldSpec) -> "PPoly":
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(nvars, {tuple(exps): spec.one()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and not any(next(iter(self.terms))))
-
-    def constant_value(self) -> FieldElement:
-        return next(iter(self.terms.values()))
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def vars_used(self) -> set[int]:
-        used: set[int] = set()
-        for exps in self.terms:
-            for i, a in enumerate(exps):
-                if a:
-                    used.add(i)
-        return used
-
-    def key(self):
-        return tuple(sorted((e, c.sort_key()) for e, c in self.terms.items()))
-
-    def __add__(self, other: "PPoly") -> "PPoly":
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            cur = terms.get(e)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return PPoly(self.nvars, terms)
-
-    def __sub__(self, other: "PPoly") -> "PPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "PPoly":
-        return PPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other: "PPoly") -> "PPoly":
-        terms: dict[tuple[int, ...], FieldElement] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                cur = terms.get(e)
-                s = prod if cur is None else cur + prod
-                if s.is_zero():
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return PPoly(self.nvars, terms)
-
-    def scale(self, coef: FieldElement) -> "PPoly":
-        if coef.is_zero():
-            return PPoly(self.nvars, {})
-        return PPoly(self.nvars, {e: c * coef for e, c in self.terms.items()})
-
-    def substitute(self, assign: dict[int, FieldElement], spec: FieldSpec) -> "PPoly":
-        if not assign or not (self.vars_used() & assign.keys()):
-            return self
-        terms: dict[tuple[int, ...], FieldElement] = {}
-        for exps, coef in self.terms.items():
-            val = coef
-            new = list(exps)
-            for i, a in enumerate(exps):
-                if a and i in assign:
-                    for _ in range(a):
-                        val = val * assign[i]
-                    new[i] = 0
-            if val.is_zero():
-                continue
-            e = tuple(new)
-            cur = terms.get(e)
-            s = val if cur is None else cur + val
-            if s.is_zero():
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return PPoly(self.nvars, terms)
-
-    def leading(self) -> tuple[tuple[int, ...], FieldElement]:
-        exps = max(self.terms)
-        return exps, self.terms[exps]
-
-    def divide_exact(self, other: "PPoly") -> "PPoly | None":
-        """self / other when the division is exact, else None."""
-        if other.is_zero():
-            raise ZeroDivisionError
-        if other.is_constant():
-            return self.scale(other.constant_value().inverse())
-        remainder = self
-        quotient = PPoly(self.nvars, {})
-        dexps, dcoef = other.leading()
-        dinv = dcoef.inverse()
-        while not remainder.is_zero():
-            rexps, rcoef = remainder.leading()
-            step = tuple(a - b for a, b in zip(rexps, dexps))
-            if any(a < 0 for a in step):
-                return None
-            t = PPoly(self.nvars, {step: rcoef * dinv})
-            quotient = quotient + t
-            remainder = remainder - t * other
-        return quotient
-
-    def univariate_coeffs(self) -> tuple[int, list[FieldElement]]:
-        """(var index, low-to-high coefficient list); requires one variable."""
-        used = self.vars_used()
-        if len(used) != 1:
-            raise InternalInvariantError(f"expected one lam-variable, got {sorted(used)}")
-        var = next(iter(used))
-        deg = max(e[var] for e in self.terms)
-        spec = self.constant_spec()
-        coeffs = [spec.zero() for _ in range(deg + 1)]
-        for exps, coef in self.terms.items():
-            coeffs[exps[var]] = coeffs[exps[var]] + coef
-        return var, coeffs
-
-    def constant_spec(self) -> FieldSpec:
-        return next(iter(self.terms.values())).spec
-
-    def render(self, names: list[str]) -> str:
-        items = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
-        return format_terms(items, names)
+def _entry_key(p: MultiPoly):
+    return tuple(sorted((e, c.sort_key()) for e, c in p.terms.items()))
 
 
 # -- ansatz enumeration ----------------------------------------------------------
@@ -368,12 +233,12 @@ def _monomials_up_to_weight(
 
 @dataclass
 class _State:
-    rows: list[dict[int, PPoly] | None]
+    rows: list[dict[int, MultiPoly] | None]
     assign: dict[int, FieldElement]
-    nonzero: list[PPoly]
-    pending: list[PPoly]
-    pivots: list[dict[int, PPoly]]  # eliminated rows, never mutated once kept
-    prev_pivot: PPoly | None = None
+    nonzero: list[MultiPoly]
+    pending: list[MultiPoly]
+    pivots: list[dict[int, MultiPoly]]  # eliminated rows, never mutated once kept
+    prev_pivot: MultiPoly | None = None
 
     def clone(self) -> "_State":
         return _State(
@@ -419,24 +284,23 @@ def _substitute_state(ctx: _Context, state: _State, var: int, value: FieldElemen
     """Assign one lam variable, substitute everywhere, re-examine assumptions
     and pending constraints.  May fork (pending constraints gaining roots) or
     die (a nonzero assumption vanishing)."""
-    spec = ctx.sys.field
     state.assign[var] = value
     if state.prev_pivot is not None:
-        state.prev_pivot = state.prev_pivot.substitute(state.assign, spec)
+        state.prev_pivot = state.prev_pivot.substitute(state.assign)
         if state.prev_pivot.is_zero():
             return []
     for row in state.rows:
         if row is None:
             continue
         for col in list(row):
-            p = row[col].substitute(state.assign, spec)
+            p = row[col].substitute(state.assign)
             if p.is_zero():
                 del row[col]
             else:
                 row[col] = p
     new_nonzero = []
     for p in state.nonzero:
-        p = p.substitute(state.assign, spec)
+        p = p.substitute(state.assign)
         if p.is_zero():
             return []
         if not p.is_constant():
@@ -448,12 +312,12 @@ def _substitute_state(ctx: _Context, state: _State, var: int, value: FieldElemen
     for p in pending:
         nxt: list[_State] = []
         for s in states:
-            nxt.extend(_apply_constraint(ctx, s, p.substitute(s.assign, spec)))
+            nxt.extend(_apply_constraint(ctx, s, p.substitute(s.assign)))
         states = nxt
     return states
 
 
-def _apply_constraint(ctx: _Context, state: _State, p: PPoly) -> list[_State]:
+def _apply_constraint(ctx: _Context, state: _State, p: MultiPoly) -> list[_State]:
     """Impose p = 0 on the branch.  Univariate constraints are factored over
     the field; each in-field root forks a branch, out-of-field factors are
     recorded as residual conditions."""
@@ -461,7 +325,7 @@ def _apply_constraint(ctx: _Context, state: _State, p: PPoly) -> list[_State]:
         return [state]
     if p.is_constant():
         return []
-    used = p.vars_used()
+    used = p.variables_used()
     if len(used) > 1:
         if len(p.terms) == 1:
             # a monomial vanishes iff one of its variables does
@@ -474,19 +338,15 @@ def _apply_constraint(ctx: _Context, state: _State, p: PPoly) -> list[_State]:
             return out_m
         state.pending.append(p)
         return [state]
-    var, coeffs = p.univariate_coeffs()
-    roots, residual_factors = roots_in_field(coeffs, ctx.sys.field)
+    (var,) = used
+    roots, residual_factors = roots_in_field(p.univariate_coeffs(var), p.field)
     for fac in residual_factors:
-        nvars = p.nvars
-        rendered = PPoly(
-            nvars,
-            {
-                tuple(deg if i == var else 0 for i in range(nvars)): c
-                for deg, c in enumerate(fac)
-                if not c.is_zero()
-            },
-        ).render(ctx.lam_names)
-        ctx.residuals.add(rendered)
+        factor = {
+            tuple(deg if i == var else 0 for i in range(1, p.varset.n + 1)): c
+            for deg, c in enumerate(fac)
+            if not c.is_zero()
+        }
+        ctx.residuals.add(_render(MultiPoly(p.varset, p.field, factor), ctx.lam_names))
     out: list[_State] = []
     for root in roots:
         ctx.tick()
@@ -494,7 +354,7 @@ def _apply_constraint(ctx: _Context, state: _State, p: PPoly) -> list[_State]:
     return out
 
 
-def _strip_row_content(row: dict[int, PPoly]) -> dict[int, PPoly]:
+def _strip_row_content(row: dict[int, MultiPoly]) -> dict[int, MultiPoly]:
     """Scale a row to primitive form: common rational content removed."""
     num_gcd = 0
     den_lcm = 1
@@ -511,14 +371,13 @@ def _strip_row_content(row: dict[int, PPoly]) -> dict[int, PPoly]:
     factor = Fraction(den_lcm, num_gcd)
     if factor == 1:
         return row
-    spec = next(iter(next(iter(row.values())).terms.values())).spec
-    scale = spec.from_rational(factor)
+    scale = next(iter(row.values())).field.from_rational(factor)
     return {c: p.scale(scale) for c, p in row.items()}
 
 
-def _dense_int(p: PPoly) -> list[int] | None:
+def _dense_int(p: MultiPoly) -> list[int] | None:
     """Univariate polynomial as a dense integer coefficient list, or None."""
-    if p.nvars != 1:
+    if p.varset.n != 1:
         return None
     deg = 0
     for exps in p.terms:
@@ -535,8 +394,8 @@ def _dense_int(p: PPoly) -> list[int] | None:
     return out
 
 
-def _from_dense(vec: list[int], spec: FieldSpec) -> PPoly:
-    return PPoly(1, {(e,): spec.from_rational(n) for e, n in enumerate(vec) if n})
+def _from_dense(vec: list[int], varset: VarSet, spec: FieldSpec) -> MultiPoly:
+    return MultiPoly(varset, spec, {(e,): spec.from_rational(n) for e, n in enumerate(vec) if n})
 
 
 def _conv(a: list[int], b: list[int]) -> list[int]:
@@ -590,13 +449,13 @@ def _int_div_exact(num: list[int], den: list[int]) -> tuple[list[int], int] | No
     return None
 
 
-def _eliminate_fast(state: _State, col: int, pivot_ri: int, pivot_row: dict[int, PPoly]) -> bool:
+def _eliminate_fast(state: _State, col: int, pivot_ri: int, pivot_row: dict[int, MultiPoly]) -> bool:
     """Integer specialization of the Bareiss step for a single lam-unknown
-    over Q: dense int coefficient lists instead of PPoly dicts.  Returns
+    over Q: dense int coefficient lists instead of MultiPoly terms.  Returns
     False (without touching the state) when any entry does not convert."""
     rows = state.rows
     pv_poly = pivot_row[col]
-    spec = pv_poly.constant_spec()
+    spec = pv_poly.field
     if spec.kind is not FieldKind.RATIONALS:
         return False
     prev = state.prev_pivot
@@ -611,7 +470,7 @@ def _eliminate_fast(state: _State, col: int, pivot_ri: int, pivot_row: dict[int,
         if v is None:
             return False
         pr[c] = v
-    others: list[tuple[dict[int, PPoly], dict[int, list[int]]]] = []
+    others: list[tuple[dict[int, MultiPoly], dict[int, list[int]]]] = []
     for rj, row in enumerate(rows):
         if rj == pivot_ri or row is None:
             continue
@@ -681,7 +540,7 @@ def _eliminate_fast(state: _State, col: int, pivot_ri: int, pivot_row: dict[int,
         if g > 1:
             scaled = {c: [x // g for x in vec] for c, vec in scaled.items()}
         row.clear()
-        row.update({c: _from_dense(vec, spec) for c, vec in scaled.items()})
+        row.update({c: _from_dense(vec, pv_poly.varset, spec) for c, vec in scaled.items()})
     state.prev_pivot = pv_poly
     return True
 
@@ -715,7 +574,7 @@ def _eliminate_with_pivot(state: _State, col: int, pivot_ri: int) -> None:
         e = row.pop(col, None)
         if e is None and skip_untouched:
             continue
-        new_row: dict[int, PPoly] = {}
+        new_row: dict[int, MultiPoly] = {}
         columns = (set(row) | set(pivot_row)) if e is not None else row.keys()
         for c in columns:
             a = row.get(c)
@@ -733,7 +592,7 @@ def _eliminate_with_pivot(state: _State, col: int, pivot_ri: int) -> None:
         if prev_inv is not None:
             new_row = {c: p.scale(prev_inv) for c, p in new_row.items()}
         elif prev is not None:
-            reduced: dict[int, PPoly] | None = {}
+            reduced: dict[int, MultiPoly] | None = {}
             for c, p in new_row.items():
                 q = p.divide_exact(prev)
                 if q is None:
@@ -773,7 +632,7 @@ def _explore(ctx: _Context, state: _State) -> None:
                 break
             _eliminate_with_pivot(state, best[1], best[2])
         # pick the lam-bearing column with the fewest, lowest-degree entries
-        occupancy: dict[int, list[tuple[int, PPoly]]] = {}
+        occupancy: dict[int, list[tuple[int, MultiPoly]]] = {}
         for ri, row in enumerate(rows):
             if not row:
                 continue
@@ -792,7 +651,7 @@ def _explore(ctx: _Context, state: _State) -> None:
         entries = occupancy[col]
         candidates = sorted(
             entries,
-            key=lambda rp: (rp[1].total_degree(), len(rows[rp[0]] or ()), rp[1].key(), rp[0]),
+            key=lambda rp: (rp[1].total_degree(), len(rows[rp[0]] or ()), _entry_key(rp[1]), rp[0]),
         )
         eq_states = [state]  # branches in which the candidates seen so far vanish
         for ri, _ in candidates:
@@ -837,29 +696,39 @@ def _explore(ctx: _Context, state: _State) -> None:
 _FREE_SAMPLES = (0, 1, -1, 2)
 
 
+def _free_point(state: _State, free: list[int], spec: FieldSpec) -> dict[int, FieldElement]:
+    """The branch's assignment extended to the free lam-unknowns so that no
+    nonzero assumption vanishes.  The samples, one shared value for every
+    free unknown, come first; then the grid {0, ..., D}^free, where D bounds
+    each unknown's degree in the product of the assumptions.  A nonzero
+    polynomial of degree at most D in each variable cannot vanish on that
+    whole grid (Combinatorial Nullstellensatz)."""
+    bound = max(sum(p.degree_in(i) for p in state.nonzero) for i in free)
+    points = itertools.chain(
+        ((sample,) * len(free) for sample in _FREE_SAMPLES),
+        itertools.product(range(bound + 1), repeat=len(free)),
+    )
+    for point in points:
+        trial = dict(state.assign)
+        trial.update(zip(free, map(spec.from_rational, point)))
+        if all(not p.substitute(trial).is_zero() for p in state.nonzero):
+            return trial
+    raise InternalInvariantError("every grid point makes a nonzero assumption vanish")
+
+
 def _handle_leaf(ctx: _Context, state: _State) -> None:
     spec = ctx.sys.field
     if state.pending:
         for p in state.pending:
-            ctx.residuals.add(p.render(ctx.lam_names))
+            ctx.residuals.add(_render(p, ctx.lam_names))
         return
-    free = [i for i in range(len(ctx.lam_monomials)) if i not in state.assign]
-    assign = dict(state.assign)
+    free = [i for i in range(1, len(ctx.lam_monomials) + 1) if i not in state.assign]
     if free:
-        for sample in _FREE_SAMPLES:
-            trial = dict(assign)
-            for i in free:
-                trial[i] = spec.from_rational(sample)
-            if all(
-                not p.substitute(trial, spec).is_zero() for p in state.nonzero
-            ):
-                assign = trial
-                break
-        else:
-            return
+        assign = _free_point(state, free, spec)
     else:
+        assign = state.assign
         for p in state.nonzero:
-            if p.substitute(assign, spec).is_zero():
+            if p.substitute(assign).is_zero():
                 return
     # the branch's pivot rows at the leaf's lam-values: every pivot is
     # nonzero there and every dropped entry vanishes, so their kernel is the
@@ -868,7 +737,7 @@ def _handle_leaf(ctx: _Context, state: _State) -> None:
     for row in state.pivots:
         nrow: dict[int, FieldElement] = {}
         for col, p in row.items():
-            p2 = p.substitute(assign, spec)
+            p2 = p.substitute(assign)
             if p2.is_zero():
                 continue
             if not p2.is_constant():
@@ -964,10 +833,7 @@ def search_darboux(
     spec = sys.field
     m = sys.m
 
-    f_monomials = [
-        e
-        for e in _monomials_up_to_weight(gamma, max_gamma_degree, exact=homogeneous_only)
-    ]
+    f_monomials = _monomials_up_to_weight(gamma, max_gamma_degree, exact=homogeneous_only)
     key = monomial_key(m)
     f_monomials.sort(key=key, reverse=True)
     ncols = len(f_monomials)
@@ -981,12 +847,11 @@ def search_darboux(
     ]
     if homog:
         lam_monomials = [e for e in lam_monomials if grading.direction.weight(e) == sys.r - 2]
-    nlam = len(lam_monomials)
-    lam_names = [f"l{i + 1}" for i in range(nlam)]
+    lam_vars = VarSet.cofactor_unknowns(len(lam_monomials))
 
-    rows_by_monomial: dict[Exponents, dict[int, PPoly]] = {}
+    rows_by_monomial: dict[Exponents, dict[int, MultiPoly]] = {}
 
-    def bump(mono: Exponents, col: int, delta: PPoly) -> None:
+    def bump(mono: Exponents, col: int, delta: MultiPoly) -> None:
         row = rows_by_monomial.setdefault(mono, {})
         cur = row.get(col)
         new = delta if cur is None else cur + delta
@@ -999,10 +864,10 @@ def search_darboux(
         mono_poly = MultiPoly(sys.varset, spec, {alpha: spec.one()})
         image = lie_derivative(sys, mono_poly)
         for exps, coef in image.terms.items():
-            bump(exps, col, PPoly.const(nlam, coef))
-        for t, beta in enumerate(lam_monomials):
+            bump(exps, col, MultiPoly.constant(lam_vars, spec, coef))
+        for t, beta in enumerate(lam_monomials, 1):
             prod = tuple(a + b for a, b in zip(alpha, beta))
-            bump(prod, col, PPoly.var(nlam, t, spec).scale(-spec.one()))
+            bump(prod, col, -MultiPoly.variable(lam_vars, spec, t))
 
     ordered = sorted(rows_by_monomial, key=key, reverse=True)
 
@@ -1010,7 +875,7 @@ def search_darboux(
         sys=sys,
         f_monomials=f_monomials,
         lam_monomials=lam_monomials,
-        lam_names=lam_names,
+        lam_names=lam_vars.names(),
         ncols=ncols,
         cap=branch_cap,
     )

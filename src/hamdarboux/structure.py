@@ -19,7 +19,7 @@ from .hamsys import (
     is_homogeneous_potential,
 )
 from .poly import MultiPoly, monomial_key
-from .search import search_darboux, sqrt_in_field
+from .search import _monomials_up_to_weight, search_darboux, sqrt_in_field
 
 
 class Verdict(Enum):
@@ -163,13 +163,7 @@ def check_theorem1(
     notes = []
     # structural check: q-monomials all have even weight, so the weight-(r-2)
     # cofactor stratum is empty when r is odd
-    m = sys.m
-    from .search import _monomials_up_to_weight
-
-    top_stratum = [
-        e
-        for e in _monomials_up_to_weight(grading.direction.gamma[:m], sys.r - 2, exact=True)
-    ]
+    top_stratum = _monomials_up_to_weight(grading.direction.gamma[: sys.m], sys.r - 2, exact=True)
     structural_ok = not top_stratum
     if is_homogeneous_potential(sys):
         notes.append(

@@ -5,11 +5,13 @@ and records a single PASS/FAIL line in the terminal summary.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -184,6 +186,7 @@ def test_criterion_5_search_determinism(tmp_path):
         and rep_rat.residual_conditions == ("l1^2 + 8",)
     )
     outputs = []
+    src = str(Path(__file__).resolve().parent.parent / "src")
     for _ in range(2):
         proc = subprocess.run(
             [
@@ -191,6 +194,7 @@ def test_criterion_5_search_determinism(tmp_path):
                 "search", "--system", str(rat),
                 "--max-gamma-degree", "4", "--output", "json",
             ],
+            env={**os.environ, "PYTHONPATH": src},
             capture_output=True,
             check=True,
         )

@@ -30,6 +30,21 @@ def test_varset_names():
         VarSet(0)
 
 
+def test_cofactor_unknowns_ring():
+    lam = VarSet.cofactor_unknowns(3)
+    assert lam.names() == ["l1", "l2", "l3"]
+    assert lam.n == 3 and lam != VarSet(2) and lam == VarSet.cofactor_unknowns(3)
+    assert VarSet.cofactor_unknowns(0).names() == []
+    l1, l2, l3 = (MultiPoly.variable(lam, Q2, i) for i in (1, 2, 3))
+    # plain lexicographic, l1 > l2 > l3
+    assert (l3**5 + l2 * l3 + l1).leading_term()[0] == (1, 0, 0)
+    A = l2 * l2 * l2.scale(Q2.i()) + l2 + MultiPoly.constant(lam, Q2, 7)
+    assert A.univariate_coeffs(2) == [Q2.from_rational(7), Q2.one(), Q2.zero(), Q2.i()]
+    assert MultiPoly.zero(lam, Q2).univariate_coeffs(2) == []
+    with pytest.raises(ValueError):
+        (A + l1).univariate_coeffs(2)
+
+
 def test_monomial_order_p_dominates_q():
     key = monomial_key(2)
     # p1 > p2 > q1 > q2, pure lexicographic
@@ -81,6 +96,37 @@ def test_diff_and_evaluate():
     assert A.diff(2).is_zero()
     pt = [RATIONALS.from_rational(x) for x in (2, 0, 0, 3)]
     assert A.evaluate(pt) == RATIONALS.from_rational(14)
+
+
+def _evaluate_directly(A, point):
+    total = A.field.zero()
+    for exps, coef in A.terms.items():
+        for x, a in zip(point, exps):
+            for _ in range(a):
+                coef = coef * x
+        total = total + coef
+    return total
+
+
+@pytest.mark.parametrize("spec", [RATIONALS, Q2], ids=["Q", "sqrt2"])
+def test_substitute_random(spec):
+    # substituting some variables and then the rest is evaluation, in the
+    # phase-space ring and in the ring of cofactor unknowns alike
+    rng = random.Random(61)
+    for varset in (VS, VarSet.cofactor_unknowns(3)):
+        indices = list(range(1, varset.n + 1))
+        for _ in range(200):
+            A = rand_poly(rng, varset, spec)
+            point = [rand_element(rng, spec) for _ in indices]
+            first = set(rng.sample(indices, rng.randint(0, varset.n)))
+            part = A.substitute({i: point[i - 1] for i in first})
+            assert part.varset is varset and part.field is spec
+            assert not part.variables_used() & first
+            rest = part.substitute({i: point[i - 1] for i in indices if i not in first})
+            assert rest.is_constant()
+            assert rest.constant_value() == A.evaluate(point) == _evaluate_directly(A, point)
+            unused = {i: point[i - 1] for i in indices if i not in A.variables_used()}
+            assert A.substitute(unused) == A
 
 
 def test_diff_product_rule_random():

@@ -307,6 +307,34 @@ def test_pinned_ordered_reports(field, V, degree, branches, certificates, residu
     assert report.branches_explored == branches
 
 
+def test_every_settled_leaf_reaches_the_kernel(monkeypatch):
+    # one leaf here keeps l1 and l2 free under the nonzero assumptions l1^2
+    # and l1^2 - l2^2, which every shared sample l1 = l2 = s violates; it
+    # must still take a point and solve its kernel, not vanish
+    import hamdarboux.search as search_module
+    from hamdarboux.hamsys import load_system
+
+    settled, kernels = [], []
+    handle_leaf, kernel_basis = search_module._handle_leaf, search_module._kernel_basis
+
+    def leaf(ctx, state):
+        settled.append(not state.pending)
+        handle_leaf(ctx, state)
+
+    def kernel(rows, ncols, spec):
+        kernels.append(ncols)
+        return kernel_basis(rows, ncols, spec)
+
+    monkeypatch.setattr(search_module, "_handle_leaf", leaf)
+    monkeypatch.setattr(search_module, "_kernel_basis", kernel)
+    system = load_system("m = 2\nfield = Q\nmu = 1, 1\nV = q1^4 + q1*q2\n")
+    report = search_darboux(system, 4)
+    assert len(kernels) == sum(settled) > 0
+    assert report.branches_explored == 19
+    assert report.certificates == ()
+    assert report.residual_conditions == ("-l1^2*l3 - 8*l3", "l1^2 - l2^2")
+
+
 def test_leaf_rejects_a_kernel_vector_that_is_not_darboux(sys_s1_ext, monkeypatch):
     # a leaf never drops a kernel vector silently: one that fails the
     # cofactor check is a broken elimination invariant
