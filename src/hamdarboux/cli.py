@@ -269,10 +269,8 @@ def _run(args, system: NaturalHamiltonian | None) -> tuple[int, dict]:
 
         F = _parse_arg_poly(system, args.poly)
         rng = random.Random(0)
-        worst = 0.0
-        for _ in range(args.samples):
-            x0 = [rng.uniform(-1.0, 1.0) for _ in range(2 * system.m)]
-            worst = max(worst, drift(system, F, x0, args.h, args.T))
+        states = [[rng.uniform(-1.0, 1.0) for _ in range(2 * system.m)] for _ in range(args.samples)]
+        worst = float(drift(system, F, states, args.h, args.T).max()) if states else 0.0
         results.append(
             {
                 "kind": "drift",

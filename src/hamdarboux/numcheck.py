@@ -1,9 +1,15 @@
 """Floating-point cross-validation: integrate the canonical equations with
-classical RK4 and measure drift of claimed first integrals."""
+classical RK4 and measure drift of claimed first integrals.
+
+A state is a float array of shape (2m,) ordered (q1..qm, p1..pm), or a batch
+of S such states of shape (S, 2m) that one RK4 loop advances together. Every
+operation acts on each state alone, so a state's floats are the same alone
+and inside a batch."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -18,80 +24,86 @@ class NotRealEvaluableError(ValueError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    samples: list[tuple[float, np.ndarray]]
+    samples: list[tuple[float, np.ndarray]]  # each state has the start's shape
     h: float
     method: str = "rk4"
 
 
-def _compile(poly: MultiPoly) -> tuple[np.ndarray, np.ndarray]:
-    """(coefficients, exponent matrix) for fast float evaluation."""
-    coeffs = []
-    exps = []
-    for e, c in poly.sorted_terms():
-        if not c.is_real():
-            raise NotRealEvaluableError(f"{poly} has non-real coefficients")
-        coeffs.append(c.to_float())
-        exps.append(e)
-    if not coeffs:
-        return np.zeros(0), np.zeros((0, poly.varset.n), dtype=np.int64)
-    return np.asarray(coeffs), np.asarray(exps, dtype=np.int64)
+def _compile(polys: Sequence[MultiPoly], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent matrix E (T, n) over the union of the polynomials' monomials
+    and coefficient matrix C (T, k), column j holding polys[j]."""
+    rows: dict[tuple[int, ...], int] = {}
+    entries = []
+    for j, poly in enumerate(polys):
+        for e, c in poly.sorted_terms():
+            if not c.is_real():
+                raise NotRealEvaluableError(f"{poly} has non-real coefficients")
+            entries.append((rows.setdefault(e, len(rows)), j, c.to_float()))
+    E = np.zeros((len(rows), n))
+    for e, t in rows.items():
+        E[t] = e
+    C = np.zeros((len(rows), len(polys)))
+    for t, j, c in entries:
+        C[t, j] = c
+    return E, C
 
 
-def _eval_compiled(coeffs: np.ndarray, exps: np.ndarray, state: np.ndarray) -> float:
-    if coeffs.size == 0:
-        return 0.0
-    return float(coeffs @ np.prod(state[None, :] ** exps, axis=1))
+def _evaluate(E: np.ndarray, C: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The compiled polynomials at states x (..., n), shape (..., k)."""
+    monomials = np.multiply.reduce(x[..., None, :] ** E, axis=-1)
+    # einsum sums over the term axis in its own loop; BLAS (`@`) would change
+    # the summation order, and so the floats, with the batch size
+    return np.einsum("...t,tk->...k", monomials, C)
+
+
+def _vector_field(sys: NaturalHamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """(mu_i p_i, -dV/dq_i) compiled as one tensor."""
+    m = sys.m
+    p = [MultiPoly.variable(sys.varset, sys.field, m + i) for i in range(1, m + 1)]
+    qdot = [p_i.scale(mu_i) for p_i, mu_i in zip(p, sys.mu)]
+    return _compile(qdot + [-g for g in sys.grad_V], 2 * m)
 
 
 def evaluate_float(poly: MultiPoly, state: np.ndarray) -> float:
-    coeffs, exps = _compile(poly)
-    return _eval_compiled(coeffs, exps, state)
+    E, C = _compile([poly], poly.varset.n)
+    return float(_evaluate(E, C, np.asarray(state, dtype=float))[..., 0])
 
 
 def integrate_rk4(
     sys: NaturalHamiltonian, x0, h: float, T: float
 ) -> Trajectory:
-    """Fixed-step classical RK4 for qdot_i = mu_i p_i, pdot_i = -dV/dq_i."""
+    """Fixed-step classical RK4 for qdot_i = mu_i p_i, pdot_i = -dV/dq_i, from
+    one state (2m,) or a batch (S, 2m)."""
     if h <= 0:
         raise ValueError("step size h must be positive")
     if T <= 0:
         raise ValueError("horizon T must be positive")
     m = sys.m
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (2 * m,):
+    x = np.array(x0, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != 2 * m:
         raise ValueError(f"initial state must have {2 * m} coordinates")
-    mu = np.array([x.to_float() for x in sys.mu])
-    grad = [_compile(g) for g in sys.grad_V]
-
-    def rhs(state: np.ndarray) -> np.ndarray:
-        q, p = state[:m], state[m:]
-        dq = mu * p
-        dp = np.array([-_eval_compiled(c, e, state) for c, e in grad])
-        del q
-        return np.concatenate([dq, dp])
-
+    E, C = _vector_field(sys)
     steps = int(round(T / h))
-    samples = [(0.0, x0.copy())]
-    x = x0.copy()
-    t = 0.0
-    for _ in range(steps):
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * h * k1)
-        k3 = rhs(x + 0.5 * h * k2)
-        k4 = rhs(x + h * k3)
+    states = np.empty((steps + 1,) + x.shape)
+    states[0] = x
+    times = [0.0]
+    for s in range(1, steps + 1):
+        k1 = _evaluate(E, C, x)
+        k2 = _evaluate(E, C, x + 0.5 * h * k1)
+        k3 = _evaluate(E, C, x + 0.5 * h * k2)
+        k4 = _evaluate(E, C, x + h * k3)
         x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-        samples.append((t, x.copy()))
-    return Trajectory(samples=samples, h=h)
+        states[s] = x
+        times.append(times[-1] + h)
+    return Trajectory(samples=list(zip(times, states)), h=h)
 
 
-def drift(sys: NaturalHamiltonian, F: MultiPoly, x0, h: float, T: float) -> float:
-    """max_t |F(x(t)) - F(x0)| / max(1, |F(x0)|) along the RK4 trajectory."""
-    coeffs, exps = _compile(F)
+def drift(sys: NaturalHamiltonian, F: MultiPoly, x0, h: float, T: float):
+    """max_t |F(x(t)) - F(x0)| / max(1, |F(x0)|) along the RK4 trajectory: a
+    float for one state, an array of S drifts for a batch (S, 2m)."""
+    E, C = _compile([F], 2 * sys.m)
     trajectory = integrate_rk4(sys, x0, h, T)
-    f0 = _eval_compiled(coeffs, exps, trajectory.samples[0][1])
-    scale = max(1.0, abs(f0))
-    worst = 0.0
-    for _, state in trajectory.samples[1:]:
-        worst = max(worst, abs(_eval_compiled(coeffs, exps, state) - f0) / scale)
-    return worst
+    values = _evaluate(E, C, np.stack([state for _, state in trajectory.samples]))[..., 0]
+    scale = np.maximum(1.0, np.abs(values[0]))
+    worst = np.max(np.abs(values[1:] - values[0]) / scale, axis=0, initial=0.0)
+    return float(worst) if worst.ndim == 0 else worst

@@ -410,8 +410,13 @@ class MultiPoly:
         key = monomial_key(self.varset.m)
         quotient: dict[Exponents, FieldElement] = {}
         rem = self
+        previous = None  # key of the last step's leading exponent
         while not rem.is_zero():
             rexps, rcoef = rem.leading_term()
+            rkey = key(rexps)
+            if previous is not None and rkey >= previous:
+                raise InternalInvariantError("division did not reduce the leading term")  # pragma: no cover
+            previous = rkey
             diff = tuple(a - b for a, b in zip(rexps, lexps))
             if any(d < 0 for d in diff):
                 return None
@@ -419,8 +424,6 @@ class MultiPoly:
             quotient[diff] = qc
             piece = MultiPoly(self.varset, self.field, {diff: qc})
             rem = rem - piece * other
-            if not rem.is_zero() and key(rem.leading_term()[0]) >= key(rexps):
-                raise InternalInvariantError("division did not reduce the leading term")  # pragma: no cover
         return MultiPoly(self.varset, self.field, quotient)
 
 

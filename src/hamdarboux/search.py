@@ -726,10 +726,10 @@ def _handle_leaf(ctx: _Context, state: _State) -> None:
     if free:
         assign = _free_point(state, free, spec)
     else:
+        # _substitute_state drops every assumption that turned constant
+        if state.nonzero:
+            raise InternalInvariantError("a fully assigned leaf keeps a nonzero assumption")
         assign = state.assign
-        for p in state.nonzero:
-            if p.substitute(assign).is_zero():
-                return
     # the branch's pivot rows at the leaf's lam-values: every pivot is
     # nonzero there and every dropped entry vanishes, so their kernel is the
     # kernel of the full ansatz

@@ -1,12 +1,15 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from hamdarboux import ParseContext, load_system, parse_poly
 from hamdarboux.cli import main
+from hamdarboux.numcheck import drift
 
 S1_EXT = "m = 2\nfield = Q(i,sqrt2)\nmu = 1, 1\nV = q1^4\n"
 S1_Q = "m = 2\nfield = Q\nmu = 1, 1\nV = q1^4\n"
@@ -162,6 +165,12 @@ def test_numcheck(capsys, s2):
     )
     assert code == 0
     assert report["results"][0]["verdict"] <= 1e-6
+    # the batch verdict is the worst of the same Random(0) states run one by one
+    system = load_system(S2)
+    F = parse_poly("q1*p2 - q2*p1", ParseContext(system.varset, system.field))
+    rng = random.Random(0)
+    states = [[rng.uniform(-1.0, 1.0) for _ in range(4)] for _ in range(4)]
+    assert report["results"][0]["verdict"] == max(drift(system, F, x0, 1e-2, 0.5) for x0 in states)
 
 
 def test_examples_all_green(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ import pytest
 from hamdarboux.hamsys import load_system
 from hamdarboux.numcheck import (
     NotRealEvaluableError,
+    _evaluate,
+    _vector_field,
     drift,
     evaluate_float,
     integrate_rk4,
 )
 
-from conftest import poly_of
+from conftest import poly_of, random_small_system
 
 
 def test_free_motion_trajectory():
@@ -69,3 +72,58 @@ def test_argument_validation(sys_s2):
         integrate_rk4(sys_s2, [0.0] * 4, 1e-3, 0.0)
     with pytest.raises(ValueError):
         integrate_rk4(sys_s2, [0.0] * 3, 1e-3, 1.0)
+
+
+def test_batch_drift_equals_single_drifts(sys_s1, sys_s2, sys_s3, sys_s4):
+    # the criterion-8 integrals and the p1 control: a state's drift is the
+    # same float alone and inside a batch of 16
+    cases = [
+        (sys_s1, "p2"),
+        (sys_s2, "q1*p2 - q2*p1"),
+        (sys_s3, "p2^2 + 2*q2^4"),
+        (sys_s4, "p2*(p1*q2 - p2*q1) + q2^2*(2*q1^3 + q1*q2^2)*1/3"),
+        (sys_s2, "p1"),
+    ]
+    rng = random.Random(4242)
+    for system, text in cases:
+        F = poly_of(system, text)
+        states = [[rng.uniform(-1.0, 1.0) for _ in range(4)] for _ in range(16)]
+        batch = drift(system, F, states, 1e-3, 0.2)
+        assert batch.shape == (16,)
+        assert list(batch) == [drift(system, F, x0, 1e-3, 0.2) for x0 in states]
+
+
+def test_vector_field_matches_exact(sys_s3):
+    # the compiled (mu p, -grad V) at rational states against the field's
+    # exact values converted to float
+    rng = random.Random(31)
+    custom = load_system("m = 2\nfield = Q(i,sqrt2)\nmu = 2, -1/3\nV = sqrt(2)*q1^3*q2 - 5/2*q2^4 + q1\n")
+    systems = [sys_s3, custom] + [random_small_system(rng, m=m) for m in (2, 3, 3)]
+    for system in systems:
+        m = system.m
+        E, C = _vector_field(system)
+        for _ in range(8):
+            point = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(2 * m)]
+            exact_point = [system.field.from_rational(x) for x in point]
+            exact = [system.mu[i] * exact_point[m + i] for i in range(m)]
+            exact += [-g.evaluate(exact_point) for g in system.grad_V]
+            got = _evaluate(E, C, np.array([float(x) for x in point]))
+            for value, want in zip(got, exact):
+                assert math.isclose(value, want.to_float(), rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_non_real_potential_rejected():
+    # a real F does not make a non-real vector field evaluable
+    system = load_system("m = 2\nfield = Q(i,sqrt2)\nmu = 1, 1\nV = i*q1^4 + q2^2\n")
+    with pytest.raises(NotRealEvaluableError):
+        _vector_field(system)
+    with pytest.raises(NotRealEvaluableError):
+        drift(system, poly_of(system, "p2"), [0.1, 0.2, 0.3, 0.4], 1e-3, 0.1)
+
+
+def test_batch_trajectory_shape(sys_s2):
+    start = np.array([[0.1, 0.2, 0.3, 0.4], [-0.5, 0.6, 0.0, 0.2], [0.3, -0.1, 0.9, -0.7]])
+    traj = integrate_rk4(sys_s2, start, 1e-2, 0.5)
+    assert len(traj.samples) == 50 + 1
+    assert all(state.shape == (3, 4) for _, state in traj.samples)
+    assert np.array_equal(traj.samples[0][1], start)
