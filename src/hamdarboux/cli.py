@@ -265,12 +265,15 @@ def _run(args, system: NaturalHamiltonian | None) -> tuple[int, dict]:
         )
 
     elif command == "numcheck":
+        if args.samples < 1:
+            # no states would report verdict 0.0, which reads as "no drift"
+            raise UserError(f"--samples must be a positive count, got {args.samples}")
         from .numcheck import drift  # numpy loads only for this command
 
         F = _parse_arg_poly(system, args.poly)
         rng = random.Random(0)
         states = [[rng.uniform(-1.0, 1.0) for _ in range(2 * system.m)] for _ in range(args.samples)]
-        worst = float(drift(system, F, states, args.h, args.T).max()) if states else 0.0
+        worst = float(drift(system, F, states, args.h, args.T).max())
         results.append(
             {
                 "kind": "drift",

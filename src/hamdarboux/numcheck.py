@@ -73,17 +73,21 @@ def integrate_rk4(
     sys: NaturalHamiltonian, x0, h: float, T: float
 ) -> Trajectory:
     """Fixed-step classical RK4 for qdot_i = mu_i p_i, pdot_i = -dV/dq_i, from
-    one state (2m,) or a batch (S, 2m)."""
+    one state (2m,) or a batch (S, 2m), ending at T: T/h must be a positive
+    whole number of steps, to a relative 1e-9."""
     if h <= 0:
         raise ValueError("step size h must be positive")
     if T <= 0:
         raise ValueError("horizon T must be positive")
+    ratio = T / h
+    steps = round(ratio)
+    if steps < 1 or abs(ratio - steps) > 1e-9 * ratio:
+        raise ValueError(f"horizon T = {T} is not a whole number of steps h = {h}")
     m = sys.m
     x = np.array(x0, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != 2 * m:
         raise ValueError(f"initial state must have {2 * m} coordinates")
     E, C = _vector_field(sys)
-    steps = int(round(T / h))
     states = np.empty((steps + 1,) + x.shape)
     states[0] = x
     times = [0.0]
@@ -105,5 +109,5 @@ def drift(sys: NaturalHamiltonian, F: MultiPoly, x0, h: float, T: float):
     trajectory = integrate_rk4(sys, x0, h, T)
     values = _evaluate(E, C, np.stack([state for _, state in trajectory.samples]))[..., 0]
     scale = np.maximum(1.0, np.abs(values[0]))
-    worst = np.max(np.abs(values[1:] - values[0]) / scale, axis=0, initial=0.0)
+    worst = np.max(np.abs(values[1:] - values[0]) / scale, axis=0)
     return float(worst) if worst.ndim == 0 else worst

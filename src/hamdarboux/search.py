@@ -4,8 +4,9 @@ The ansatz couples unknown coefficients f of the candidate polynomial with
 unknown cofactor coefficients lam: the relation L_H F - Lambda*F = 0, read
 per monomial, is linear in f with entries affine in lam.  The f-unknowns are
 eliminated fraction-free over the polynomial ring in lam, branching on
-whether each pivot vanishes; univariate lam-constraints of degree <= 4 are
-factored over the configured field, in-field roots branch the search and
+whether each pivot vanishes; univariate lam-constraints are solved over the
+configured field (in closed form up to degree 2 once their x^k content is
+removed, by sympy factoring beyond), in-field roots branch the search and
 out-of-field factors are reported as residual conditions.
 
 Each branch keeps the pivot rows it eliminates.  At a leaf every remaining
@@ -51,9 +52,9 @@ class SearchReport:
     residual_conditions: tuple[str, ...]
 
 
-# -- sympy bridge (exact roots over Q and Q(i, sqrt d)) -------------------------
-# sympy is imported inside these functions: only a search that factors a
-# cofactor constraint pays for loading it.
+# -- exact roots over Q and Q(i, sqrt d) -----------------------------------------
+# sympy is imported inside the bridge functions: only a search that meets a
+# cofactor constraint of degree >= 3 past its x^k content pays for loading it.
 
 
 def _fe_to_sympy(x: FieldElement):
@@ -87,8 +88,54 @@ def _sympy_to_fe(expr, spec: FieldSpec) -> FieldElement:
 def roots_in_field(
     coeffs: list[FieldElement], spec: FieldSpec
 ) -> tuple[list[FieldElement], list[list[FieldElement]]]:
-    """Roots of sum coeffs[k] x^k lying in the field, plus the monic
-    irreducible-over-the-field factors whose roots fall outside it."""
+    """Roots of sum coeffs[k] x^k lying in the field, sorted by `sort_key`
+    without repeats, plus the monic irreducible-over-the-field factors whose
+    roots fall outside it.
+
+    The x^k content gives the root 0.  A remainder of degree at most 2 is
+    solved in closed form, a quadratic through its discriminant and the exact
+    `sqrt_in_field`, so sympy loads only for a remainder of degree >= 3."""
+    k = next((i for i, c in enumerate(coeffs) if not c.is_zero()), None)
+    if k is None:
+        return [], []
+    g = list(coeffs[k:])
+    while g[-1].is_zero():
+        g.pop()
+    if len(g) > 3:
+        roots, residuals = _factor_with_sympy(g, spec)
+    else:
+        roots, residuals = _solve_low_degree(g)
+    if k:
+        roots.append(spec.zero())
+    uniq: list[FieldElement] = []
+    for r in sorted(roots, key=lambda z: z.sort_key()):
+        if not uniq or uniq[-1] != r:
+            uniq.append(r)
+    return uniq, residuals
+
+
+def _solve_low_degree(
+    g: list[FieldElement],
+) -> tuple[list[FieldElement], list[list[FieldElement]]]:
+    """Roots and residual factor of g0 + g1 x + g2 x^2 (degree at most 2)."""
+    if len(g) == 1:
+        return [], []
+    if len(g) == 2:
+        return [-g[0] * g[1].inverse()], []
+    inv = g[2].inverse()
+    c0, c1 = g[0] * inv, g[1] * inv  # x^2 + c1 x + c0
+    half = c1 * Fraction(-1, 2)
+    s = sqrt_in_field(half * half - c0)
+    if s is None:
+        return [], [[c0, c1, g[0].spec.one()]]
+    return [half + s, half - s], []
+
+
+def _factor_with_sympy(
+    coeffs: list[FieldElement], spec: FieldSpec
+) -> tuple[list[FieldElement], list[list[FieldElement]]]:
+    """Roots (unsorted) and monic residual factors of sum coeffs[k] x^k,
+    from sympy's factorisation over the field."""
     import sympy as sp
 
     x = sp.Symbol("x")
@@ -110,11 +157,7 @@ def roots_in_field(
             fe_coeffs = [_sympy_to_fe(c, spec) for c in reversed(poly.all_coeffs())]
             lead = fe_coeffs[-1].inverse()
             residuals.append([c * lead for c in fe_coeffs])
-    uniq: list[FieldElement] = []
-    for r in sorted(roots, key=lambda z: z.sort_key()):
-        if not uniq or uniq[-1] != r:
-            uniq.append(r)
-    return uniq, residuals
+    return roots, residuals
 
 
 # -- exact square roots up the tower Q < Q(sqrt d) < Q(sqrt d)(i) ----------------
@@ -231,12 +274,29 @@ def _monomials_up_to_weight(
 # -- the branching elimination ----------------------------------------------------
 
 
+class _Pending:
+    """A multivariate constraint p = 0 waiting for substitution.  Clones of a
+    state share the entry, so its residual string is rendered at most once,
+    by the first leaf that reports it."""
+
+    __slots__ = ("poly", "text")
+
+    def __init__(self, poly: MultiPoly):
+        self.poly = poly
+        self.text: str | None = None
+
+    def render(self, names: list[str]) -> str:
+        if self.text is None:
+            self.text = _render(self.poly, names)
+        return self.text
+
+
 @dataclass
 class _State:
     rows: list[dict[int, MultiPoly] | None]
     assign: dict[int, FieldElement]
     nonzero: list[MultiPoly]
-    pending: list[MultiPoly]
+    pending: list[_Pending]
     pivots: list[dict[int, MultiPoly]]  # eliminated rows, never mutated once kept
     prev_pivot: MultiPoly | None = None
 
@@ -309,10 +369,16 @@ def _substitute_state(ctx: _Context, state: _State, var: int, value: FieldElemen
     pending = state.pending
     state.pending = []
     states = [state]
-    for p in pending:
+    for entry in pending:
         nxt: list[_State] = []
         for s in states:
-            nxt.extend(_apply_constraint(ctx, s, p.substitute(s.assign)))
+            p = entry.poly.substitute(s.assign)
+            if p is entry.poly:
+                # untouched, so still pending: keep the entry and its rendering
+                s.pending.append(entry)
+                nxt.append(s)
+            else:
+                nxt.extend(_apply_constraint(ctx, s, p))
         states = nxt
     return states
 
@@ -336,7 +402,7 @@ def _apply_constraint(ctx: _Context, state: _State, p: MultiPoly) -> list[_State
                     _substitute_state(ctx, state.clone(), v, ctx.sys.field.zero())
                 )
             return out_m
-        state.pending.append(p)
+        state.pending.append(_Pending(p))
         return [state]
     (var,) = used
     roots, residual_factors = roots_in_field(p.univariate_coeffs(var), p.field)
@@ -719,8 +785,8 @@ def _free_point(state: _State, free: list[int], spec: FieldSpec) -> dict[int, Fi
 def _handle_leaf(ctx: _Context, state: _State) -> None:
     spec = ctx.sys.field
     if state.pending:
-        for p in state.pending:
-            ctx.residuals.add(_render(p, ctx.lam_names))
+        for entry in state.pending:
+            ctx.residuals.add(entry.render(ctx.lam_names))
         return
     free = [i for i in range(1, len(ctx.lam_monomials) + 1) if i not in state.assign]
     if free:

@@ -173,6 +173,21 @@ def test_numcheck(capsys, s2):
     assert report["results"][0]["verdict"] == max(drift(system, F, x0, 1e-2, 0.5) for x0 in states)
 
 
+@pytest.mark.parametrize(
+    "options",
+    [["--samples", "0"], ["--samples", "-3"], ["--h", "0.3", "--T", "0.1"]],
+    ids=["no-samples", "negative-samples", "partial-step"],
+)
+def test_numcheck_usage_errors(capsys, s2, options):
+    # p1 is not a first integral here: an empty or stepless run must not
+    # report verdict 0.0 ("no drift")
+    code = main(["numcheck", "--system", s2, "--poly", "p1", "--output", "json"] + options)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_examples_all_green(capsys):
     code, report = run_json(capsys, ["examples"])
     assert code == 0

@@ -127,3 +127,17 @@ def test_batch_trajectory_shape(sys_s2):
     assert len(traj.samples) == 50 + 1
     assert all(state.shape == (3, 4) for _, state in traj.samples)
     assert np.array_equal(traj.samples[0][1], start)
+
+
+def test_horizon_must_be_whole_steps(sys_s2):
+    x0 = [0.1, 0.2, 0.3, 0.4]
+    # h = 0.3 would take no step towards T = 0.1 and stop short of T = 1.0
+    for h, T in [(0.3, 0.1), (0.3, 1.0), (1e-3, 1.0005)]:
+        with pytest.raises(ValueError, match="whole number of steps"):
+            integrate_rk4(sys_s2, x0, h, T)
+        with pytest.raises(ValueError, match="whole number of steps"):
+            drift(sys_s2, poly_of(sys_s2, "p1"), x0, h, T)
+    # 0.3 / 0.1 is 2.9999999999999996 in floats: three steps, ending at T
+    traj = integrate_rk4(sys_s2, x0, 0.1, 0.3)
+    assert len(traj.samples) == 3 + 1
+    assert math.isclose(traj.samples[-1][0], 0.3)

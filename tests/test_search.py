@@ -12,6 +12,8 @@ from hamdarboux.field import RATIONALS, quad_gauss
 from hamdarboux.parsing import format_poly
 from hamdarboux.search import (
     BranchCapExceededError,
+    _fe_to_sympy,
+    _sympy_to_fe,
     roots_in_field,
     search_darboux,
     sqrt_in_field,
@@ -88,13 +90,37 @@ def _sparse_element(rng, spec):
     return spec.element(*(c if rng.random() < 0.5 else 0 for c in x.components()))
 
 
-@pytest.mark.parametrize(
+def _factor_by_sympy(coeffs, spec):
+    """Oracle: sorted distinct in-field roots and monic residual factors of
+    sum coeffs[k] x^k, from sympy's factor_list over the field."""
+    x = sp.Symbol("x")
+    expr = sp.Add(*(_fe_to_sympy(c) * x**k for k, c in enumerate(coeffs)))
+    if spec is RATIONALS:
+        _, factors = sp.factor_list(expr, x)
+    else:
+        _, factors = sp.factor_list(expr, x, extension=[sp.I, sp.sqrt(spec.d)])
+    roots, residuals = set(), []
+    for fac, _ in factors:
+        poly = sp.Poly(fac, x)
+        lead = poly.LC()
+        monic = [_sympy_to_fe(c / lead, spec) for c in reversed(poly.all_coeffs())]
+        if poly.degree() == 1:
+            roots.add(-monic[0])
+        elif poly.degree() > 1:
+            residuals.append(monic)
+    return sorted(roots, key=lambda z: z.sort_key()), residuals
+
+
+FIELDS = pytest.mark.parametrize(
     "spec",
     [RATIONALS, quad_gauss(2), quad_gauss(3), quad_gauss(6)],
     ids=["Q", "sqrt2", "sqrt3", "sqrt6"],
 )
+
+
+@FIELDS
 def test_sqrt_in_field_matches_factoring(spec):
-    # oracle: the sympy route, the smaller root of x^2 - x factored over the field
+    # oracle: the smaller root of x^2 - x factored over the field by sympy
     rng = random.Random(31)
     multipliers = [spec.from_rational(k) for k in (-1, 2, 3, 5)]
     if spec is not RATIONALS:
@@ -105,12 +131,84 @@ def test_sqrt_in_field_matches_factoring(spec):
         x = (y * y, y * y * rng.choice(multipliers), _sparse_element(rng, spec))[k % 3]
         if x.is_zero():
             continue
-        roots, _ = roots_in_field([-x, spec.zero(), spec.one()], spec)
+        roots, _ = _factor_by_sympy([-x, spec.zero(), spec.one()], spec)
         got = sqrt_in_field(x)
         assert got == (roots[0] if roots else None), str(x)
         squares += got is not None
         tested += 1
     assert squares >= 20 and tested - squares >= 20, (squares, tested)
+
+
+def _nonzero_element(rng, spec):
+    x = _sparse_element(rng, spec)
+    return spec.one() if x.is_zero() else x
+
+
+def _times(a, b):
+    out = [a[0].spec.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+@FIELDS
+def test_closed_form_roots_match_factoring(spec):
+    # c * x^k * (linear | double root | split quadratic | irreducible
+    # quadratic): the closed-form path against sympy factoring of the whole
+    # polynomial, roots in order and monic residual factors alike
+    rng = random.Random(47)
+    one = spec.one()
+    shapes = {"linear": 0, "double": 0, "split": 0, "irreducible": 0}
+    for n in range(20):
+        shape = list(shapes)[n % 4]
+        r1, r2 = _sparse_element(rng, spec), _sparse_element(rng, spec)
+        if shape == "linear":
+            rest = [r1, _nonzero_element(rng, spec)]
+        elif shape == "double":
+            rest = _times([-r1, one], [-r1, one])
+        elif shape == "split":
+            rest = _times([-r1, one], [-r2, one])
+        else:  # (x - r1)^2 - r2, kept only when sympy finds it irreducible
+            rest = _times([-r1, one], [-r1, one])
+            rest[0] = rest[0] - r2
+        c = _nonzero_element(rng, spec)
+        k = rng.randrange(3)
+        coeffs = [spec.zero()] * k + [c * a for a in rest]
+        expected = _factor_by_sympy(coeffs, spec)
+        if shape == "irreducible" and not expected[1]:
+            continue
+        roots, residuals = roots_in_field(coeffs, spec)
+        assert (roots, residuals) == expected, [str(a) for a in coeffs]
+        shapes[shape] += 1
+    assert min(shapes.values()) >= 4, shapes
+
+
+def test_low_degree_searches_load_no_sympy():
+    # every constraint these searches meet has degree <= 2 once its x^k
+    # content is removed, so no factoring library is needed
+    script = """
+import sys
+from hamdarboux.hamsys import load_system
+from hamdarboux.search import search_darboux
+from hamdarboux.structure import check_theorem1
+
+quartic = load_system("m = 2\\nfield = Q(i,sqrt2)\\nmu = 1, 1\\nV = q1^4\\n")
+assert len(search_darboux(quartic, 4).certificates) == 3
+cubic = load_system("m = 2\\nfield = Q\\nmu = 1, 1\\nV = q1^3 + q2^3\\n")
+print(check_theorem1(cubic, 6).verdict.value)
+print("sympy" in sys.modules)
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["consistent-with-theorem", "False"]
 
 
 def test_search_v_q1_4_over_extension(sys_s1_ext):
