@@ -234,7 +234,10 @@ def sqrt_in_field(x: FieldElement) -> FieldElement | None:
 
 
 # -- polynomials in the cofactor unknowns ---------------------------------------
-# Ansatz entries are MultiPolys over VarSet.cofactor_unknowns(k).  Residual
+# Ansatz entries are MultiPolys over VarSet.cofactor_unknowns(k), except on a
+# search over Q with a single unknown l1: there every entry is a dense integer
+# coefficient list in l1, lowest degree first, nonzero and without trailing
+# zeros, from the ansatz to the leaf (see `_eliminate_dense`).  Residual
 # strings list their terms highest total degree first, and candidate pivots
 # break ties on the sorted term list; both orders are part of the report.
 
@@ -244,7 +247,19 @@ def _render(p: MultiPoly, names: list[str]) -> str:
     return format_terms(items, names)
 
 
-def _entry_key(p: MultiPoly):
+def _is_constant(p: MultiPoly | list[int]) -> bool:
+    return len(p) == 1 if type(p) is list else p.is_constant()
+
+
+def _degree(p: MultiPoly | list[int]) -> int:
+    return len(p) - 1 if type(p) is list else p.total_degree()
+
+
+def _entry_key(p: MultiPoly | list[int]):
+    """Tie-break between candidate pivots; a dense entry sorts exactly like
+    the MultiPoly with the same coefficients."""
+    if type(p) is list:
+        return tuple((d, x) for d, x in enumerate(p) if x)
     return tuple(sorted((e, c.sort_key()) for e, c in p.terms.items()))
 
 
@@ -293,12 +308,12 @@ class _Pending:
 
 @dataclass
 class _State:
-    rows: list[dict[int, MultiPoly] | None]
+    rows: list[dict[int, MultiPoly | list[int]] | None]
     assign: dict[int, FieldElement]
     nonzero: list[MultiPoly]
     pending: list[_Pending]
-    pivots: list[dict[int, MultiPoly]]  # eliminated rows, never mutated once kept
-    prev_pivot: MultiPoly | None = None
+    pivots: list[dict[int, MultiPoly | list[int]]]  # eliminated rows, never mutated once kept
+    prev_pivot: MultiPoly | list[int] | None = None
 
     def clone(self) -> "_State":
         return _State(
@@ -316,9 +331,11 @@ class _Context:
     sys: NaturalHamiltonian
     f_monomials: list[Exponents]
     lam_monomials: list[Exponents]
+    lam_vars: VarSet
     lam_names: list[str]
     ncols: int
     cap: int
+    dense: bool  # rows are dense integer lists (over Q, one unknown)
     branches: int = 0
     certificates: dict = dataclass_field(default_factory=dict)
     residuals: set = dataclass_field(default_factory=set)
@@ -327,6 +344,15 @@ class _Context:
         self.branches += 1
         if self.branches > self.cap:
             raise BranchCapExceededError(self.report())
+
+    def lam_poly(self, p: MultiPoly | list[int]) -> MultiPoly:
+        """A row entry as a MultiPoly in the cofactor unknowns: how a dense
+        pivot leaves the elimination for the assumptions and constraints."""
+        if type(p) is not list:
+            return p
+        spec = self.sys.field
+        terms = {(d,): spec.from_rational(x) for d, x in enumerate(p) if x}
+        return MultiPoly(self.lam_vars, spec, terms)
 
     def report(self) -> SearchReport:
         certs = sorted(
@@ -345,19 +371,23 @@ def _substitute_state(ctx: _Context, state: _State, var: int, value: FieldElemen
     and pending constraints.  May fork (pending constraints gaining roots) or
     die (a nonzero assumption vanishing)."""
     state.assign[var] = value
-    if state.prev_pivot is not None:
-        state.prev_pivot = state.prev_pivot.substitute(state.assign)
-        if state.prev_pivot.is_zero():
+    if ctx.dense:
+        if not _substitute_dense(state, value.a):
             return []
-    for row in state.rows:
-        if row is None:
-            continue
-        for col in list(row):
-            p = row[col].substitute(state.assign)
-            if p.is_zero():
-                del row[col]
-            else:
-                row[col] = p
+    else:
+        if state.prev_pivot is not None:
+            state.prev_pivot = state.prev_pivot.substitute(state.assign)
+            if state.prev_pivot.is_zero():
+                return []
+        for row in state.rows:
+            if row is None:
+                continue
+            for col in list(row):
+                p = row[col].substitute(state.assign)
+                if p.is_zero():
+                    del row[col]
+                else:
+                    row[col] = p
     new_nonzero = []
     for p in state.nonzero:
         p = p.substitute(state.assign)
@@ -441,27 +471,65 @@ def _strip_row_content(row: dict[int, MultiPoly]) -> dict[int, MultiPoly]:
     return {c: p.scale(scale) for c, p in row.items()}
 
 
-def _dense_int(p: MultiPoly) -> list[int] | None:
-    """Univariate polynomial as a dense integer coefficient list, or None."""
-    if p.varset.n != 1:
-        return None
-    deg = 0
-    for exps in p.terms:
-        if exps[0] > deg:
-            deg = exps[0]
-    out = [0] * (deg + 1)
-    for exps, c in p.terms.items():
-        if c.b or c.c or c.e:
-            return None
-        f = c.a
-        if f.denominator != 1:
-            return None
-        out[exps[0]] = f.numerator
+def _dense_row(row: dict[int, MultiPoly]) -> dict[int, list[int]]:
+    """An ansatz row in l1 alone, over Q, as dense integer lists: the row
+    times the lcm of its denominators.  That positive factor moves nothing
+    the search reports.  Every rewritten row is made primitive anyway, and
+    only a constant entry can be fractional (L_H changes the p-degree of every
+    monomial, so the diagonal entry is exactly -l1): the constant steps,
+    which ignore values, rewrite or eliminate such a row before any
+    candidate order reads it."""
+    den = 1
+    for p in row.values():
+        for c in p.terms.values():
+            den = math.lcm(den, c.a.denominator)
+    dense: dict[int, list[int]] = {}
+    for col, p in row.items():
+        vec = [0] * (p.total_degree() + 1)
+        for (d,), c in p.terms.items():
+            vec[d] = c.a.numerator * (den // c.a.denominator)
+        dense[col] = vec
+    return dense
+
+
+def _dense_at(row: dict[int, list[int]], x: Fraction) -> dict[int, int]:
+    """A dense row at l1 = x, times a positive factor that makes it a
+    primitive integer row; vanishing entries are dropped, the order kept."""
+    num, den = x.numerator, x.denominator
+    top = max(map(len, row.values()), default=0)
+    out: dict[int, int] = {}
+    for col, vec in row.items():
+        # den^(top-1) * vec(x) by Horner on the homogenised polynomial
+        acc, pw = 0, den ** (top - len(vec))
+        for coef in reversed(vec):
+            acc = acc * num + coef * pw
+            pw *= den
+        if acc:
+            out[col] = acc
+    g = 0
+    for v in out.values():
+        g = math.gcd(g, v)
+    if g > 1:
+        out = {col: v // g for col, v in out.items()}
     return out
 
 
-def _from_dense(vec: list[int], varset: VarSet, spec: FieldSpec) -> MultiPoly:
-    return MultiPoly(varset, spec, {(e,): spec.from_rational(n) for e, n in enumerate(vec) if n})
+def _substitute_dense(state: _State, x: Fraction) -> bool:
+    """Put l1 = x into the dense rows and the previous pivot; False when the
+    previous pivot vanishes there.  Every entry turns constant, so from here
+    on only constant steps, which ignore values, and the leaf kernel, which
+    row scaling does not move, read the rows: each is rescaled to primitive
+    integers."""
+    if state.prev_pivot is not None:
+        prev = _dense_at({0: state.prev_pivot}, x)
+        if not prev:
+            return False
+        state.prev_pivot = [1 if prev[0] > 0 else -1]
+    rows = state.rows
+    for ri, row in enumerate(rows):
+        if row:
+            rows[ri] = {col: [v] for col, v in _dense_at(row, x).items()}
+    return True
 
 
 def _conv(a: list[int], b: list[int]) -> list[int]:
@@ -515,100 +583,82 @@ def _int_div_exact(num: list[int], den: list[int]) -> tuple[list[int], int] | No
     return None
 
 
-def _eliminate_fast(state: _State, col: int, pivot_ri: int, pivot_row: dict[int, MultiPoly]) -> bool:
-    """Integer specialization of the Bareiss step for a single lam-unknown
-    over Q: dense int coefficient lists instead of MultiPoly terms.  Returns
-    False (without touching the state) when any entry does not convert."""
+def _eliminate_dense(state: _State, col: int, pivot_ri: int) -> None:
+    """The Bareiss step of `_eliminate_with_pivot` on dense integer rows.
+    Each rewritten row is pv*a - e*b, divided by the previous pivot when
+    every entry divides exactly over Q, then scaled by a positive factor to
+    primitive integers: the row the generic step computes, so the search
+    takes the same branches either way."""
     rows = state.rows
-    pv_poly = pivot_row[col]
-    spec = pv_poly.field
-    if spec.kind is not FieldKind.RATIONALS:
-        return False
-    prev = state.prev_pivot
-    prevv: list[int] | None = None
-    if prev is not None:
-        prevv = _dense_int(prev)
-        if prevv is None:
-            return False
-    pr: dict[int, list[int]] = {}
-    for c, p in pivot_row.items():
-        v = _dense_int(p)
-        if v is None:
-            return False
-        pr[c] = v
-    others: list[tuple[dict[int, MultiPoly], dict[int, list[int]]]] = []
-    for rj, row in enumerate(rows):
-        if rj == pivot_ri or row is None:
-            continue
-        rd: dict[int, list[int]] = {}
-        for c, p in row.items():
-            v = _dense_int(p)
-            if v is None:
-                return False
-            rd[c] = v
-        others.append((row, rd))
-    # conversion complete: commit
+    pivot_row = rows[pivot_ri]
+    if pivot_row is None:
+        raise InternalInvariantError(f"pivot row {pivot_ri} was already eliminated")
     rows[pivot_ri] = None
-    pvv = pr.pop(col)
-    skip_untouched = len(pvv) == 1 and (prevv is None or len(prevv) == 1)
-    for row, rd in others:
-        e = rd.pop(col, None)
-        if e is None and skip_untouched:
+    state.pivots.append(pivot_row)
+    pr = dict(pivot_row)
+    pv = pr.pop(col)
+    prev = state.prev_pivot
+    # rows without a pivot-column entry only need the pv/prev rescaling, which
+    # is a constant when both are, so then they are skipped unread
+    skip_untouched = len(pv) == 1 and (prev is None or len(prev) == 1)
+    for rj, row in enumerate(rows):
+        if not row or (skip_untouched and col not in row):
             continue
-        newd: dict[int, tuple[list[int], int]] = {}
-        columns = (set(rd) | set(pr)) if e is not None else rd.keys()
-        for c in columns:
-            a = rd.get(c)
-            b = pr.get(c) if e is not None else None
-            if a is not None and b is not None:
-                val = _conv(pvv, a)
-                sub = _conv(e, b)  # type: ignore[arg-type]
-                if len(sub) > len(val):
-                    val.extend([0] * (len(sub) - len(val)))
-                for i, y in enumerate(sub):
-                    val[i] -= y
-            elif a is not None:
-                val = _conv(pvv, a)
+        e = row.get(col)
+        new: dict[int, list[int]] = {}
+        if e is None:
+            for c, a in row.items():
+                new[c] = _conv(pv, a)
+        else:
+            rest = dict(row)
+            del rest[col]
+            # the same column sets, in the same order, as the generic step:
+            # the order of a row decides which constant pivot it offers
+            for c in set(rest) | set(pr):
+                a = rest.get(c)
+                b = pr.get(c)
+                if a is None:
+                    val = [-y for y in _conv(e, b)]  # type: ignore[arg-type]
+                elif b is None:
+                    val = _conv(pv, a)
+                else:
+                    val = _conv(pv, a)
+                    sub = _conv(e, b)
+                    if len(sub) > len(val):
+                        val.extend([0] * (len(sub) - len(val)))
+                    for i, y in enumerate(sub):
+                        val[i] -= y
+                    _trim(val)
+                if val:
+                    new[c] = val
+        if prev is not None:
+            if len(prev) == 1:
+                # dividing by a constant only rescales; the content strip
+                # below keeps nothing of it but the sign
+                if prev[0] < 0:
+                    new = {c: [-x for x in vec] for c, vec in new.items()}
             else:
-                val = [-y for y in _conv(e, b)]  # type: ignore[arg-type]
-            _trim(val)
-            if val:
-                newd[c] = (val, 1)
-        if prevv is not None:
-            if len(prevv) == 1:
-                d0 = prevv[0]
-                newd = {c: (vec, den * d0) for c, (vec, den) in newd.items()}
-            else:
-                reduced: dict[int, tuple[list[int], int]] | None = {}
-                for c, (vec, den) in newd.items():
-                    q = _int_div_exact(vec, prevv)
+                quotients = {}
+                for c, vec in new.items():
+                    q = _int_div_exact(vec, prev)
                     if q is None:
-                        reduced = None
                         break
-                    reduced[c] = (q[0], den * q[1])
-                if reduced is not None:
-                    newd = reduced
-        # strip rational content: one common positive denominator, then gcd
-        den_lcm = 1
-        for _, den in newd.values():
-            den = abs(den)
-            den_lcm = den_lcm * den // math.gcd(den_lcm, den)
+                    quotients[c] = q
+                else:
+                    den_lcm = 1
+                    for _, den in quotients.values():
+                        den_lcm = math.lcm(den_lcm, den)
+                    new = {
+                        c: [x * (den_lcm // den) for x in vec] for c, (vec, den) in quotients.items()
+                    }
         g = 0
-        scaled: dict[int, list[int]] = {}
-        for c, (vec, den) in newd.items():
-            mult = den_lcm // den  # keeps the sign of den
-            if mult != 1:
-                vec = [x * mult for x in vec]
-            scaled[c] = vec
+        for vec in new.values():
             for x in vec:
-                if x:
-                    g = math.gcd(g, x)
+                g = math.gcd(g, x)
         if g > 1:
-            scaled = {c: [x // g for x in vec] for c, vec in scaled.items()}
-        row.clear()
-        row.update({c: _from_dense(vec, pv_poly.varset, spec) for c, vec in scaled.items()})
-    state.prev_pivot = pv_poly
-    return True
+            new = {c: [x // g for x in vec] for c, vec in new.items()}
+        rows[rj] = new
+    state.prev_pivot = pv
 
 
 def _eliminate_with_pivot(state: _State, col: int, pivot_ri: int) -> None:
@@ -622,8 +672,6 @@ def _eliminate_with_pivot(state: _State, col: int, pivot_ri: int) -> None:
     if pivot_row is None:
         raise InternalInvariantError(f"pivot row {pivot_ri} was already eliminated")
     state.pivots.append(dict(pivot_row))
-    if _eliminate_fast(state, col, pivot_ri, pivot_row):
-        return
     rows[pivot_ri] = None
     pv = pivot_row.pop(col)
     prev = state.prev_pivot
@@ -675,6 +723,7 @@ def _eliminate_with_pivot(state: _State, col: int, pivot_ri: int) -> None:
 
 
 def _explore(ctx: _Context, state: _State) -> None:
+    eliminate = _eliminate_dense if ctx.dense else _eliminate_with_pivot
     while True:
         rows = state.rows
         # eliminate every column that admits a constant pivot before touching
@@ -689,16 +738,16 @@ def _explore(ctx: _Context, state: _State) -> None:
                 if best is not None and size >= best[0]:
                     continue
                 for col, p in row.items():
-                    if p.is_constant():
+                    if _is_constant(p):
                         cand = (size, col, ri)
                         if best is None or cand < best:
                             best = cand
                         break
             if best is None:
                 break
-            _eliminate_with_pivot(state, best[1], best[2])
+            eliminate(state, best[1], best[2])
         # pick the lam-bearing column with the fewest, lowest-degree entries
-        occupancy: dict[int, list[tuple[int, MultiPoly]]] = {}
+        occupancy: dict[int, list[tuple[int, MultiPoly | list[int]]]] = {}
         for ri, row in enumerate(rows):
             if not row:
                 continue
@@ -710,14 +759,14 @@ def _explore(ctx: _Context, state: _State) -> None:
             occupancy,
             key=lambda c: (
                 len(occupancy[c]),
-                min(p.total_degree() for _, p in occupancy[c]),
+                min(_degree(p) for _, p in occupancy[c]),
                 c,
             ),
         )
         entries = occupancy[col]
         candidates = sorted(
             entries,
-            key=lambda rp: (rp[1].total_degree(), len(rows[rp[0]] or ()), _entry_key(rp[1]), rp[0]),
+            key=lambda rp: (_degree(rp[1]), len(rows[rp[0]] or ()), _entry_key(rp[1]), rp[0]),
         )
         eq_states = [state]  # branches in which the candidates seen so far vanish
         for ri, _ in candidates:
@@ -725,20 +774,21 @@ def _explore(ctx: _Context, state: _State) -> None:
             for s in eq_states:
                 row = s.rows[ri]
                 p = row.get(col) if row is not None else None
-                if p is None or p.is_zero():
+                if p is None:
                     next_eq.append(s)
                     continue
-                if p.is_constant():
+                if _is_constant(p):
                     ctx.tick()
                     s2 = s.clone()
-                    _eliminate_with_pivot(s2, col, ri)
+                    eliminate(s2, col, ri)
                     _explore(ctx, s2)
                     continue
                 # branch A: pivot nonzero
                 ctx.tick()
+                poly = ctx.lam_poly(p)
                 s_nz = s.clone()
-                s_nz.nonzero.append(p)
-                _eliminate_with_pivot(s_nz, col, ri)
+                s_nz.nonzero.append(poly)
+                eliminate(s_nz, col, ri)
                 _explore(ctx, s_nz)
                 # branch B: pivot vanishes; drop the entry so the column is
                 # not revisited (the pending constraint keeps it at zero)
@@ -746,7 +796,7 @@ def _explore(ctx: _Context, state: _State) -> None:
                 eq_row = s_eq0.rows[ri]
                 if eq_row is not None:
                     eq_row.pop(col, None)
-                for s_eq in _apply_constraint(ctx, s_eq0, p):
+                for s_eq in _apply_constraint(ctx, s_eq0, poly):
                     next_eq.append(s_eq)
             eq_states = next_eq
         # whole column vanished: the corresponding f-unknown stays unconstrained here
@@ -760,6 +810,7 @@ def _explore(ctx: _Context, state: _State) -> None:
 
 
 _FREE_SAMPLES = (0, 1, -1, 2)
+_ZERO = Fraction(0)
 
 
 def _free_point(state: _State, free: list[int], spec: FieldSpec) -> dict[int, FieldElement]:
@@ -800,16 +851,25 @@ def _handle_leaf(ctx: _Context, state: _State) -> None:
     # nonzero there and every dropped entry vanishes, so their kernel is the
     # kernel of the full ansatz
     numeric_rows: list[dict[int, FieldElement]] = []
-    for row in state.pivots:
-        nrow: dict[int, FieldElement] = {}
-        for col, p in row.items():
-            p2 = p.substitute(assign)
-            if p2.is_zero():
-                continue
-            if not p2.is_constant():
-                raise InternalInvariantError("leaf pivot row still depends on a cofactor unknown")
-            nrow[col] = p2.constant_value()
-        numeric_rows.append(nrow)
+    if ctx.dense:
+        # dense rows come back rescaled to integers, which moves no kernel
+        x = assign[1].a
+        for row in state.pivots:
+            values = _dense_at(row, x)
+            numeric_rows.append(
+                {col: FieldElement(spec, Fraction(v), _ZERO, _ZERO, _ZERO) for col, v in values.items()}
+            )
+    else:
+        for row in state.pivots:
+            nrow: dict[int, FieldElement] = {}
+            for col, p in row.items():
+                p2 = p.substitute(assign)
+                if p2.is_zero():
+                    continue
+                if not p2.is_constant():
+                    raise InternalInvariantError("leaf pivot row still depends on a cofactor unknown")
+                nrow[col] = p2.constant_value()
+            numeric_rows.append(nrow)
     for vector in _kernel_basis(numeric_rows, ctx.ncols, spec):
         F = MultiPoly.from_terms(
             ctx.sys.varset,
@@ -880,6 +940,15 @@ def _kernel_basis(
 # -- public entry point -------------------------------------------------------------
 
 
+def _check_search_bounds(max_gamma_degree: int, branch_cap: int) -> None:
+    """ValueError unless the degree bound is >= 0 and the branch cap >= 1:
+    anything else would return a report with no evidence in it."""
+    if max_gamma_degree < 0:
+        raise ValueError(f"the gamma-degree bound must be >= 0, got {max_gamma_degree}")
+    if branch_cap < 1:
+        raise ValueError(f"the branch cap must be >= 1, got {branch_cap}")
+
+
 def search_darboux(
     sys: NaturalHamiltonian,
     max_gamma_degree: int,
@@ -892,8 +961,10 @@ def search_darboux(
     max_gamma_degree; otherwise all monomials up to that weight enter the
     ansatz.  The cofactor ansatz covers the q-monomials of weighted degree
     exactly r - 2 for a homogeneous potential, or everything up to r - 2
-    (constant included) otherwise.
+    (constant included) otherwise.  ValueError for a negative degree bound
+    or a branch cap below 1.
     """
+    _check_search_bounds(max_gamma_degree, branch_cap)
     grading = gamma_direction(sys)
     gamma = grading.direction.gamma
     spec = sys.field
@@ -941,12 +1012,19 @@ def search_darboux(
         sys=sys,
         f_monomials=f_monomials,
         lam_monomials=lam_monomials,
+        lam_vars=lam_vars,
         lam_names=lam_vars.names(),
         ncols=ncols,
         cap=branch_cap,
+        dense=spec.kind is FieldKind.RATIONALS and len(lam_monomials) == 1,
     )
+    rows = [rows_by_monomial.pop(mono) for mono in ordered]
+    if ctx.dense:
+        # in place, so that each MultiPoly row is freed as it is converted
+        for ri, row in enumerate(rows):
+            rows[ri] = _dense_row(row)
     state = _State(
-        rows=[rows_by_monomial[mono] for mono in ordered],
+        rows=rows,
         assign={},
         nonzero=[],
         pending=[],

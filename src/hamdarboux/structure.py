@@ -19,7 +19,7 @@ from .hamsys import (
     is_homogeneous_potential,
 )
 from .poly import MultiPoly, monomial_key
-from .search import _monomials_up_to_weight, search_darboux, sqrt_in_field
+from .search import _check_search_bounds, _monomials_up_to_weight, search_darboux, sqrt_in_field
 
 
 class Verdict(Enum):
@@ -154,6 +154,7 @@ def check_theorem1(
     """Odd-degree potential: every Darboux polynomial should be a first
     integral.  Runs the structural parity check on the cofactor ansatz plus
     a bounded-degree empirical search for proper certificates."""
+    _check_search_bounds(max_gamma_degree, branch_cap)
     if sys.r % 2 == 0:
         return TheoremReport(
             verdict=Verdict.HYPOTHESES_NOT_MET,

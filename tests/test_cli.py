@@ -154,6 +154,33 @@ def test_theorem1(capsys, tmp_path):
     assert report["results"][0]["verdict"] == "consistent-with-theorem"
 
 
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("theorem1", ["--max-gamma-degree", "-3"]),
+        ("search", ["--max-gamma-degree", "-3"]),
+        ("search", ["--gamma-degree", "-1"]),
+        ("search", ["--max-gamma-degree", "4", "--branch-cap", "0"]),
+        ("search", ["--max-gamma-degree", "4", "--branch-cap", "-5"]),
+        ("theorem1", ["--max-gamma-degree", "6", "--branch-cap", "0"]),
+    ],
+    ids=[
+        "theorem1-degree", "search-degree", "search-exact-degree",
+        "zero-cap", "negative-cap", "theorem1-cap",
+    ],
+)
+def test_meaningless_search_bounds_are_usage_errors(capsys, tmp_path, command, options):
+    # a negative degree used to report an empty search (theorem1: a verdict
+    # with no evidence, exit 0) and a cap below 1 "branch cap exceeded"
+    path = tmp_path / "cubic.sys"
+    path.write_text("m = 2\nfield = Q\nmu = 1, 1\nV = q1^3 + q2^3 + q1^2\n")
+    code = main([command, "--system", str(path), "--output", "json"] + options)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_numcheck(capsys, s2):
     code, report = run_json(
         capsys,

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import sympy as sp
 
 from hamdarboux.darboux import InternalInvariantError, certificate_holds
 from hamdarboux.field import RATIONALS, quad_gauss
+from hamdarboux.hamsys import load_system
 from hamdarboux.parsing import format_poly
 from hamdarboux.search import (
     BranchCapExceededError,
@@ -335,8 +337,9 @@ def test_random_certificates_verify():
 # Ordered reports of searches in which some leaf kernel has dimension >= 2,
 # pinned so that the leaf's kernel routine can change without moving a single
 # certificate: q1^3 + q2^3 runs the generic Bareiss path with no cofactor
-# unknown, the second system the integer path with one unknown, and q1^4 over
-# Q(i, sqrt2) the generic path with two unknowns, forks and residuals.
+# unknown, the next two systems the integer path with one unknown (the second
+# of them with a residual), and q1^4 over Q(i, sqrt2) the generic path with
+# two unknowns, forks and residuals.
 PINNED_REPORTS = [
     pytest.param(
         "Q", "q1^3 + q2^3", 12, 1,
@@ -358,6 +361,14 @@ PINNED_REPORTS = [
         ],
         (),
         id="cubic-integer-path",
+    ),
+    pytest.param(
+        "Q", "2*q1^3 - 3*q1^2*q2 + 3*q1*q2^2 + 3*q1^2 + q1*q2 + 3*q2^2 - 3*q2", 10, 7,
+        [
+            ("p1^2 + p2^2 + 4*q1^3 - 6*q1^2*q2 + 6*q1^2 + 6*q1*q2^2 + 2*q1*q2 + 6*q2^2 - 6*q2", "0"),
+        ],
+        ("l1^2 + 6",),
+        id="cubic-integer-path-residual",
     ),
     pytest.param(
         "Q(i,sqrt2)", "q1^4", 8, 94,
@@ -464,3 +475,151 @@ raise SystemExit(3)
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("degree, cap", [(-3, 10_000), (-1, 10_000), (4, 0), (4, -5)])
+def test_search_rejects_meaningless_bounds(sys_s1, degree, cap):
+    # a negative degree bound searched an empty ansatz and a cap below 1
+    # reported "branch cap exceeded": both looked like results
+    from hamdarboux.structure import check_theorem1
+
+    cubic = load_system("m = 2\nfield = Q\nmu = 1, 1\nV = q1^3 + q2^3 + q1^2\n")
+    for homogeneous_only in (False, True):
+        with pytest.raises(ValueError):
+            search_darboux(sys_s1, degree, homogeneous_only=homogeneous_only, branch_cap=cap)
+    for system in (cubic, sys_s1):
+        with pytest.raises(ValueError):
+            check_theorem1(system, degree, branch_cap=cap)
+
+
+def _random_cubic(rng, pool, fractional):
+    """A non-homogeneous V(q1, q2) of degree 3 with coefficients from `pool`
+    (at least one of them fractional when asked).  A cubic top that is the
+    cube of a linear form is redrawn: it carries proper Darboux polynomials
+    whose coefficients may need the extension."""
+    while True:
+        coefs = {(e1, e2): rng.choice(pool) for e1 in range(4) for e2 in range(4 - e1) if e1 + e2}
+        a, b, c, d = coefs[(3, 0)], coefs[(2, 1)], coefs[(1, 2)], coefs[(0, 3)]
+        cube = b * b == 3 * a * c and c * c == 3 * b * d and b * c == 9 * a * d
+        lower = any(v for (e1, e2), v in coefs.items() if e1 + e2 < 3)
+        has_fraction = any(Fraction(v).denominator > 1 for v in coefs.values() if v)
+        if any((a, b, c, d)) and not cube and lower and has_fraction == fractional:
+            break
+    terms = []
+    for (e1, e2), v in coefs.items():
+        if v:
+            mono = "*".join(f"{n}^{e}" for n, e in (("q1", e1), ("q2", e2)) if e)
+            terms.append(f"({v})*{mono}")
+    return " + ".join(terms)
+
+
+def _cubic_oracle_cases():
+    rng = random.Random(31)
+    integer = [_random_cubic(rng, range(-3, 4), False) for _ in range(12)]
+    pool = [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3), 1, -1, 2, 0]
+    fractional = [_random_cubic(rng, pool, True) for _ in range(8)]
+    return integer + fractional
+
+
+def test_integer_and_generic_elimination_agree_on_cubics():
+    # over Q a cubic's search has one cofactor unknown and runs the integer
+    # Bareiss path; over Q(i, sqrt2) the same ansatz runs the generic
+    # MultiPoly path, which shares no elimination code with it.  Residuals
+    # and branch counts may differ where roots lie in the extension, the
+    # certificates may not.  Eight of the cubics have coefficients 1/2 or
+    # 1/3, so their ansatz rows start fractional.
+    for V in _cubic_oracle_cases():
+        reports = [
+            search_darboux(load_system(f"m = 2\nfield = {field}\nmu = 1, 1\nV = {V}\n"), 8)
+            for field in ("Q", "Q(i,sqrt2)")
+        ]
+        over_q, over_ext = (
+            [(format_poly(c.F), format_poly(c.Lambda)) for c in r.certificates] for r in reports
+        )
+        assert over_q, V  # H itself is always found
+        assert over_q == over_ext, V
+
+
+def test_integer_path_reports_like_the_generic_path(monkeypatch):
+    # the same searches over Q with the integer rows switched off: the whole
+    # ordered report, branch counts and residuals included, must not move.
+    # The last cubic divides rows by a non-constant previous pivot and has a
+    # sextic residual.
+    import hamdarboux.search as search_module
+
+    cases = [(V, 8) for V in _cubic_oracle_cases()]
+    cases.append(("-2*q1^3 + 2*q1^2*q2 + q1*q2^2 - q2^3 + 2*q1^2 - 2*q1*q2 - 2*q2^2 - q1 + 3*q2", 10))
+    systems = [
+        (load_system(f"m = 2\nfield = Q\nmu = 1, 1\nV = {V}\n"), degree) for V, degree in cases
+    ]
+    dense_steps = []
+    eliminate_dense = search_module._eliminate_dense
+
+    def counted(*args):
+        dense_steps.append(args[1])
+        eliminate_dense(*args)
+
+    monkeypatch.setattr(search_module, "_eliminate_dense", counted)
+    dense = [search_darboux(system, degree) for system, degree in systems]
+    assert dense_steps
+
+    class GenericContext(search_module._Context):
+        def __init__(self, **fields):
+            super().__init__(**{**fields, "dense": False})
+
+    monkeypatch.setattr(search_module, "_Context", GenericContext)
+    dense_steps.clear()
+    generic = [search_darboux(system, degree) for system, degree in systems]
+    assert not dense_steps
+    for a, b in zip(dense, generic):
+        assert [(format_poly(c.F), format_poly(c.Lambda)) for c in a.certificates] == [
+            (format_poly(c.F), format_poly(c.Lambda)) for c in b.certificates
+        ]
+        assert a.branches_explored == b.branches_explored
+        assert a.residual_conditions == b.residual_conditions
+
+
+def test_dense_entries_sort_like_their_multipolys():
+    # candidate pivots are ordered by degree, then `_entry_key`; a dense
+    # entry must take the place its MultiPoly takes
+    from hamdarboux.poly import MultiPoly, VarSet
+    from hamdarboux.search import _degree, _entry_key
+
+    lam = VarSet.cofactor_unknowns(1)
+    rng = random.Random(5)
+    entries = []
+    for _ in range(300):
+        vec = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+        vec[-1] = vec[-1] or 1
+        terms = {(d,): RATIONALS.from_rational(x) for d, x in enumerate(vec) if x}
+        entries.append((vec, MultiPoly(lam, RATIONALS, terms)))
+
+    def order(form):
+        keys = [(_degree(entry[form]), _entry_key(entry[form]), k) for k, entry in enumerate(entries)]
+        return sorted(range(len(entries)), key=keys.__getitem__)
+
+    assert order(0) == order(1)
+
+
+def test_dense_row_at_a_rational_point():
+    # substitution and the leaf read a dense row at l1 = x as its exact
+    # values times one positive factor, primitive, zeros dropped, order kept
+    import math
+
+    from hamdarboux.search import _dense_at
+
+    rng = random.Random(8)
+    for _ in range(200):
+        x = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        row = {}
+        for col in rng.sample(range(20), rng.randint(1, 5)):
+            vec = [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]
+            vec[-1] = vec[-1] or 1
+            row[col] = vec
+        exact = {c: sum(coef * x**d for d, coef in enumerate(vec)) for c, vec in row.items()}
+        got = _dense_at(row, x)
+        assert list(got) == [c for c in row if exact[c]]
+        if got:
+            factor = {Fraction(got[c]) / exact[c] for c in got}
+            assert len(factor) == 1 and factor.pop() > 0
+            assert math.gcd(*got.values()) == 1
