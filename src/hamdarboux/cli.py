@@ -321,7 +321,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         _emit(report, args.output, int((time.monotonic() - start) * 1000))
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
+        # MemoryError: a numcheck trajectory too large to allocate
         print(f"error: {exc}", file=_sys.stderr)
         return 1
     except InternalInvariantError as exc:

@@ -23,6 +23,11 @@ class FieldKind(Enum):
     QUAD_GAUSS = "Q(i,sqrt d)"
 
 
+# Largest d accepted for Q(i, sqrt d): the square-free check then takes at
+# most 10^5 trial divisions, where a 19-digit d would take about 10^9.
+MAX_D = 10**10
+
+
 def _is_square_free(n: int) -> bool:
     if n < 1:
         return False
@@ -41,6 +46,8 @@ class FieldSpec:
 
     def __init__(self, kind: FieldKind, d: int | None = None):
         if kind is FieldKind.QUAD_GAUSS:
+            if d is not None and d > MAX_D:
+                raise ValueError(f"d must be at most {MAX_D}, got {d}")
             if d is None or d < 2 or not _is_square_free(d):
                 raise ValueError(f"d must be a square-free integer >= 2, got {d!r}")
         else:

@@ -10,6 +10,7 @@ over `VarSet.cofactor_unknowns(k)`, ordered lexicographically in l1 > ... > lk.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -211,6 +212,22 @@ class MultiPoly:
     def canonical_key(self):
         return tuple((monomial_key(self.varset.m)(e), c.sort_key()) for e, c in self.sorted_terms())
 
+    def sort_key(self):
+        """A total order on one ring's polynomials: the sorted term list."""
+        return tuple(sorted((e, c.sort_key()) for e, c in self.terms.items()))
+
+    def rational_content(self) -> tuple[int, int]:
+        """The gcd of the numerators and the lcm of the denominators of all
+        the coefficients' rational components ((0, 1) for the zero
+        polynomial): scaling by den/num leaves coprime integer components."""
+        num, den = 0, 1
+        for coef in self.terms.values():
+            for comp in coef.components():
+                if comp:
+                    num = math.gcd(num, comp.numerator)
+                    den = math.lcm(den, comp.denominator)
+        return num, den
+
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: "MultiPoly") -> None:
@@ -249,9 +266,7 @@ class MultiPoly:
         return MultiPoly(self.varset, self.field, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
-        if isinstance(other, FieldElement):
+        if isinstance(other, (int, Fraction, FieldElement)):
             return self.scale(other)
         self._check(other)
         if len(self.terms) * len(other.terms) > 4 * MAX_TERMS:
@@ -271,7 +286,9 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def scale(self, coef: FieldElement) -> "MultiPoly":
+    def scale(self, coef: FieldElement | int | Fraction) -> "MultiPoly":
+        if isinstance(coef, (int, Fraction)):
+            coef = self.field.from_rational(coef)
         if coef.is_zero():
             return MultiPoly.zero(self.varset, self.field)
         return MultiPoly(self.varset, self.field, {e: c * coef for e, c in self.terms.items()})

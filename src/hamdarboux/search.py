@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .darboux import DarbouxCertificate, InternalInvariantError, cofactor_of
-from .field import FieldElement, FieldKind, FieldSpec
+from .field import RATIONALS, FieldElement, FieldKind, FieldSpec
 from .hamsys import (
     NaturalHamiltonian,
     gamma_direction,
@@ -235,11 +235,11 @@ def sqrt_in_field(x: FieldElement) -> FieldElement | None:
 
 # -- polynomials in the cofactor unknowns ---------------------------------------
 # Ansatz entries are MultiPolys over VarSet.cofactor_unknowns(k), except on a
-# search over Q with a single unknown l1: there every entry is a dense integer
-# coefficient list in l1, lowest degree first, nonzero and without trailing
-# zeros, from the ansatz to the leaf (see `_eliminate_dense`).  Residual
-# strings list their terms highest total degree first, and candidate pivots
-# break ties on the sorted term list; both orders are part of the report.
+# search over Q with a single unknown l1, where every entry is an `_IntPoly`
+# from the ansatz to the leaf.  Both forms answer the same operations, so one
+# elimination, substitution and leaf serve both.  Residual strings list their
+# terms highest total degree first, and candidate pivots break ties on
+# `sort_key`; both orders are part of the report.
 
 
 def _render(p: MultiPoly, names: list[str]) -> str:
@@ -247,20 +247,120 @@ def _render(p: MultiPoly, names: list[str]) -> str:
     return format_terms(items, names)
 
 
-def _is_constant(p: MultiPoly | list[int]) -> bool:
-    return len(p) == 1 if type(p) is list else p.is_constant()
+_ZERO = Fraction(0)
 
 
-def _degree(p: MultiPoly | list[int]) -> int:
-    return len(p) - 1 if type(p) is list else p.total_degree()
+class _IntPoly(list):
+    """A polynomial in l1 over Q as its dense coefficient list, lowest degree
+    first, without trailing zeros.
+
+    The search keeps each row only up to a positive rational factor, which
+    the row-content strip removes, so the coefficients are integers: only a
+    substitution leaves an exact rational constant, a `Fraction` when it is
+    not integral, until its row is next rewritten.  `total_degree` and
+    `sort_key` order entries exactly as on the MultiPoly with the same
+    coefficients."""
+
+    __slots__ = ()
+
+    def __mul__(self, other: "_IntPoly") -> "_IntPoly":
+        if len(self) == 1:
+            k = self[0]
+            return _IntPoly([k * y for y in other])
+        if len(other) == 1:
+            k = other[0]
+            return _IntPoly([x * k for x in self])
+        out = [0] * (len(self) + len(other) - 1)
+        for i, x in enumerate(self):
+            if x:
+                for j, y in enumerate(other):
+                    if y:
+                        out[i + j] += x * y
+        return _IntPoly(out)
+
+    def __sub__(self, other: "_IntPoly") -> "_IntPoly":
+        out = _IntPoly(self)
+        out.extend([0] * (len(other) - len(self)))
+        for i, y in enumerate(other):
+            out[i] -= y
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    def __neg__(self) -> "_IntPoly":
+        return _IntPoly([-x for x in self])
+
+    def is_zero(self) -> bool:
+        return not self
+
+    def is_constant(self) -> bool:
+        return len(self) <= 1
+
+    def total_degree(self) -> int:
+        return len(self) - 1
+
+    def sort_key(self):
+        return tuple((d, x) for d, x in enumerate(self) if x)
+
+    def scale(self, factor: Fraction) -> "_IntPoly":
+        """The polynomial times a rational that keeps its coefficients integral."""
+        num, den = factor.numerator, factor.denominator
+        return _IntPoly([x * num // den for x in self])
+
+    def rational_content(self) -> tuple[int, int]:
+        if len(self) == 1:  # only a constant can be a Fraction
+            return self[0].numerator, self[0].denominator
+        return math.gcd(*self), 1
+
+    def divide_exact(self, other: "_IntPoly") -> "_IntPoly | None":
+        """self/other times the positive content of other, or None when other
+        does not divide self over Q.  The factor depends on other alone, so a
+        row divided entry by entry keeps its direction; by Gauss's lemma the
+        quotient by other's primitive part has integer coefficients."""
+        g = math.gcd(*other)
+        den = [y // g for y in other]
+        lead, d = den[-1], len(den)
+        shift = len(self) - d
+        if shift < 0:
+            return None
+        work = list(self)
+        quot = [0] * (shift + 1)
+        for k in range(shift, -1, -1):
+            q, r = divmod(work[k + d - 1], lead)
+            if r:
+                return None
+            quot[k] = q
+            if q:
+                for j, y in enumerate(den):
+                    work[k + j] -= q * y
+        if any(work):
+            return None
+        return _IntPoly(quot)
+
+    def substitute(self, assign: dict[int, FieldElement]) -> "_IntPoly":
+        """The exact value at l1 = assign[1], as a constant."""
+        if len(self) <= 1:
+            return self
+        x = assign[1].a
+        num, den = x.numerator, x.denominator
+        # den^deg * value, by Horner on the homogenised polynomial
+        acc, pw = 0, 1
+        for coef in reversed(self):
+            acc = acc * num + coef * pw
+            pw *= den
+        scale = den ** (len(self) - 1)
+        value = acc // scale if acc % scale == 0 else Fraction(acc, scale)
+        return _IntPoly([value] if value else [])
+
+    def constant_value(self) -> FieldElement:
+        return FieldElement(RATIONALS, Fraction(self[0]) if self else _ZERO, _ZERO, _ZERO, _ZERO)
+
+    def as_multipoly(self, varset: VarSet) -> MultiPoly:
+        terms = {(d,): RATIONALS.from_rational(x) for d, x in enumerate(self) if x}
+        return MultiPoly(varset, RATIONALS, terms)
 
 
-def _entry_key(p: MultiPoly | list[int]):
-    """Tie-break between candidate pivots; a dense entry sorts exactly like
-    the MultiPoly with the same coefficients."""
-    if type(p) is list:
-        return tuple((d, x) for d, x in enumerate(p) if x)
-    return tuple(sorted((e, c.sort_key()) for e, c in p.terms.items()))
+Entry = MultiPoly | _IntPoly
 
 
 # -- ansatz enumeration ----------------------------------------------------------
@@ -308,12 +408,12 @@ class _Pending:
 
 @dataclass
 class _State:
-    rows: list[dict[int, MultiPoly | list[int]] | None]
+    rows: list[dict[int, Entry] | None]
     assign: dict[int, FieldElement]
     nonzero: list[MultiPoly]
     pending: list[_Pending]
-    pivots: list[dict[int, MultiPoly | list[int]]]  # eliminated rows, never mutated once kept
-    prev_pivot: MultiPoly | list[int] | None = None
+    pivots: list[dict[int, Entry]]  # eliminated rows, never mutated once kept
+    prev_pivot: Entry | None = None
 
     def clone(self) -> "_State":
         return _State(
@@ -335,7 +435,6 @@ class _Context:
     lam_names: list[str]
     ncols: int
     cap: int
-    dense: bool  # rows are dense integer lists (over Q, one unknown)
     branches: int = 0
     certificates: dict = dataclass_field(default_factory=dict)
     residuals: set = dataclass_field(default_factory=set)
@@ -344,15 +443,6 @@ class _Context:
         self.branches += 1
         if self.branches > self.cap:
             raise BranchCapExceededError(self.report())
-
-    def lam_poly(self, p: MultiPoly | list[int]) -> MultiPoly:
-        """A row entry as a MultiPoly in the cofactor unknowns: how a dense
-        pivot leaves the elimination for the assumptions and constraints."""
-        if type(p) is not list:
-            return p
-        spec = self.sys.field
-        terms = {(d,): spec.from_rational(x) for d, x in enumerate(p) if x}
-        return MultiPoly(self.lam_vars, spec, terms)
 
     def report(self) -> SearchReport:
         certs = sorted(
@@ -370,27 +460,24 @@ def _substitute_state(ctx: _Context, state: _State, var: int, value: FieldElemen
     """Assign one lam variable, substitute everywhere, re-examine assumptions
     and pending constraints.  May fork (pending constraints gaining roots) or
     die (a nonzero assumption vanishing)."""
-    state.assign[var] = value
-    if ctx.dense:
-        if not _substitute_dense(state, value.a):
+    assign = state.assign
+    assign[var] = value
+    if state.prev_pivot is not None:
+        state.prev_pivot = state.prev_pivot.substitute(assign)
+        if state.prev_pivot.is_zero():
             return []
-    else:
-        if state.prev_pivot is not None:
-            state.prev_pivot = state.prev_pivot.substitute(state.assign)
-            if state.prev_pivot.is_zero():
-                return []
-        for row in state.rows:
-            if row is None:
-                continue
-            for col in list(row):
-                p = row[col].substitute(state.assign)
-                if p.is_zero():
-                    del row[col]
-                else:
-                    row[col] = p
+    rows = state.rows
+    for ri, row in enumerate(rows):
+        if row:
+            new: dict[int, Entry] = {}
+            for col, p in row.items():
+                p = p.substitute(assign)
+                if not p.is_zero():
+                    new[col] = p
+            rows[ri] = new
     new_nonzero = []
     for p in state.nonzero:
-        p = p.substitute(state.assign)
+        p = p.substitute(assign)
         if p.is_zero():
             return []
         if not p.is_constant():
@@ -450,145 +537,27 @@ def _apply_constraint(ctx: _Context, state: _State, p: MultiPoly) -> list[_State
     return out
 
 
-def _strip_row_content(row: dict[int, MultiPoly]) -> dict[int, MultiPoly]:
+def _strip_row_content(row: dict[int, Entry]) -> dict[int, Entry]:
     """Scale a row to primitive form: common rational content removed."""
-    num_gcd = 0
-    den_lcm = 1
+    num_gcd, den_lcm = 0, 1
     for p in row.values():
-        for coef in p.terms.values():
-            for comp in coef.components():
-                if comp:
-                    num_gcd = math.gcd(num_gcd, comp.numerator)
-                    den_lcm = den_lcm * comp.denominator // math.gcd(
-                        den_lcm, comp.denominator
-                    )
+        num, den = p.rational_content()
+        num_gcd = math.gcd(num_gcd, num)
+        den_lcm = math.lcm(den_lcm, den)
     if num_gcd in (0, den_lcm):
         return row
     factor = Fraction(den_lcm, num_gcd)
-    if factor == 1:
-        return row
-    scale = next(iter(row.values())).field.from_rational(factor)
-    return {c: p.scale(scale) for c, p in row.items()}
+    return {c: p.scale(factor) for c, p in row.items()}
 
 
-def _dense_row(row: dict[int, MultiPoly]) -> dict[int, list[int]]:
-    """An ansatz row in l1 alone, over Q, as dense integer lists: the row
-    times the lcm of its denominators.  That positive factor moves nothing
-    the search reports.  Every rewritten row is made primitive anyway, and
-    only a constant entry can be fractional (L_H changes the p-degree of every
-    monomial, so the diagonal entry is exactly -l1): the constant steps,
-    which ignore values, rewrite or eliminate such a row before any
-    candidate order reads it."""
-    den = 1
-    for p in row.values():
-        for c in p.terms.values():
-            den = math.lcm(den, c.a.denominator)
-    dense: dict[int, list[int]] = {}
-    for col, p in row.items():
-        vec = [0] * (p.total_degree() + 1)
-        for (d,), c in p.terms.items():
-            vec[d] = c.a.numerator * (den // c.a.denominator)
-        dense[col] = vec
-    return dense
-
-
-def _dense_at(row: dict[int, list[int]], x: Fraction) -> dict[int, int]:
-    """A dense row at l1 = x, times a positive factor that makes it a
-    primitive integer row; vanishing entries are dropped, the order kept."""
-    num, den = x.numerator, x.denominator
-    top = max(map(len, row.values()), default=0)
-    out: dict[int, int] = {}
-    for col, vec in row.items():
-        # den^(top-1) * vec(x) by Horner on the homogenised polynomial
-        acc, pw = 0, den ** (top - len(vec))
-        for coef in reversed(vec):
-            acc = acc * num + coef * pw
-            pw *= den
-        if acc:
-            out[col] = acc
-    g = 0
-    for v in out.values():
-        g = math.gcd(g, v)
-    if g > 1:
-        out = {col: v // g for col, v in out.items()}
-    return out
-
-
-def _substitute_dense(state: _State, x: Fraction) -> bool:
-    """Put l1 = x into the dense rows and the previous pivot; False when the
-    previous pivot vanishes there.  Every entry turns constant, so from here
-    on only constant steps, which ignore values, and the leaf kernel, which
-    row scaling does not move, read the rows: each is rescaled to primitive
-    integers."""
-    if state.prev_pivot is not None:
-        prev = _dense_at({0: state.prev_pivot}, x)
-        if not prev:
-            return False
-        state.prev_pivot = [1 if prev[0] > 0 else -1]
-    rows = state.rows
-    for ri, row in enumerate(rows):
-        if row:
-            rows[ri] = {col: [v] for col, v in _dense_at(row, x).items()}
-    return True
-
-
-def _conv(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _trim(v: list[int]) -> list[int]:
-    n = len(v)
-    while n and not v[n - 1]:
-        n -= 1
-    del v[n:]
-    return v
-
-
-def _int_div_exact(num: list[int], den: list[int]) -> tuple[list[int], int] | None:
-    """num/den in Q[x] as (integer quotient, positive denominator), or None
-    when the polynomial division leaves a remainder."""
-    d = len(den)
-    shift = len(num) - d
-    if shift < 0:
-        return None
-    dlc = den[-1]
-    for scale in (1, dlc ** (shift + 1)):
-        work = [x * scale for x in num]
-        quot = [0] * (shift + 1)
-        ok = True
-        for k in range(shift, -1, -1):
-            lead = work[k + d - 1]
-            if lead % dlc:
-                ok = False
-                break
-            c = lead // dlc
-            quot[k] = c
-            if c:
-                for j in range(d):
-                    work[k + j] -= c * den[j]
-        if not ok:
-            continue
-        if any(work):
-            return None
-        if scale < 0:
-            scale = -scale
-            quot = [-x for x in quot]
-        return quot, scale
-    return None
-
-
-def _eliminate_dense(state: _State, col: int, pivot_ri: int) -> None:
-    """The Bareiss step of `_eliminate_with_pivot` on dense integer rows.
-    Each rewritten row is pv*a - e*b, divided by the previous pivot when
-    every entry divides exactly over Q, then scaled by a positive factor to
-    primitive integers: the row the generic step computes, so the search
-    takes the same branches either way."""
+def _eliminate_with_pivot(state: _State, col: int, pivot_ri: int) -> None:
+    """Fraction-free (Bareiss) elimination of one column.  Every new entry is
+    pv*a - e*b, then the whole row is divided by the previous pivot when that
+    division is exact; the previous pivot is nonzero on this branch, so the
+    division never changes which lam-values admit a kernel.  Each rewritten
+    row is made primitive, which removes any positive rational factor, such
+    as the one an `_IntPoly` quotient carries.  The pivot row is kept on the
+    state for the leaf kernel."""
     rows = state.rows
     pivot_row = rows[pivot_ri]
     if pivot_row is None:
@@ -596,134 +565,59 @@ def _eliminate_dense(state: _State, col: int, pivot_ri: int) -> None:
     rows[pivot_ri] = None
     state.pivots.append(pivot_row)
     pr = dict(pivot_row)
-    pv = pr.pop(col)
+    pv = upv = pr.pop(col)
     prev = state.prev_pivot
     # rows without a pivot-column entry only need the pv/prev rescaling, which
     # is a constant when both are, so then they are skipped unread
-    skip_untouched = len(pv) == 1 and (prev is None or len(prev) == 1)
+    skip_untouched = pv.is_constant() and (prev is None or prev.is_constant())
+    if prev is not None and prev.is_constant():
+        # the content strip removes any positive rational factor, so of a
+        # constant previous pivot only a sign or an irrational part is left to
+        # divide out; every new entry is linear in the pivot row, which takes it
+        value = prev.constant_value()
+        if not value.is_rational():
+            inv = value.inverse()
+            upv, pr = pv.scale(inv), {c: b.scale(inv) for c, b in pr.items()}
+        elif value.a < 0:
+            upv, pr = -pv, {c: -b for c, b in pr.items()}
+        prev = None
     for rj, row in enumerate(rows):
         if not row or (skip_untouched and col not in row):
             continue
         e = row.get(col)
-        new: dict[int, list[int]] = {}
+        new: dict[int, Entry] = {}
         if e is None:
             for c, a in row.items():
-                new[c] = _conv(pv, a)
+                new[c] = upv * a
         else:
             rest = dict(row)
             del rest[col]
-            # the same column sets, in the same order, as the generic step:
             # the order of a row decides which constant pivot it offers
             for c in set(rest) | set(pr):
                 a = rest.get(c)
                 b = pr.get(c)
                 if a is None:
-                    val = [-y for y in _conv(e, b)]  # type: ignore[arg-type]
+                    new[c] = -(e * b)  # type: ignore[operator]
                 elif b is None:
-                    val = _conv(pv, a)
+                    new[c] = upv * a
                 else:
-                    val = _conv(pv, a)
-                    sub = _conv(e, b)
-                    if len(sub) > len(val):
-                        val.extend([0] * (len(sub) - len(val)))
-                    for i, y in enumerate(sub):
-                        val[i] -= y
-                    _trim(val)
-                if val:
-                    new[c] = val
+                    val = upv * a - e * b
+                    if not val.is_zero():
+                        new[c] = val
         if prev is not None:
-            if len(prev) == 1:
-                # dividing by a constant only rescales; the content strip
-                # below keeps nothing of it but the sign
-                if prev[0] < 0:
-                    new = {c: [-x for x in vec] for c, vec in new.items()}
-            else:
-                quotients = {}
-                for c, vec in new.items():
-                    q = _int_div_exact(vec, prev)
-                    if q is None:
-                        break
-                    quotients[c] = q
-                else:
-                    den_lcm = 1
-                    for _, den in quotients.values():
-                        den_lcm = math.lcm(den_lcm, den)
-                    new = {
-                        c: [x * (den_lcm // den) for x in vec] for c, (vec, den) in quotients.items()
-                    }
-        g = 0
-        for vec in new.values():
-            for x in vec:
-                g = math.gcd(g, x)
-        if g > 1:
-            new = {c: [x // g for x in vec] for c, vec in new.items()}
-        rows[rj] = new
-    state.prev_pivot = pv
-
-
-def _eliminate_with_pivot(state: _State, col: int, pivot_ri: int) -> None:
-    """Fraction-free (Bareiss) elimination of one column.  Every new entry is
-    pv*a - e*b, then the whole row is divided by the previous pivot when that
-    division is exact; the previous pivot is nonzero on this branch, so the
-    division never changes which lam-values admit a kernel.  The pivot row
-    is kept on the state for the leaf kernel."""
-    rows = state.rows
-    pivot_row = rows[pivot_ri]
-    if pivot_row is None:
-        raise InternalInvariantError(f"pivot row {pivot_ri} was already eliminated")
-    state.pivots.append(dict(pivot_row))
-    rows[pivot_ri] = None
-    pv = pivot_row.pop(col)
-    prev = state.prev_pivot
-    prev_inv = None
-    if prev is not None and prev.is_constant():
-        prev_inv = prev.constant_value().inverse()
-    # rows without a pivot-column entry only need the pv/prev rescaling, and
-    # a constant rescaling is irrelevant to both the kernel and later exact
-    # divisions, so the all-constant case skips them entirely
-    skip_untouched = pv.is_constant() and (prev is None or prev.is_constant())
-    for rj, row in enumerate(rows):
-        if row is None:
-            continue
-        e = row.pop(col, None)
-        if e is None and skip_untouched:
-            continue
-        new_row: dict[int, MultiPoly] = {}
-        columns = (set(row) | set(pivot_row)) if e is not None else row.keys()
-        for c in columns:
-            a = row.get(c)
-            b = pivot_row.get(c) if e is not None else None
-            val = (pv * a if a is not None else None)
-            sub = (e * b if b is not None else None)
-            if val is None:
-                new = -sub  # type: ignore[operator]
-            elif sub is None:
-                new = val
-            else:
-                new = val - sub
-            if not new.is_zero():
-                new_row[c] = new
-        if prev_inv is not None:
-            new_row = {c: p.scale(prev_inv) for c, p in new_row.items()}
-        elif prev is not None:
-            reduced: dict[int, MultiPoly] | None = {}
-            for c, p in new_row.items():
+            quotients: dict[int, Entry] = {}
+            for c, p in new.items():
                 q = p.divide_exact(prev)
                 if q is None:
-                    reduced = None
                     break
-                reduced[c] = q
-            if reduced is not None:
-                new_row = reduced
-        if new_row:
-            new_row = _strip_row_content(new_row)
-        row.clear()
-        row.update(new_row)
+                quotients[c] = q
+            else:
+                new = quotients
+        rows[rj] = _strip_row_content(new)
     state.prev_pivot = pv
 
 
 def _explore(ctx: _Context, state: _State) -> None:
-    eliminate = _eliminate_dense if ctx.dense else _eliminate_with_pivot
     while True:
         rows = state.rows
         # eliminate every column that admits a constant pivot before touching
@@ -738,16 +632,16 @@ def _explore(ctx: _Context, state: _State) -> None:
                 if best is not None and size >= best[0]:
                     continue
                 for col, p in row.items():
-                    if _is_constant(p):
+                    if p.is_constant():
                         cand = (size, col, ri)
                         if best is None or cand < best:
                             best = cand
                         break
             if best is None:
                 break
-            eliminate(state, best[1], best[2])
+            _eliminate_with_pivot(state, best[1], best[2])
         # pick the lam-bearing column with the fewest, lowest-degree entries
-        occupancy: dict[int, list[tuple[int, MultiPoly | list[int]]]] = {}
+        occupancy: dict[int, list[tuple[int, Entry]]] = {}
         for ri, row in enumerate(rows):
             if not row:
                 continue
@@ -759,14 +653,16 @@ def _explore(ctx: _Context, state: _State) -> None:
             occupancy,
             key=lambda c: (
                 len(occupancy[c]),
-                min(_degree(p) for _, p in occupancy[c]),
+                min(p.total_degree() for _, p in occupancy[c]),
                 c,
             ),
         )
         entries = occupancy[col]
         candidates = sorted(
             entries,
-            key=lambda rp: (_degree(rp[1]), len(rows[rp[0]] or ()), _entry_key(rp[1]), rp[0]),
+            key=lambda rp: (
+                rp[1].total_degree(), len(rows[rp[0]] or ()), rp[1].sort_key(), rp[0]
+            ),
         )
         eq_states = [state]  # branches in which the candidates seen so far vanish
         for ri, _ in candidates:
@@ -777,18 +673,19 @@ def _explore(ctx: _Context, state: _State) -> None:
                 if p is None:
                     next_eq.append(s)
                     continue
-                if _is_constant(p):
+                if p.is_constant():
                     ctx.tick()
                     s2 = s.clone()
-                    eliminate(s2, col, ri)
+                    _eliminate_with_pivot(s2, col, ri)
                     _explore(ctx, s2)
                     continue
                 # branch A: pivot nonzero
                 ctx.tick()
-                poly = ctx.lam_poly(p)
+                # the one place an integer entry leaves the elimination
+                poly = p.as_multipoly(ctx.lam_vars) if type(p) is _IntPoly else p
                 s_nz = s.clone()
                 s_nz.nonzero.append(poly)
-                eliminate(s_nz, col, ri)
+                _eliminate_with_pivot(s_nz, col, ri)
                 _explore(ctx, s_nz)
                 # branch B: pivot vanishes; drop the entry so the column is
                 # not revisited (the pending constraint keeps it at zero)
@@ -810,7 +707,6 @@ def _explore(ctx: _Context, state: _State) -> None:
 
 
 _FREE_SAMPLES = (0, 1, -1, 2)
-_ZERO = Fraction(0)
 
 
 def _free_point(state: _State, free: list[int], spec: FieldSpec) -> dict[int, FieldElement]:
@@ -851,25 +747,16 @@ def _handle_leaf(ctx: _Context, state: _State) -> None:
     # nonzero there and every dropped entry vanishes, so their kernel is the
     # kernel of the full ansatz
     numeric_rows: list[dict[int, FieldElement]] = []
-    if ctx.dense:
-        # dense rows come back rescaled to integers, which moves no kernel
-        x = assign[1].a
-        for row in state.pivots:
-            values = _dense_at(row, x)
-            numeric_rows.append(
-                {col: FieldElement(spec, Fraction(v), _ZERO, _ZERO, _ZERO) for col, v in values.items()}
-            )
-    else:
-        for row in state.pivots:
-            nrow: dict[int, FieldElement] = {}
-            for col, p in row.items():
-                p2 = p.substitute(assign)
-                if p2.is_zero():
-                    continue
-                if not p2.is_constant():
-                    raise InternalInvariantError("leaf pivot row still depends on a cofactor unknown")
-                nrow[col] = p2.constant_value()
-            numeric_rows.append(nrow)
+    for row in state.pivots:
+        nrow: dict[int, FieldElement] = {}
+        for col, p in row.items():
+            p2 = p.substitute(assign)
+            if p2.is_zero():
+                continue
+            if not p2.is_constant():
+                raise InternalInvariantError("leaf pivot row still depends on a cofactor unknown")
+            nrow[col] = p2.constant_value()
+        numeric_rows.append(nrow)
     for vector in _kernel_basis(numeric_rows, ctx.ncols, spec):
         F = MultiPoly.from_terms(
             ctx.sys.varset,
@@ -935,6 +822,33 @@ def _kernel_basis(
                 vec[lead] = -coef
         basis.append(vec)
     return basis
+
+
+def _choose_entry_form(rows: list[dict[int, Entry]], spec: FieldSpec, unknowns: int) -> None:
+    """The one place that picks the entry form.  Over Q with a single unknown
+    every ansatz row becomes a row of `_IntPoly`s, in place so that each
+    MultiPoly row is freed as it is converted; otherwise the rows stay.
+
+    An integer row is the MultiPoly row times the lcm of its denominators.
+    That positive factor moves nothing the search reports.  Every rewritten
+    row is made primitive anyway, and only a constant entry can be fractional
+    (L_H changes the p-degree of every monomial, so the diagonal entry is
+    exactly -l1): the constant steps, which ignore values, rewrite or
+    eliminate such a row before any candidate order reads it."""
+    if spec.kind is not FieldKind.RATIONALS or unknowns != 1:
+        return
+    for ri, row in enumerate(rows):
+        den = 1
+        for p in row.values():
+            for c in p.terms.values():
+                den = math.lcm(den, c.a.denominator)
+        int_row: dict[int, Entry] = {}
+        for col, p in row.items():
+            vec = [0] * (p.total_degree() + 1)
+            for (d,), c in p.terms.items():
+                vec[d] = c.a.numerator * (den // c.a.denominator)
+            int_row[col] = _IntPoly(vec)
+        rows[ri] = int_row
 
 
 # -- public entry point -------------------------------------------------------------
@@ -1016,13 +930,9 @@ def search_darboux(
         lam_names=lam_vars.names(),
         ncols=ncols,
         cap=branch_cap,
-        dense=spec.kind is FieldKind.RATIONALS and len(lam_monomials) == 1,
     )
     rows = [rows_by_monomial.pop(mono) for mono in ordered]
-    if ctx.dense:
-        # in place, so that each MultiPoly row is freed as it is converted
-        for ri, row in enumerate(rows):
-            rows[ri] = _dense_row(row)
+    _choose_entry_form(rows, spec, len(lam_monomials))
     state = _State(
         rows=rows,
         assign={},

@@ -236,6 +236,26 @@ def test_parse_error_exit_one(capsys, s1_q):
     assert "error:" in capsys.readouterr().err
 
 
+def test_huge_field_parameter_is_a_parse_error(capsys, tmp_path):
+    # trial division up to sqrt(d) on a 19-digit d ran for hours; past the
+    # fixed bound the field line is rejected at once
+    import time
+
+    from hamdarboux.field import MAX_D
+    from hamdarboux.parsing import ParseError
+
+    text = "m = 2\nfield = Q(i,sqrt1000000000000000003)\nmu = 1, 1\nV = q1^4\n"
+    path = tmp_path / "huge_d.sys"
+    path.write_text(text)
+    start = time.monotonic()
+    assert main(["irreducible", "--system", str(path)]) == 1
+    assert time.monotonic() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(MAX_D) in err and "(line 2, column 1)" in err
+    with pytest.raises(ParseError):
+        load_system(text)
+
+
 def test_missing_file_exit_one(capsys):
     assert main(["cofactor", "--system", "/nonexistent.sys", "--poly", "p1"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -313,6 +333,16 @@ print(sorted(name for name in ("sympy", "numpy") if name in sys.modules))
     proc = _run_fresh(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_numcheck_trajectory_too_large_to_allocate(capsys, s2):
+    # 10^15 steps of one state need more bytes than a 48-bit address space
+    # holds: the CLI reports it like any other operational error
+    argv = ["numcheck", "--system", s2, "--poly", "q1*p2 - q2*p1", "--h", "1e-15", "--samples", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_numcheck_names_load_numpy_on_first_use():

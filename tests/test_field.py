@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hamdarboux.field import (
+    MAX_D,
     RATIONALS,
     FieldElement,
     FieldKind,
@@ -25,6 +26,10 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         quad_gauss(1)
     assert quad_gauss(6).d == 6
+    # d is bounded so that the square-free check by trial division is quick
+    assert quad_gauss(9999999967).d == 9999999967  # a prime just below the bound
+    with pytest.raises(ValueError, match=str(MAX_D)):
+        quad_gauss(1000000000000000003)
     assert RATIONALS == FieldSpec(FieldKind.RATIONALS)
     assert quad_gauss(2) == quad_gauss(2)
     assert quad_gauss(2) != quad_gauss(3)

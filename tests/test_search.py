@@ -12,8 +12,10 @@ from hamdarboux.darboux import InternalInvariantError, certificate_holds
 from hamdarboux.field import RATIONALS, quad_gauss
 from hamdarboux.hamsys import load_system
 from hamdarboux.parsing import format_poly
+from hamdarboux.poly import MultiPoly, VarSet
 from hamdarboux.search import (
     BranchCapExceededError,
+    _IntPoly,
     _fe_to_sympy,
     _sympy_to_fe,
     roots_in_field,
@@ -541,10 +543,10 @@ def test_integer_and_generic_elimination_agree_on_cubics():
 
 
 def test_integer_path_reports_like_the_generic_path(monkeypatch):
-    # the same searches over Q with the integer rows switched off: the whole
-    # ordered report, branch counts and residuals included, must not move.
-    # The last cubic divides rows by a non-constant previous pivot and has a
-    # sextic residual.
+    # the same searches over Q with the integer entries switched off at the
+    # one place that picks the form: the whole ordered report, branch counts
+    # and residuals included, must not move.  The last cubic divides rows by
+    # a non-constant previous pivot and has a sextic residual.
     import hamdarboux.search as search_module
 
     cases = [(V, 8) for V in _cubic_oracle_cases()]
@@ -552,25 +554,21 @@ def test_integer_path_reports_like_the_generic_path(monkeypatch):
     systems = [
         (load_system(f"m = 2\nfield = Q\nmu = 1, 1\nV = {V}\n"), degree) for V, degree in cases
     ]
-    dense_steps = []
-    eliminate_dense = search_module._eliminate_dense
+    pivot_forms = []
+    eliminate = search_module._eliminate_with_pivot
 
-    def counted(*args):
-        dense_steps.append(args[1])
-        eliminate_dense(*args)
+    def counted(state, col, pivot_ri):
+        pivot_forms.append(type(state.rows[pivot_ri][col]))
+        eliminate(state, col, pivot_ri)
 
-    monkeypatch.setattr(search_module, "_eliminate_dense", counted)
+    monkeypatch.setattr(search_module, "_eliminate_with_pivot", counted)
     dense = [search_darboux(system, degree) for system, degree in systems]
-    assert dense_steps
+    assert pivot_forms and set(pivot_forms) == {search_module._IntPoly}
 
-    class GenericContext(search_module._Context):
-        def __init__(self, **fields):
-            super().__init__(**{**fields, "dense": False})
-
-    monkeypatch.setattr(search_module, "_Context", GenericContext)
-    dense_steps.clear()
+    monkeypatch.setattr(search_module, "_choose_entry_form", lambda rows, spec, unknowns: None)
+    pivot_forms.clear()
     generic = [search_darboux(system, degree) for system, degree in systems]
-    assert not dense_steps
+    assert pivot_forms and set(pivot_forms) == {MultiPoly}
     for a, b in zip(dense, generic):
         assert [(format_poly(c.F), format_poly(c.Lambda)) for c in a.certificates] == [
             (format_poly(c.F), format_poly(c.Lambda)) for c in b.certificates
@@ -579,47 +577,135 @@ def test_integer_path_reports_like_the_generic_path(monkeypatch):
         assert a.residual_conditions == b.residual_conditions
 
 
-def test_dense_entries_sort_like_their_multipolys():
-    # candidate pivots are ordered by degree, then `_entry_key`; a dense
-    # entry must take the place its MultiPoly takes
-    from hamdarboux.poly import MultiPoly, VarSet
-    from hamdarboux.search import _degree, _entry_key
+def _random_int_row(rng, ncols):
+    row = {}
+    for col in rng.sample(range(ncols), rng.randint(1, ncols)):
+        vec = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+        vec[-1] = vec[-1] or 1
+        row[col] = _IntPoly(vec)
+    return row
 
+
+def test_one_bareiss_step_on_both_entry_forms():
+    # the single elimination step and the substitution of a root, run on the
+    # same rows as integer entries and as MultiPolys: after every step each
+    # row, the kept pivot rows and the previous pivot must be the same
+    # polynomials on both forms
+    import hamdarboux.search as search_module
+
+    lam = VarSet.cofactor_unknowns(1)
+
+    def as_poly(p):
+        return p.as_multipoly(lam) if type(p) is _IntPoly else p
+
+    def view(state):
+        def row_view(row):
+            return None if row is None else [(c, as_poly(p)) for c, p in row.items()]
+
+        prev = state.prev_pivot
+        return (
+            [row_view(r) for r in state.rows],
+            [row_view(r) for r in state.pivots],
+            None if prev is None else as_poly(prev),
+        )
+
+    rng = random.Random(21)
+    seen = set()
+    for _ in range(120):
+        ncols = rng.randint(2, 6)
+        rows = [_random_int_row(rng, ncols) for _ in range(rng.randint(2, 6))]
+        # a run may start mid-elimination, after a previous pivot that every
+        # row is a multiple of, so that dividing by it is exact
+        prev = rng.choice([None, _IntPoly([-2]), _IntPoly([1, 2]), _IntPoly([-3, 0, 2])])
+        if prev is not None and rng.random() < 0.5:
+            rows = [{c: p * prev for c, p in r.items()} for r in rows]
+        states = [
+            search_module._State(
+                rows=[{c: convert(p) for c, p in r.items()} for r in rows],
+                assign={}, nonzero=[], pending=[], pivots=[],
+                prev_pivot=None if prev is None else convert(prev),
+            )
+            for convert in (lambda p: p, as_poly)
+        ]
+        substituted = False
+        while True:
+            live = [(ri, col) for ri, row in enumerate(states[0].rows) if row for col in row]
+            if not live:
+                break
+            if not substituted and rng.random() < 0.3:
+                x = RATIONALS.from_rational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+                outcomes = [search_module._substitute_state(None, s, 1, x) for s in states]
+                assert [len(o) for o in outcomes] in ([0, 0], [1, 1])
+                if not outcomes[0]:
+                    seen.add("previous pivot vanishes at the root")
+                    break
+                substituted = True
+                seen.add("root")
+            else:
+                ri, col = rng.choice(live)
+                pv, prev = states[0].rows[ri][col], states[0].prev_pivot
+                seen.add((
+                    "constant pivot" if pv.is_constant() else "lam pivot",
+                    "first" if prev is None else
+                    "constant previous" if prev.is_constant() else "lam previous",
+                ))
+                for s in states:
+                    search_module._eliminate_with_pivot(s, col, ri)
+            assert view(states[0]) == view(states[1])
+            assert all(
+                type(x) is int for row in states[0].rows if row for p in row.values() for x in p
+            ) or substituted
+    assert seen == {
+        (pivot, previous)
+        for pivot in ("constant pivot", "lam pivot")
+        for previous in ("first", "constant previous", "lam previous")
+    } | {"root", "previous pivot vanishes at the root"}
+
+
+def test_dense_entries_sort_like_their_multipolys():
+    # candidate pivots are ordered by degree, then `sort_key`; an integer
+    # entry must take the place its MultiPoly takes
     lam = VarSet.cofactor_unknowns(1)
     rng = random.Random(5)
     entries = []
     for _ in range(300):
         vec = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
         vec[-1] = vec[-1] or 1
-        terms = {(d,): RATIONALS.from_rational(x) for d, x in enumerate(vec) if x}
-        entries.append((vec, MultiPoly(lam, RATIONALS, terms)))
+        entries.append((_IntPoly(vec), _IntPoly(vec).as_multipoly(lam)))
 
     def order(form):
-        keys = [(_degree(entry[form]), _entry_key(entry[form]), k) for k, entry in enumerate(entries)]
+        keys = [
+            (entry[form].total_degree(), entry[form].sort_key(), k)
+            for k, entry in enumerate(entries)
+        ]
         return sorted(range(len(entries)), key=keys.__getitem__)
 
     assert order(0) == order(1)
 
 
 def test_dense_row_at_a_rational_point():
-    # substitution and the leaf read a dense row at l1 = x as its exact
-    # values times one positive factor, primitive, zeros dropped, order kept
+    # substitution and the leaf read an integer entry at l1 = x as its exact
+    # value; the content strip then turns the row into primitive integers,
+    # one positive factor times those values, zeros dropped, order kept
     import math
 
-    from hamdarboux.search import _dense_at
+    from hamdarboux.search import _strip_row_content
 
     rng = random.Random(8)
     for _ in range(200):
         x = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        row = {}
-        for col in rng.sample(range(20), rng.randint(1, 5)):
-            vec = [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]
-            vec[-1] = vec[-1] or 1
-            row[col] = vec
+        row = _random_int_row(rng, 20)
         exact = {c: sum(coef * x**d for d, coef in enumerate(vec)) for c, vec in row.items()}
-        got = _dense_at(row, x)
+        values = {}
+        for c, vec in row.items():
+            value = vec.substitute({1: RATIONALS.from_rational(x)})
+            assert value.is_constant() and value.constant_value() == exact[c]
+            if not value.is_zero():
+                values[c] = value
+        got = _strip_row_content(values)
         assert list(got) == [c for c in row if exact[c]]
         if got:
-            factor = {Fraction(got[c]) / exact[c] for c in got}
+            assert all(len(p) == 1 and type(p[0]) is int for p in got.values())
+            factor = {Fraction(got[c][0]) / exact[c] for c in got}
             assert len(factor) == 1 and factor.pop() > 0
-            assert math.gcd(*got.values()) == 1
+            assert math.gcd(*(p[0] for p in got.values())) == 1
