@@ -1,8 +1,13 @@
 """Exact scalar arithmetic: rationals and the quartic extension Q(i, sqrt(d)).
 
-Elements are stored on the fixed basis {1, i, sqrt(d), i*sqrt(d)} with
-Fraction components, so every operation is exact and canonical forms are
-unique.  For the plain-rational field the i/sqrt components are pinned to 0.
+Elements are stored on the fixed basis {1, i, sqrt(d), i*sqrt(d)} with exact
+rational components, so every operation is exact and canonical forms are
+unique.  The constructor stores a component as a Python `int` whenever it is
+integral and as a `Fraction` only when it is not, so every element is in that
+one form, whatever produced it, and integer-valued work never enters
+`fractions`.  Hashes, order and printed text are those of all-Fraction
+components (hash(3) == hash(Fraction(3))), and `components()` still returns
+Fractions.  For the plain-rational field the i/sqrt components are pinned to 0.
 """
 
 from __future__ import annotations
@@ -12,6 +17,15 @@ from fractions import Fraction
 from typing import Union
 
 RationalLike = Union[int, Fraction]
+
+
+def _component(x) -> RationalLike:
+    """Any value `Fraction` accepts, as an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class FieldMismatchError(ValueError):
@@ -80,7 +94,7 @@ class FieldSpec:
         c: RationalLike = 0,
         e: RationalLike = 0,
     ) -> "FieldElement":
-        return FieldElement(self, Fraction(a), Fraction(b), Fraction(c), Fraction(e))
+        return FieldElement(self, a, b, c, e)
 
     def zero(self) -> "FieldElement":
         return self.element(0)
@@ -89,7 +103,7 @@ class FieldSpec:
         return self.element(1)
 
     def from_rational(self, a: RationalLike) -> "FieldElement":
-        return self.element(Fraction(a))
+        return FieldElement(self, a, 0, 0, 0)
 
     def i(self) -> "FieldElement":
         return self.element(0, 1)
@@ -106,11 +120,13 @@ def quad_gauss(d: int) -> FieldSpec:
 
 
 class FieldElement:
-    """a + b*i + c*sqrt(d) + e*i*sqrt(d), all components exact rationals."""
+    """a + b*i + c*sqrt(d) + e*i*sqrt(d), all components exact rationals, each
+    stored as an int when integral and as a Fraction otherwise."""
 
     __slots__ = ("spec", "a", "b", "c", "e")
 
-    def __init__(self, spec: FieldSpec, a: Fraction, b: Fraction, c: Fraction, e: Fraction):
+    def __init__(self, spec: FieldSpec, a, b, c, e):
+        a, b, c, e = _component(a), _component(b), _component(c), _component(e)
         if spec.kind is FieldKind.RATIONALS and (b or c or e):
             raise FieldMismatchError("non-rational components in a Q element")
         self.spec = spec
@@ -123,7 +139,7 @@ class FieldElement:
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            if other.spec != self.spec:
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise FieldMismatchError(f"mixed fields: {self.spec!r} vs {other.spec!r}")
             return other
         if isinstance(other, (int, Fraction)):
@@ -148,7 +164,8 @@ class FieldElement:
         return x
 
     def components(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.a, self.b, self.c, self.e)
+        """The four components as Fractions, on which `/` stays exact."""
+        return (Fraction(self.a), Fraction(self.b), Fraction(self.c), Fraction(self.e))
 
     def sort_key(self):
         return (self.a, self.b, self.c, self.e)
@@ -182,8 +199,8 @@ class FieldElement:
         a1, b1, c1, e1 = self.a, self.b, self.c, self.e
         a2, b2, c2, e2 = o.a, o.b, o.c, o.e
         if not (b1 or c1 or e1) and not (b2 or c2 or e2):
-            return FieldElement(self.spec, a1 * a2, b1, c1, e1)
-        d = Fraction(self.spec.d) if self.spec.d is not None else Fraction(0)
+            return FieldElement(self.spec, a1 * a2, 0, 0, 0)
+        d = self.spec.d
         # i^2 = -1, sqrt(d)^2 = d, (i sqrt(d))^2 = -d
         a = a1 * a2 - b1 * b2 + d * (c1 * c2 - e1 * e2)
         b = a1 * b2 + b1 * a2 + d * (c1 * e2 + e1 * c2)
@@ -203,7 +220,7 @@ class FieldElement:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
         if self.is_rational():
-            return self.spec.from_rational(1 / self.a)
+            return self.spec.from_rational(Fraction(1, self.a))
         # conjugate over i, then over sqrt(d): the product of all four
         # conjugates is a nonzero rational norm.
         y = self.conj_i()
@@ -212,7 +229,7 @@ class FieldElement:
         n = z * w
         if not n.is_rational() or n.is_zero():
             raise ArithmeticError("norm computation failed")  # pragma: no cover
-        return (y * w) * self.spec.from_rational(1 / n.a)
+        return (y * w) * self.spec.from_rational(Fraction(1, n.a))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -229,7 +246,7 @@ class FieldElement:
         if not isinstance(other, FieldElement):
             return NotImplemented
         return (
-            self.spec == other.spec
+            (self.spec is other.spec or self.spec == other.spec)
             and self.a == other.a
             and self.b == other.b
             and self.c == other.c

@@ -10,7 +10,9 @@ over `VarSet.cofactor_unknowns(k)`, ordered lexicographically in l1 > ... > lk.
 
 from __future__ import annotations
 
+import heapq
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -222,7 +224,7 @@ class MultiPoly:
         polynomial): scaling by den/num leaves coprime integer components."""
         num, den = 0, 1
         for coef in self.terms.values():
-            for comp in coef.components():
+            for comp in (coef.a, coef.b, coef.c, coef.e):
                 if comp:
                     num = math.gcd(num, comp.numerator)
                     den = math.lcm(den, comp.denominator)
@@ -416,7 +418,12 @@ class MultiPoly:
         return self.scale(lead.inverse())
 
     def divide_exact(self, other: "MultiPoly") -> "MultiPoly | None":
-        """Exact quotient self/other, or None when no polynomial quotient exists."""
+        """Exact quotient self/other, or None when no polynomial quotient exists.
+
+        Each quotient term is subtracted, times the divisor's tail, from one
+        mutable remainder; a heap on the canonical order yields the
+        remainder's leading exponent without rescanning its terms.  An
+        exponent whose term has cancelled is skipped when it surfaces."""
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
@@ -424,23 +431,42 @@ class MultiPoly:
             return MultiPoly.zero(self.varset, self.field)
         lexps, lcoef = other.leading_term()
         lcoef_inv = lcoef.inverse()
+        tail = [(e, c) for e, c in other.terms.items() if e != lexps]
         key = monomial_key(self.varset.m)
+
+        def heap_key(exps: Exponents) -> tuple[int, ...]:
+            return tuple(map(operator.neg, key(exps)))
+
+        rem = dict(self.terms)
+        heap = [(heap_key(e), e) for e in rem]
+        heapq.heapify(heap)
         quotient: dict[Exponents, FieldElement] = {}
-        rem = self
-        previous = None  # key of the last step's leading exponent
-        while not rem.is_zero():
-            rexps, rcoef = rem.leading_term()
-            rkey = key(rexps)
-            if previous is not None and rkey >= previous:
+        previous = None  # heap key of the last step's leading exponent
+        while heap:
+            hkey, rexps = heapq.heappop(heap)
+            rcoef = rem.pop(rexps, None)
+            if rcoef is None:
+                continue
+            if previous is not None and hkey <= previous:
                 raise InternalInvariantError("division did not reduce the leading term")  # pragma: no cover
-            previous = rkey
+            previous = hkey
             diff = tuple(a - b for a, b in zip(rexps, lexps))
             if any(d < 0 for d in diff):
                 return None
             qc = rcoef * lcoef_inv
             quotient[diff] = qc
-            piece = MultiPoly(self.varset, self.field, {diff: qc})
-            rem = rem - piece * other
+            for exps, coef in tail:
+                t = tuple(a + b for a, b in zip(exps, diff))
+                cur = rem.get(t)
+                if cur is None:
+                    rem[t] = -(qc * coef)
+                    heapq.heappush(heap, (heap_key(t), t))
+                else:
+                    s = cur - qc * coef
+                    if s.is_zero():
+                        del rem[t]
+                    else:
+                        rem[t] = s
         return MultiPoly(self.varset, self.field, quotient)
 
 

@@ -25,12 +25,7 @@ from typing import Callable
 
 from .darboux import DarbouxCertificate, InternalInvariantError, cofactor_of
 from .field import RATIONALS, FieldElement, FieldKind, FieldSpec
-from .hamsys import (
-    NaturalHamiltonian,
-    gamma_direction,
-    is_homogeneous_potential,
-    lie_derivative,
-)
+from .hamsys import NaturalHamiltonian, gamma_direction, is_homogeneous_potential
 from .parsing import format_terms
 from .poly import Exponents, MultiPoly, VarSet, monomial_key
 
@@ -76,7 +71,7 @@ def _sympy_to_fe(expr, spec: FieldSpec) -> FieldElement:
         return spec.from_rational(Fraction(rat.p, rat.q))
     s = sp.sqrt(spec.d)
     poly = sp.Poly(expr, sp.I, s)
-    comps = {(0, 0): Fraction(0), (1, 0): Fraction(0), (0, 1): Fraction(0), (1, 1): Fraction(0)}
+    comps = dict.fromkeys([(0, 0), (1, 0), (0, 1), (1, 1)], 0)
     for monom, coef in poly.terms():
         if monom not in comps or not coef.is_rational:
             raise ValueError(f"{expr} does not lie in Q(i,sqrt{spec.d})")
@@ -247,9 +242,6 @@ def _render(p: MultiPoly, names: list[str]) -> str:
     return format_terms(items, names)
 
 
-_ZERO = Fraction(0)
-
-
 class _IntPoly(list):
     """A polynomial in l1 over Q as its dense coefficient list, lowest degree
     first, without trailing zeros.
@@ -353,7 +345,7 @@ class _IntPoly(list):
         return _IntPoly([value] if value else [])
 
     def constant_value(self) -> FieldElement:
-        return FieldElement(RATIONALS, Fraction(self[0]) if self else _ZERO, _ZERO, _ZERO, _ZERO)
+        return RATIONALS.from_rational(self[0] if self else 0)
 
     def as_multipoly(self, varset: VarSet) -> MultiPoly:
         terms = {(d,): RATIONALS.from_rational(x) for d, x in enumerate(self) if x}
@@ -384,6 +376,29 @@ def _monomials_up_to_weight(
 
     rec(0, bound, [])
     return out
+
+
+def _lie_image(sys: NaturalHamiltonian, alpha: Exponents) -> dict[Exponents, FieldElement]:
+    """L_H of the monomial q^a p^b with exponents alpha = (a, b), by exponent
+    arithmetic: the sum over i of mu_i a_i q^(a - e_i) p^(b + e_i) and of
+    -b_i (dV/dq_i) q^a p^(b - e_i).  No two terms share an exponent (each
+    moves the p-part by +e_i or -e_i for its own i), so each coefficient is a
+    single nonzero product."""
+    m = sys.m
+    image: dict[Exponents, FieldElement] = {}
+    for i in range(m):
+        a, b = alpha[i], alpha[m + i]
+        if a and not sys.mu[i].is_zero():
+            exps = list(alpha)
+            exps[i] -= 1
+            exps[m + i] += 1
+            image[tuple(exps)] = sys.mu[i] * a
+        if b:
+            lowered = list(alpha)
+            lowered[m + i] -= 1
+            for g_exps, g_coef in sys.grad_V[i].terms.items():
+                image[tuple(x + y for x, y in zip(lowered, g_exps))] = g_coef * -b
+    return image
 
 
 # -- the branching elimination ----------------------------------------------------
@@ -912,9 +927,7 @@ def search_darboux(
             row[col] = new
 
     for col, alpha in enumerate(f_monomials):
-        mono_poly = MultiPoly(sys.varset, spec, {alpha: spec.one()})
-        image = lie_derivative(sys, mono_poly)
-        for exps, coef in image.terms.items():
+        for exps, coef in _lie_image(sys, alpha).items():
             bump(exps, col, MultiPoly.constant(lam_vars, spec, coef))
         for t, beta in enumerate(lam_monomials, 1):
             prod = tuple(a + b for a, b in zip(alpha, beta))

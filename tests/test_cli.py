@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -221,6 +222,42 @@ def test_examples_all_green(capsys):
     assert report["system"] is None
     assert all(r["verdict"] for r in report["results"])
     assert len(report["results"]) == 11
+
+
+# sha256 of the whole `--output json` stdout; a change to any certificate,
+# residual, count or ordering in these reports changes the bytes
+GOLDEN_JSON = [
+    pytest.param(
+        "m = 2\nfield = Q(i,sqrt2)\nmu = 1, 1\nV = q1^2 + q2^4\n",
+        ["search", "--max-gamma-degree", "8"],
+        "822f5903548090990b61d98540d2cf43e6758d8eca8da8f595f2b8da6255f901",
+        id="search-anchor",
+    ),
+    pytest.param(
+        "m = 2\nfield = Q\nmu = 1, 1\n"
+        "V = 2*q1^3 - 3*q1^2*q2 + 3*q1*q2^2 + 3*q1^2 + q1*q2 + 3*q2^2 - 3*q2\n",
+        ["theorem1", "--max-gamma-degree", "10"],
+        "4cf921ec2b3c5b771799e0b8b5d53ace33672774e104532b593ddbec5e2ca297",
+        id="theorem1-residual",
+    ),
+    pytest.param(
+        None,
+        ["examples"],
+        "b659954efda6882b39c679853f4de1a746f9134527617fe178342c15e0997e08",
+        id="examples",
+    ),
+]
+
+
+@pytest.mark.parametrize("system, argv, digest", GOLDEN_JSON)
+def test_golden_json_bytes(capsys, tmp_path, system, argv, digest):
+    if system is not None:
+        path = tmp_path / "golden.sys"
+        path.write_text(system)
+        argv = argv[:1] + ["--system", str(path)] + argv[1:]
+    assert main(argv + ["--output", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_json_byte_identical(capsys, s1_q):

@@ -116,3 +116,83 @@ def test_sort_key_total_order():
     keys = sorted(x.sort_key() for x in xs)
     assert keys == sorted(keys)
     assert Q2.zero().sort_key() < Q2.one().sort_key()
+
+
+# -- component form: an int when integral, a Fraction only when not --------------
+
+
+def _reference_mul(x, y, d):
+    """The product on the basis {1, i, sqrt d, i sqrt d}, all in Fraction."""
+    a1, b1, c1, e1 = x
+    a2, b2, c2, e2 = y
+    return (
+        a1 * a2 - b1 * b2 + d * (c1 * c2 - e1 * e2),
+        a1 * b2 + b1 * a2 + d * (c1 * e2 + e1 * c2),
+        a1 * c2 + c1 * a2 - (b1 * e2 + e1 * b2),
+        a1 * e2 + e1 * a2 + b1 * c2 + c1 * b2,
+    )
+
+
+def _assert_component_form(x):
+    stored = (x.a, x.b, x.c, x.e)
+    for comp in stored:
+        if type(comp) is Fraction:
+            assert comp.denominator > 1, stored
+        else:
+            assert type(comp) is int, stored
+    # the public view stays Fraction, so a caller's `/` on it stays exact
+    assert all(type(comp) is Fraction for comp in x.components())
+
+
+def _rand_component(rng):
+    """A rational drawn as an int, a Fraction(n, 1) or a Fraction that may or
+    may not reduce to an integer."""
+    n = rng.randint(-6, 6)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return n
+    if kind == 1:
+        return Fraction(n)
+    return Fraction(n, rng.choice([1, 2, 3, 4, 6]))
+
+
+@pytest.mark.parametrize(
+    "spec", [RATIONALS, Q2, quad_gauss(3), quad_gauss(6)], ids=["Q", "Q2", "Q3", "Q6"]
+)
+def test_components_are_ints_unless_fractional(spec):
+    rng = random.Random(29)
+    d = Fraction(spec.d or 0)
+    width = 1 if spec is RATIONALS else 4
+
+    def draw():
+        comps = [_rand_component(rng) for _ in range(width)]
+        x = spec.element(*comps) if width == 4 else spec.from_rational(comps[0])
+        ref = tuple(Fraction(c) for c in comps) + (Fraction(0),) * (4 - width)
+        return x, ref
+
+    def check(x, ref):
+        _assert_component_form(x)
+        assert x.components() == ref
+
+    for _ in range(1000):
+        (x, rx), (y, ry) = draw(), draw()
+        check(x, rx)
+        check(x + y, tuple(u + v for u, v in zip(rx, ry)))
+        check(x - y, tuple(u - v for u, v in zip(rx, ry)))
+        check(-x, tuple(-u for u in rx))
+        check(x * y, _reference_mul(rx, ry, d))
+        if not x.is_zero():
+            inv = x.inverse()
+            _assert_component_form(inv)
+            assert _reference_mul(inv.components(), rx, d) == (1, 0, 0, 0)
+        # the same value from ints and from Fraction(n, 1) is one element
+        n = rng.randint(-9, 9)
+        from_int, from_fraction = spec.from_rational(n), spec.from_rational(Fraction(n))
+        assert type(from_int.a) is type(from_fraction.a) is int
+        assert from_int == from_fraction and hash(from_int) == hash(from_fraction)
+        built = spec.element(*x.components())
+        assert built == x and hash(built) == hash(x)
+        # the constructor itself stores Fraction(n, 1) as n
+        raw = FieldElement(spec, Fraction(n), 0, 0, 0)
+        assert type(raw.a) is int
+        assert raw == from_int and hash(raw) == hash(from_int)

@@ -201,20 +201,40 @@ def test_monic_and_canonical():
 
 
 def test_divide_exact_random():
+    # over Q and Q(i, sqrt2), in phase space and in the search's ring of three
+    # cofactor unknowns, up to products of 40 terms and more
     rng = random.Random(77)
-    hits = 0
-    for _ in range(300):
-        A = rand_poly(rng, VS, RATIONALS, max_degree=2, nonzero=True)
-        B = rand_poly(rng, VS, RATIONALS, max_degree=2, nonzero=True)
-        P = A * B
-        Q = P.divide_exact(B)
-        assert Q is not None and Q == A
-        hits += 1
-        R = P + MultiPoly.constant(VS, RATIONALS, RATIONALS.one())
-        if not B.is_constant():
-            got = R.divide_exact(B)
-            assert got is None or got * B == R
-    assert hits == 300
+    lam = VarSet.cofactor_unknowns(3)
+    cases = [
+        (VS, RATIONALS, 2, 4, 300),
+        (VS, Q2, 2, 4, 100),
+        (lam, RATIONALS, 3, 4, 100),
+        (lam, Q2, 3, 4, 100),
+        (lam, Q2, 4, 12, 40),
+        (VS, RATIONALS, 3, 12, 40),
+    ]
+    large = 0
+    for varset, spec, max_degree, max_terms, count in cases:
+        one = MultiPoly.constant(varset, spec, spec.one())
+        for _ in range(count):
+            A = rand_poly(rng, varset, spec, max_degree, max_terms, nonzero=True)
+            B = rand_poly(rng, varset, spec, max_degree, max_terms, nonzero=True)
+            P = A * B
+            large += len(P.terms) >= 40
+            assert P.divide_exact(B) == A
+            if not B.is_constant():
+                # B | A*B + 1 would make B divide 1
+                assert (P + one).divide_exact(B) is None
+    assert large >= 20
+    # a product whose terms cancel almost all: l1^n - l2^n has two terms, so
+    # most of the remainder's leading terms appear only during the division
+    l1, l2 = (MultiPoly.variable(lam, Q2, i) for i in (1, 2))
+    for n in range(2, 9):
+        geometric = MultiPoly.from_terms(
+            lam, Q2, (((n - 1 - k, k, 0), Q2.one()) for k in range(n))
+        )
+        assert (l1**n - l2**n).divide_exact(l1 - l2) == geometric
+        assert (l1**n - l2**n + l1).divide_exact(l1 - l2) is None
 
 
 def test_gcd_examples_and_random():

@@ -418,6 +418,40 @@ def test_pinned_ordered_reports(field, V, degree, branches, certificates, residu
     assert report.branches_explored == branches
 
 
+@pytest.mark.parametrize(
+    "definition, degree",
+    [
+        pytest.param(
+            "m = 2\nfield = {}\nmu = 1, 1\nV = {}\n".format(*param.values[:2]),
+            param.values[2],
+            id=param.id,
+        )
+        for param in PINNED_REPORTS
+    ]
+    + [
+        pytest.param(
+            "m = 3\nfield = Q(i,sqrt3)\nmu = 1, 0, 1/2\nV = q1^3 + q2^3 - 2*q3^3 + q1*q2*q3\n",
+            9,
+            id="m3-cubic",
+        )
+    ],
+)
+def test_ansatz_columns_are_lie_derivative_images(definition, degree):
+    # each ansatz column is L_H of its monomial, built by exponent arithmetic
+    from hamdarboux.hamsys import gamma_direction, lie_derivative
+    from hamdarboux.search import _lie_image, _monomials_up_to_weight
+
+    system = load_system(definition)
+    gamma = gamma_direction(system).direction.gamma
+    monomials = _monomials_up_to_weight(gamma, degree, exact=False)
+    assert len(monomials) > 20
+    for alpha in monomials:
+        image = _lie_image(system, alpha)
+        assert all(not c.is_zero() for c in image.values())
+        mono = MultiPoly(system.varset, system.field, {alpha: system.field.one()})
+        assert MultiPoly(system.varset, system.field, image) == lie_derivative(system, mono)
+
+
 def test_every_settled_leaf_reaches_the_kernel(monkeypatch):
     # one leaf here keeps l1 and l2 free under the nonzero assumptions l1^2
     # and l1^2 - l2^2, which every shared sample l1 = l2 = s violates; it
