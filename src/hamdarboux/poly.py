@@ -14,7 +14,7 @@ import heapq
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .field import FieldElement, FieldSpec
 
@@ -147,20 +147,6 @@ class MultiPoly:
         exps = [0] * varset.n
         exps[index - 1] = 1
         return cls(varset, field, {tuple(exps): field.one()})
-
-    @classmethod
-    def from_terms(
-        cls, varset: VarSet, field: FieldSpec, items: Iterable[tuple[Exponents, FieldElement]]
-    ) -> "MultiPoly":
-        terms: dict[Exponents, FieldElement] = {}
-        for exps, coef in items:
-            cur = terms.get(exps)
-            coef = coef if cur is None else cur + coef
-            if coef.is_zero():
-                terms.pop(exps, None)
-            else:
-                terms[exps] = coef
-        return cls(varset, field, terms)
 
     # -- predicates and views ---------------------------------------------
 

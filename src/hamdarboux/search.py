@@ -2,18 +2,20 @@
 
 The ansatz couples unknown coefficients f of the candidate polynomial with
 unknown cofactor coefficients lam: the relation L_H F - Lambda*F = 0, read
-per monomial, is linear in f with entries affine in lam.  The f-unknowns are
-eliminated fraction-free over the polynomial ring in lam, branching on
-whether each pivot vanishes; univariate lam-constraints are solved over the
-configured field (in closed form up to degree 2 once their x^k content is
-removed, by sympy factoring beyond), in-field roots branch the search and
-out-of-field factors are reported as residual conditions.
+per monomial, is linear in f with entries affine in lam.  Each entry is
+gathered once as a map from lam-exponent to coefficient and built once in
+its final form.  The f-unknowns are eliminated fraction-free over the
+polynomial ring in lam, branching on whether each pivot vanishes;
+univariate lam-constraints are solved over the configured field (in closed
+form up to degree 2 once their x^k content is removed, by sympy factoring
+beyond), in-field roots branch the search and out-of-field factors are
+reported as residual conditions.
 
-Each branch keeps the pivot rows it eliminates.  At a leaf every remaining
-row is empty and every pivot is nonzero at the leaf's lam-values, so those
-rows, evaluated there, span the same kernel as the full ansatz: the leaf
-reads its Darboux polynomials from its own branch's rows.
-"""
+Each branch keeps its pivot rows, with their pivot columns, in echelon
+form.  At a leaf every remaining row is empty and every pivot is nonzero at
+the leaf's lam-values, so those rows, evaluated there, span the same kernel
+as the full ansatz: the leaf back-substitutes through them, with no further
+elimination."""
 
 from __future__ import annotations
 
@@ -427,7 +429,9 @@ class _State:
     assign: dict[int, FieldElement]
     nonzero: list[MultiPoly]
     pending: list[_Pending]
-    pivots: list[dict[int, Entry]]  # eliminated rows, never mutated once kept
+    # (pivot column, eliminated row) in elimination order, never mutated once
+    # kept; no row has an entry in an earlier pivot's column
+    pivots: list[tuple[int, dict[int, Entry]]]
     prev_pivot: Entry | None = None
 
     def clone(self) -> "_State":
@@ -448,7 +452,6 @@ class _Context:
     lam_monomials: list[Exponents]
     lam_vars: VarSet
     lam_names: list[str]
-    ncols: int
     cap: int
     branches: int = 0
     certificates: dict = dataclass_field(default_factory=dict)
@@ -578,7 +581,7 @@ def _eliminate_with_pivot(state: _State, col: int, pivot_ri: int) -> None:
     if pivot_row is None:
         raise InternalInvariantError(f"pivot row {pivot_ri} was already eliminated")
     rows[pivot_ri] = None
-    state.pivots.append(pivot_row)
+    state.pivots.append((col, pivot_row))
     pr = dict(pivot_row)
     pv = upv = pr.pop(col)
     prev = state.prev_pivot
@@ -761,8 +764,8 @@ def _handle_leaf(ctx: _Context, state: _State) -> None:
     # the branch's pivot rows at the leaf's lam-values: every pivot is
     # nonzero there and every dropped entry vanishes, so their kernel is the
     # kernel of the full ansatz
-    numeric_rows: list[dict[int, FieldElement]] = []
-    for row in state.pivots:
+    numeric_rows: list[tuple[int, dict[int, FieldElement]]] = []
+    for pivot_col, row in state.pivots:
         nrow: dict[int, FieldElement] = {}
         for col, p in row.items():
             p2 = p.substitute(assign)
@@ -771,14 +774,11 @@ def _handle_leaf(ctx: _Context, state: _State) -> None:
             if not p2.is_constant():
                 raise InternalInvariantError("leaf pivot row still depends on a cofactor unknown")
             nrow[col] = p2.constant_value()
-        numeric_rows.append(nrow)
-    for vector in _kernel_basis(numeric_rows, ctx.ncols, spec):
-        F = MultiPoly.from_terms(
-            ctx.sys.varset,
-            spec,
-            ((ctx.f_monomials[j], coef) for j, coef in vector.items()),
-        )
-        if F.is_zero() or F.is_constant():
+        numeric_rows.append((pivot_col, nrow))
+    for vector in _kernel_basis(numeric_rows, len(ctx.f_monomials), spec):
+        # distinct columns are distinct monomials, and no coefficient is zero
+        F = MultiPoly(ctx.sys.varset, spec, {ctx.f_monomials[j]: c for j, c in vector.items()})
+        if F.is_constant():
             continue
         cert = cofactor_of(ctx.sys, F.monic())
         if cert is None:
@@ -788,79 +788,92 @@ def _handle_leaf(ctx: _Context, state: _State) -> None:
 
 
 def _kernel_basis(
-    rows: list[dict[int, FieldElement]], ncols: int, spec: FieldSpec
+    pivots: list[tuple[int, dict[int, FieldElement]]], ncols: int, spec: FieldSpec
 ) -> list[dict[int, FieldElement]]:
-    """Nullspace basis of a sparse matrix over the field (reduced echelon)."""
-    pivots: dict[int, dict[int, FieldElement]] = {}
-    for row in rows:
-        r = dict(row)
-        while r:
-            lead = min(r)
-            if lead in pivots:
-                coef = r.pop(lead)
-                for c, v in pivots[lead].items():
-                    if c == lead:
-                        continue
-                    cur = r.get(c)
-                    new = -coef * v if cur is None else cur - coef * v
-                    if new.is_zero():
-                        r.pop(c, None)
-                    else:
-                        r[c] = new
-            else:
-                inv = r[lead].inverse()
-                pivots[lead] = {c: v * inv for c, v in r.items()}
-                break
-    # back-substitute to reduced form
-    for lead in sorted(pivots, reverse=True):
-        prow = pivots[lead]
-        for other_lead, row in pivots.items():
-            if other_lead == lead or lead not in row:
-                continue
-            coef = row.pop(lead)
-            for c, v in prow.items():
-                if c == lead:
-                    continue
-                cur = row.get(c)
-                new = -coef * v if cur is None else cur - coef * v
-                if new.is_zero():
-                    row.pop(c, None)
-                else:
-                    row[c] = new
-    basis = []
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    for fc in free_cols:
-        vec: dict[int, FieldElement] = {fc: spec.one()}
-        for lead, row in pivots.items():
-            coef = row.get(fc)
-            if coef is not None:
-                vec[lead] = -coef
-        basis.append(vec)
-    return basis
+    """Nullspace basis of a branch's pivot rows at the leaf, in reduced form:
+    each vector is one at its highest column, its lead, which every other
+    vector misses; sorted by lead.  The rows are in echelon form (a nonzero
+    pivot, no entry in an earlier pivot's column), so each non-pivot column
+    set to one, the others to zero, back-substitutes through them in reverse
+    into a kernel vector.  Reducing those gives the unique reduced basis, the
+    one a forward reduction of the rows gives."""
+    earlier = {col for col, _ in pivots}
+    if len(earlier) < len(pivots):
+        raise InternalInvariantError("a pivot row has an entry in an earlier pivot column")
+    vectors = [{f: spec.one()} for f in range(ncols) if f not in earlier]
+    live = set().union(*vectors)  # the columns some vector has reached
+    for k in range(len(pivots) - 1, -1, -1):
+        col, row = pivots[k]
+        pv = row.get(col)
+        if pv is None or pv.is_zero():
+            raise InternalInvariantError(f"pivot {k} vanishes at the leaf in column {col}")
+        earlier.discard(col)
+        if not earlier.isdisjoint(row):
+            raise InternalInvariantError(f"pivot row {k} has an entry in an earlier pivot column")
+        if live.isdisjoint(row):
+            continue
+        for vec in vectors:
+            acc = None
+            for c, v in row.items():
+                x = vec.get(c)
+                if x is not None:
+                    acc = v * x if acc is None else acc + v * x
+            if acc is not None and not acc.is_zero():
+                vec[col] = -(acc * pv.inverse())
+                live.add(col)
+    basis: dict[int, dict[int, FieldElement]] = {}
+    for vec in vectors:
+        for lead, b in basis.items():
+            if lead in vec:
+                vec = _minus_multiple(vec, vec[lead], b)
+        lead = max(vec)
+        inv = vec[lead].inverse()
+        vec = {c: x * inv for c, x in vec.items()}
+        for other, b in basis.items():
+            if lead in b:
+                basis[other] = _minus_multiple(b, b[lead], vec)
+        basis[lead] = vec
+    return [basis[lead] for lead in sorted(basis)]
 
 
-def _choose_entry_form(rows: list[dict[int, Entry]], spec: FieldSpec, unknowns: int) -> None:
-    """The one place that picks the entry form.  Over Q with a single unknown
-    every ansatz row becomes a row of `_IntPoly`s, in place so that each
-    MultiPoly row is freed as it is converted; otherwise the rows stay.
+def _minus_multiple(
+    u: dict[int, FieldElement], x: FieldElement, w: dict[int, FieldElement]
+) -> dict[int, FieldElement]:
+    """u - x*w on sparse vectors, zeros dropped."""
+    out = dict(u)
+    for c, y in w.items():
+        cur = out.get(c)
+        new = -(x * y) if cur is None else cur - x * y
+        if new.is_zero():
+            out.pop(c, None)
+        else:
+            out[c] = new
+    return out
 
-    An integer row is the MultiPoly row times the lcm of its denominators.
+
+def _choose_entry_form(rows: list[dict], lam_vars: VarSet, spec: FieldSpec) -> None:
+    """The one place that picks the entry form.  Each ansatz entry arrives as
+    its map from lam-exponent to coefficient and is built once, in place so
+    that each row of maps is freed as it is converted: over Q with a single
+    unknown as a row of `_IntPoly`s, otherwise as the MultiPolys over
+    `lam_vars` with those terms.
+
+    An integer row is the row of maps times the lcm of its denominators.
     That positive factor moves nothing the search reports.  Every rewritten
     row is made primitive anyway, and only a constant entry can be fractional
     (L_H changes the p-degree of every monomial, so the diagonal entry is
     exactly -l1): the constant steps, which ignore values, rewrite or
     eliminate such a row before any candidate order reads it."""
-    if spec.kind is not FieldKind.RATIONALS or unknowns != 1:
-        return
+    integer = spec.kind is FieldKind.RATIONALS and lam_vars.n == 1
     for ri, row in enumerate(rows):
-        den = 1
-        for p in row.values():
-            for c in p.terms.values():
-                den = math.lcm(den, c.a.denominator)
+        if not integer:
+            rows[ri] = {col: MultiPoly(lam_vars, spec, terms) for col, terms in row.items()}
+            continue
+        den = math.lcm(*(c.a.denominator for terms in row.values() for c in terms.values()))
         int_row: dict[int, Entry] = {}
-        for col, p in row.items():
-            vec = [0] * (p.total_degree() + 1)
-            for (d,), c in p.terms.items():
+        for col, terms in row.items():
+            vec = [0] * (max(terms)[0] + 1)
+            for (d,), c in terms.items():
                 vec[d] = c.a.numerator * (den // c.a.denominator)
             int_row[col] = _IntPoly(vec)
         rows[ri] = int_row
@@ -902,7 +915,6 @@ def search_darboux(
     f_monomials = _monomials_up_to_weight(gamma, max_gamma_degree, exact=homogeneous_only)
     key = monomial_key(m)
     f_monomials.sort(key=key, reverse=True)
-    ncols = len(f_monomials)
 
     q_weights = gamma[:m]
     homog = is_homogeneous_potential(sys)
@@ -915,25 +927,24 @@ def search_darboux(
         lam_monomials = [e for e in lam_monomials if grading.direction.weight(e) == sys.r - 2]
     lam_vars = VarSet.cofactor_unknowns(len(lam_monomials))
 
-    rows_by_monomial: dict[Exponents, dict[int, MultiPoly]] = {}
-
-    def bump(mono: Exponents, col: int, delta: MultiPoly) -> None:
-        row = rows_by_monomial.setdefault(mono, {})
-        cur = row.get(col)
-        new = delta if cur is None else cur + delta
-        if new.is_zero():
-            row.pop(col, None)
-        else:
-            row[col] = new
-
+    # each entry as a map from lam-exponent to coefficient: the L_H image's
+    # scalar under the zero key, -1 under e_t for l_t.  No key is written
+    # twice: image exponents are distinct and alpha + beta_t differs per t.
+    k = lam_vars.n
+    zero_key = (0,) * k
+    unit_keys = [tuple(int(i == t) for i in range(k)) for t in range(k)]
+    minus_one = -spec.one()
+    rows_by_monomial: dict[Exponents, dict[int, dict[Exponents, FieldElement]]] = {}
     for col, alpha in enumerate(f_monomials):
         for exps, coef in _lie_image(sys, alpha).items():
-            bump(exps, col, MultiPoly.constant(lam_vars, spec, coef))
-        for t, beta in enumerate(lam_monomials, 1):
+            rows_by_monomial.setdefault(exps, {})[col] = {zero_key: coef}
+        for beta, unit in zip(lam_monomials, unit_keys):
             prod = tuple(a + b for a, b in zip(alpha, beta))
-            bump(prod, col, -MultiPoly.variable(lam_vars, spec, t))
+            rows_by_monomial.setdefault(prod, {}).setdefault(col, {})[unit] = minus_one
 
     ordered = sorted(rows_by_monomial, key=key, reverse=True)
+    rows = [rows_by_monomial.pop(mono) for mono in ordered]
+    _choose_entry_form(rows, lam_vars, spec)
 
     ctx = _Context(
         sys=sys,
@@ -941,11 +952,8 @@ def search_darboux(
         lam_monomials=lam_monomials,
         lam_vars=lam_vars,
         lam_names=lam_vars.names(),
-        ncols=ncols,
         cap=branch_cap,
     )
-    rows = [rows_by_monomial.pop(mono) for mono in ordered]
-    _choose_entry_form(rows, spec, len(lam_monomials))
     state = _State(
         rows=rows,
         assign={},

@@ -49,7 +49,7 @@ def rand_poly(
         coef = rand_element(rng, spec)
         if not coef.is_zero():
             terms[exps] = coef
-    P = MultiPoly.from_terms(varset, spec, terms.items())
+    P = MultiPoly(varset, spec, terms)
     if nonzero and P.is_zero():
         return MultiPoly.constant(varset, spec, spec.one())
     return P

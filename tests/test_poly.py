@@ -230,9 +230,7 @@ def test_divide_exact_random():
     # most of the remainder's leading terms appear only during the division
     l1, l2 = (MultiPoly.variable(lam, Q2, i) for i in (1, 2))
     for n in range(2, 9):
-        geometric = MultiPoly.from_terms(
-            lam, Q2, (((n - 1 - k, k, 0), Q2.one()) for k in range(n))
-        )
+        geometric = MultiPoly(lam, Q2, {(n - 1 - k, k, 0): Q2.one() for k in range(n)})
         assert (l1**n - l2**n).divide_exact(l1 - l2) == geometric
         assert (l1**n - l2**n + l1).divide_exact(l1 - l2) is None
 

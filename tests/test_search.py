@@ -418,24 +418,25 @@ def test_pinned_ordered_reports(field, V, degree, branches, certificates, residu
     assert report.branches_explored == branches
 
 
-@pytest.mark.parametrize(
-    "definition, degree",
-    [
-        pytest.param(
-            "m = 2\nfield = {}\nmu = 1, 1\nV = {}\n".format(*param.values[:2]),
-            param.values[2],
-            id=param.id,
-        )
-        for param in PINNED_REPORTS
-    ]
-    + [
-        pytest.param(
-            "m = 3\nfield = Q(i,sqrt3)\nmu = 1, 0, 1/2\nV = q1^3 + q2^3 - 2*q3^3 + q1*q2*q3\n",
-            9,
-            id="m3-cubic",
-        )
-    ],
-)
+# the PINNED_REPORTS systems (the two non-homogeneous cubics build integer
+# entries, the others MultiPolys) and an m = 3 cubic
+ANSATZ_SYSTEMS = [
+    pytest.param(
+        "m = 2\nfield = {}\nmu = 1, 1\nV = {}\n".format(*param.values[:2]),
+        param.values[2],
+        id=param.id,
+    )
+    for param in PINNED_REPORTS
+] + [
+    pytest.param(
+        "m = 3\nfield = Q(i,sqrt3)\nmu = 1, 0, 1/2\nV = q1^3 + q2^3 - 2*q3^3 + q1*q2*q3\n",
+        9,
+        id="m3-cubic",
+    )
+]
+
+
+@pytest.mark.parametrize("definition, degree", ANSATZ_SYSTEMS)
 def test_ansatz_columns_are_lie_derivative_images(definition, degree):
     # each ansatz column is L_H of its monomial, built by exponent arithmetic
     from hamdarboux.hamsys import gamma_direction, lie_derivative
@@ -450,6 +451,62 @@ def test_ansatz_columns_are_lie_derivative_images(definition, degree):
         assert all(not c.is_zero() for c in image.values())
         mono = MultiPoly(system.varset, system.field, {alpha: system.field.one()})
         assert MultiPoly(system.varset, system.field, image) == lie_derivative(system, mono)
+
+
+@pytest.mark.parametrize("definition, degree", ANSATZ_SYSTEMS)
+def test_ansatz_rows_are_the_darboux_relation(definition, degree, monkeypatch):
+    # row by row, in the canonical order of the phase-space monomials, the
+    # ansatz is L_H(x^alpha) - Lambda*x^alpha read at each monomial, one
+    # column per alpha: the coefficient maps, and the entries built from
+    # them, as MultiPolys or, on the integer form, as that row times the lcm
+    # of its denominators
+    import math
+
+    import hamdarboux.search as search_module
+    from hamdarboux.hamsys import lie_derivative
+    from hamdarboux.poly import monomial_key
+
+    system = load_system(definition)
+    spec = system.field
+    built = {}
+    choose = search_module._choose_entry_form
+
+    def capture(rows, lam_vars, field):
+        built["maps"], built["rows"] = list(rows), rows
+        choose(rows, lam_vars, field)
+
+    monkeypatch.setattr(search_module, "_choose_entry_form", capture)
+    monkeypatch.setattr(search_module, "_explore", lambda ctx, state: built.setdefault("ctx", ctx))
+    search_darboux(system, degree)
+    ctx = built["ctx"]
+    lam = ctx.lam_vars
+    relation: dict = {}
+    for col, alpha in enumerate(ctx.f_monomials):
+        image = lie_derivative(system, MultiPoly(system.varset, spec, {alpha: spec.one()}))
+        for exps, coef in image.terms.items():
+            relation.setdefault(exps, {})[col] = MultiPoly.constant(lam, spec, coef)
+        for t, beta in enumerate(ctx.lam_monomials, 1):
+            row = relation.setdefault(tuple(a + b for a, b in zip(alpha, beta)), {})
+            row[col] = row.get(col, MultiPoly.zero(lam, spec)) - MultiPoly.variable(lam, spec, t)
+    expected = [
+        {col: p for col, p in relation[exps].items() if not p.is_zero()}
+        for exps in sorted(relation, key=monomial_key(system.m), reverse=True)
+    ]
+    expected = [row for row in expected if row]
+    assert len(expected) > 20
+    maps = [{col: MultiPoly(lam, spec, terms) for col, terms in row.items()} for row in built["maps"]]
+    assert maps == expected
+    integer = spec is RATIONALS and lam.n == 1
+    assert len(built["rows"]) == len(expected)
+    for row, want in zip(built["rows"], expected):
+        if integer:
+            assert {type(p) for p in row.values()} == {_IntPoly}
+            den = math.lcm(*(c.a.denominator for p in want.values() for c in p.terms.values()))
+            row = {col: p.as_multipoly(lam) for col, p in row.items()}
+            want = {col: p.scale(den) for col, p in want.items()}
+        else:
+            assert {type(p) for p in row.values()} == {MultiPoly}
+        assert row == want
 
 
 def test_every_settled_leaf_reaches_the_kernel(monkeypatch):
@@ -478,6 +535,122 @@ def test_every_settled_leaf_reaches_the_kernel(monkeypatch):
     assert report.branches_explored == 19
     assert report.certificates == ()
     assert report.residual_conditions == ("-l1^2*l3 - 8*l3", "l1^2 - l2^2")
+
+
+def _forward_kernel(rows, ncols, spec):
+    """Reference nullspace basis: forward reduction of the rows to reduced
+    echelon form, lowest column as lead, then one vector per free column."""
+    pivots = {}
+    for row in rows:
+        r = dict(row)
+        while r:
+            lead = min(r)
+            if lead in pivots:
+                coef = r.pop(lead)
+                for c, v in pivots[lead].items():
+                    if c == lead:
+                        continue
+                    cur = r.get(c)
+                    new = -coef * v if cur is None else cur - coef * v
+                    if new.is_zero():
+                        r.pop(c, None)
+                    else:
+                        r[c] = new
+            else:
+                inv = r[lead].inverse()
+                pivots[lead] = {c: v * inv for c, v in r.items()}
+                break
+    for lead in sorted(pivots, reverse=True):
+        prow = pivots[lead]
+        for other_lead, row in pivots.items():
+            if other_lead == lead or lead not in row:
+                continue
+            coef = row.pop(lead)
+            for c, v in prow.items():
+                if c == lead:
+                    continue
+                cur = row.get(c)
+                new = -coef * v if cur is None else cur - coef * v
+                if new.is_zero():
+                    row.pop(c, None)
+                else:
+                    row[c] = new
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = {fc: spec.one()}
+        for lead, row in pivots.items():
+            if fc in row:
+                vec[lead] = -row[fc]
+        basis.append(vec)
+    return basis
+
+
+@pytest.mark.parametrize("spec", [RATIONALS, Q2], ids=["Q", "Q(i,sqrt2)"])
+def test_kernel_basis_matches_forward_reduction(spec):
+    # seeded echelon systems like a branch's kept rows (pivot columns in
+    # scrambled order, no entry in an earlier pivot's column): the
+    # back-substituted basis is the forward-reduction basis, vector for
+    # vector, and annihilates every row
+    from hamdarboux.search import _kernel_basis
+
+    def nonzero(rng):
+        while True:
+            x = rand_element(rng, spec)
+            if not x.is_zero():
+                return x
+
+    rng = random.Random(17)
+    dims = set()
+    for _ in range(160):
+        ncols = rng.randint(1, 9)
+        dim = rng.randint(0, min(3, ncols))
+        order = rng.sample(range(ncols), ncols - dim)
+        pivots = []
+        for k, col in enumerate(order):
+            row = {col: nonzero(rng)}
+            for c in range(ncols):
+                if c not in order[: k + 1] and rng.random() < 0.5:
+                    row[c] = nonzero(rng)
+            pivots.append((col, row))
+        basis = _kernel_basis(pivots, ncols, spec)
+        assert basis == _forward_kernel([row for _, row in pivots], ncols, spec)
+        assert len(basis) == dim
+        for vec in basis:
+            for _, row in pivots:
+                products = [v * vec[c] for c, v in row.items() if c in vec]
+                assert sum(products, spec.zero()).is_zero()
+        dims.add(dim)
+    assert dims == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("corruption", ["pivot vanishes", "earlier pivot column"])
+@pytest.mark.parametrize(
+    "field, V", [("Q", "q1^3 - 2*q2^3 + q1^2 - q2"), ("Q(i,sqrt2)", "q1^4")], ids=["integer", "generic"]
+)
+def test_leaf_rejects_a_kept_row_out_of_echelon_form(field, V, corruption, monkeypatch):
+    # the leaf back-substitutes through the kept rows, which is sound only
+    # while each pivot is nonzero there and no row reaches into an earlier
+    # pivot's column: a corrupted kept row must raise, not give a kernel
+    import hamdarboux.search as search_module
+
+    eliminate = search_module._eliminate_with_pivot
+
+    def corrupt(state, col, pivot_ri):
+        eliminate(state, col, pivot_ri)
+        if len(state.pivots) < 2:
+            return
+        col, row = state.pivots[-1]
+        if corruption == "pivot vanishes":
+            row = {c: p for c, p in row.items() if c != col}
+        else:
+            row = {**row, state.pivots[0][0]: row[col]}
+        state.pivots[-1] = (col, row)
+
+    monkeypatch.setattr(search_module, "_eliminate_with_pivot", corrupt)
+    system = load_system(f"m = 2\nfield = {field}\nmu = 1, 1\nV = {V}\n")
+    match = "vanishes at the leaf" if corruption == "pivot vanishes" else "earlier pivot column"
+    with pytest.raises(InternalInvariantError, match=match):
+        search_darboux(system, 8)
 
 
 def test_leaf_rejects_a_kernel_vector_that_is_not_darboux(sys_s1_ext, monkeypatch):
@@ -576,6 +749,12 @@ def test_integer_and_generic_elimination_agree_on_cubics():
         assert over_q == over_ext, V
 
 
+def _generic_entries(rows, lam_vars, spec):
+    """`_choose_entry_form` with the integer form switched off."""
+    for ri, row in enumerate(rows):
+        rows[ri] = {col: MultiPoly(lam_vars, spec, terms) for col, terms in row.items()}
+
+
 def test_integer_path_reports_like_the_generic_path(monkeypatch):
     # the same searches over Q with the integer entries switched off at the
     # one place that picks the form: the whole ordered report, branch counts
@@ -599,7 +778,7 @@ def test_integer_path_reports_like_the_generic_path(monkeypatch):
     dense = [search_darboux(system, degree) for system, degree in systems]
     assert pivot_forms and set(pivot_forms) == {search_module._IntPoly}
 
-    monkeypatch.setattr(search_module, "_choose_entry_form", lambda rows, spec, unknowns: None)
+    monkeypatch.setattr(search_module, "_choose_entry_form", _generic_entries)
     pivot_forms.clear()
     generic = [search_darboux(system, degree) for system, degree in systems]
     assert pivot_forms and set(pivot_forms) == {MultiPoly}
@@ -639,7 +818,7 @@ def test_one_bareiss_step_on_both_entry_forms():
         prev = state.prev_pivot
         return (
             [row_view(r) for r in state.rows],
-            [row_view(r) for r in state.pivots],
+            [(col, row_view(r)) for col, r in state.pivots],
             None if prev is None else as_poly(prev),
         )
 
