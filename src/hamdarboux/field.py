@@ -193,6 +193,9 @@ class FieldElement:
         return FieldElement(self.spec, -self.a, -self.b, -self.c, -self.e)
 
     def __mul__(self, other):
+        if type(other) is int:
+            # scale the components; no element is built for the operand
+            return FieldElement(self.spec, self.a * other, self.b * other, self.c * other, self.e * other)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented

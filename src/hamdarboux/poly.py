@@ -169,11 +169,6 @@ class MultiPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, index: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[index - 1] for e in self.terms)
-
     def variables_used(self) -> set[int]:
         used: set[int] = set()
         for exps in self.terms:

@@ -13,13 +13,12 @@ reported as residual conditions.
 
 Each branch keeps its pivot rows, with their pivot columns, in echelon
 form.  At a leaf every remaining row is empty and every pivot is nonzero at
-the leaf's lam-values, so those rows, evaluated there, span the same kernel
-as the full ansatz: the leaf back-substitutes through them, with no further
-elimination."""
+the leaf's lam-values, so the kernel has one dimension per non-pivot column.
+A fully assigned leaf with a kernel evaluates those rows there and
+back-substitutes through them, with no further elimination."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
@@ -724,43 +723,36 @@ def _explore(ctx: _Context, state: _State) -> None:
     _handle_leaf(ctx, state)
 
 
-_FREE_SAMPLES = (0, 1, -1, 2)
-
-
-def _free_point(state: _State, free: list[int], spec: FieldSpec) -> dict[int, FieldElement]:
-    """The branch's assignment extended to the free lam-unknowns so that no
-    nonzero assumption vanishes.  The samples, one shared value for every
-    free unknown, come first; then the grid {0, ..., D}^free, where D bounds
-    each unknown's degree in the product of the assumptions.  A nonzero
-    polynomial of degree at most D in each variable cannot vanish on that
-    whole grid (Combinatorial Nullstellensatz)."""
-    bound = max(sum(p.degree_in(i) for p in state.nonzero) for i in free)
-    points = itertools.chain(
-        ((sample,) * len(free) for sample in _FREE_SAMPLES),
-        itertools.product(range(bound + 1), repeat=len(free)),
-    )
-    for point in points:
-        trial = dict(state.assign)
-        trial.update(zip(free, map(spec.from_rational, point)))
-        if all(not p.substitute(trial).is_zero() for p in state.nonzero):
-            return trial
-    raise InternalInvariantError("every grid point makes a nonzero assumption vanish")
-
-
 def _handle_leaf(ctx: _Context, state: _State) -> None:
-    spec = ctx.sys.field
+    """What a leaf holds, decided by its kernel dimension.
+
+    Lemma: Darboux polynomials with distinct cofactors are linearly
+    independent.  On the leaf's lam-set (pending constraints zero, no nonzero
+    assumption zero) every kept pivot is nonzero and every other entry
+    vanishes, so the kernel dimension is ncols - len(pivots) at every lam of
+    the set, over the algebraic closure too; if it is >= 1, each such lam
+    fixes the cofactor of a Darboux polynomial, so the set has at most ncols
+    points.  Hence (a) a leaf with no pending constraint and a free unknown,
+    whose set is infinite, has kernel 0; (b) a pending leaf with kernel 0
+    holds nothing, so its constraints are not reported; (c) a pending leaf
+    with a kernel has a zero-dimensional saturated ideal, whose lex Groebner
+    basis holds a univariate eliminant."""
+    ncols = len(ctx.f_monomials)
+    if len(state.pivots) == ncols:
+        return
     if state.pending:
         for entry in state.pending:
             ctx.residuals.add(entry.render(ctx.lam_names))
         return
-    free = [i for i in range(1, len(ctx.lam_monomials) + 1) if i not in state.assign]
-    if free:
-        assign = _free_point(state, free, spec)
-    else:
-        # _substitute_state drops every assumption that turned constant
-        if state.nonzero:
-            raise InternalInvariantError("a fully assigned leaf keeps a nonzero assumption")
-        assign = state.assign
+    if len(state.assign) < len(ctx.lam_monomials):
+        raise InternalInvariantError(
+            "a leaf with a free unknown has a kernel, but Darboux polynomials "
+            "with distinct cofactors are linearly independent"
+        )
+    # _substitute_state drops every assumption that turned constant
+    if state.nonzero:
+        raise InternalInvariantError("a fully assigned leaf keeps a nonzero assumption")
+    spec = ctx.sys.field
     # the branch's pivot rows at the leaf's lam-values: every pivot is
     # nonzero there and every dropped entry vanishes, so their kernel is the
     # kernel of the full ansatz
@@ -768,14 +760,14 @@ def _handle_leaf(ctx: _Context, state: _State) -> None:
     for pivot_col, row in state.pivots:
         nrow: dict[int, FieldElement] = {}
         for col, p in row.items():
-            p2 = p.substitute(assign)
+            p2 = p.substitute(state.assign)
             if p2.is_zero():
                 continue
             if not p2.is_constant():
                 raise InternalInvariantError("leaf pivot row still depends on a cofactor unknown")
             nrow[col] = p2.constant_value()
         numeric_rows.append((pivot_col, nrow))
-    for vector in _kernel_basis(numeric_rows, len(ctx.f_monomials), spec):
+    for vector in _kernel_basis(numeric_rows, ncols, spec):
         # distinct columns are distinct monomials, and no coefficient is zero
         F = MultiPoly(ctx.sys.varset, spec, {ctx.f_monomials[j]: c for j, c in vector.items()})
         if F.is_constant():

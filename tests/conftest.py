@@ -1,4 +1,5 @@
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -115,3 +116,37 @@ def sys_s5():
     return load_system(
         "m = 2\nfield = Q(i,sqrt6)\nmu = 1, 1\nV = 4/3*q1^4 + q1^2*q2^2 + 1/6*q2^4\n"
     )
+
+
+@pytest.fixture
+def leaf_log(monkeypatch):
+    """Every search leaf, logged by a wrapper around the leaf handler as
+    (kernel dimension, its pending constraints as residual strings).  The
+    dimension is read off the leaf as ncols - len(pivots): at a leaf every
+    kept pivot is nonzero and every other entry vanishes."""
+    import hamdarboux.search as search_module
+
+    handle_leaf = search_module._handle_leaf
+    leaves: list[tuple[int, frozenset[str]]] = []
+
+    def leaf(ctx, state):
+        kernel = len(ctx.f_monomials) - len(state.pivots)
+        leaves.append((kernel, frozenset(e.render(ctx.lam_names) for e in state.pending)))
+        handle_leaf(ctx, state)
+
+    monkeypatch.setattr(search_module, "_handle_leaf", leaf)
+    return leaves
+
+
+def check_residuals_against_leaves(residuals, leaves, dropped) -> None:
+    """The residual strings of one search against its `leaf_log`: those in
+    more than one unknown (a pending constraint; an out-of-field factor has
+    one) are exactly the pending strings of the leaves with a kernel.  Each
+    string in `dropped`, which earlier reports carried, occurs at some leaf
+    and only at leaves without a kernel."""
+    multivariate = {r for r in residuals if len(set(re.findall(r"l\d+", r))) > 1}
+    assert multivariate == set().union(*(strs for kernel, strs in leaves if kernel >= 1))
+    for text in dropped:
+        kernels = {kernel for kernel, strs in leaves if text in strs}
+        assert kernels == {0}, (text, kernels)
+        assert text not in residuals

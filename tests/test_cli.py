@@ -12,6 +12,8 @@ from hamdarboux import ParseContext, load_system, parse_poly
 from hamdarboux.cli import main
 from hamdarboux.numcheck import drift
 
+from conftest import check_residuals_against_leaves
+
 S1_EXT = "m = 2\nfield = Q(i,sqrt2)\nmu = 1, 1\nV = q1^4\n"
 S1_Q = "m = 2\nfield = Q\nmu = 1, 1\nV = q1^4\n"
 S2 = "m = 2\nfield = Q\nmu = 1, 1\nV = (q1^2 + q2^2)^2\n"
@@ -224,13 +226,33 @@ def test_examples_all_green(capsys):
     assert len(report["results"]) == 11
 
 
+# residual strings the anchor search reported while leaves without a kernel
+# column still reported their pending constraints
+ANCHOR_DROPPED = (
+    "-l1*l2*l3^12 - 14*l1*l2*l3^10 - 60*l1*l2*l3^8 - 104*l1*l2*l3^6 - 64*l1*l2*l3^4",
+    "-l1*l2^4 - 8*l1*l2^2",
+    "-l1*l3^3 - 2*l1*l3",
+    "-l1^3*l2^2*l3^2 - 8*l1^3*l3^2",
+    "-l1^3*l2^3 - 8*l1^3*l2",
+    "5*l1^4*l2^3*l3^3 - 2*l1^4*l2*l3^5",
+    "5*l2^2*l3^13 + 70*l2^2*l3^11 + 48*l3^13 + 300*l2^2*l3^9 + 672*l3^11 + 520*l2^2*l3^7 + 2880*l3^9 + 320*l2^2*l3^5 + 4992*l3^7 + 3072*l3^5",
+    "8*l1^5*l3^5 + 16*l1^5*l3^3",
+    "l1^2*l3^12 + 14*l1^2*l3^10 + 60*l1^2*l3^8 + 104*l1^2*l3^6 + 64*l1^2*l3^4",
+    "l1^4*l2^2*l3^3 - 8*l1^4*l3^3",
+    "l1^5*l2^2*l3^2 + 8*l1^5*l3^2",
+    "l2^2*l3^9 + 6*l2^2*l3^7 + 12*l2^2*l3^5 + 8*l2^2*l3^3",
+)
+
 # sha256 of the whole `--output json` stdout; a change to any certificate,
-# residual, count or ordering in these reports changes the bytes
+# residual, count or ordering in these reports changes the bytes.  A search
+# also checks its residuals against its leaves (the last value: the strings
+# earlier reports carried from leaves without a kernel column).
 GOLDEN_JSON = [
     pytest.param(
         "m = 2\nfield = Q(i,sqrt2)\nmu = 1, 1\nV = q1^2 + q2^4\n",
         ["search", "--max-gamma-degree", "8"],
-        "822f5903548090990b61d98540d2cf43e6758d8eca8da8f595f2b8da6255f901",
+        "4cb2d56624dc3e2dcebabdd46ea280c524381bd0d1c25f3c84dd15bec5a628c2",
+        ANCHOR_DROPPED,
         id="search-anchor",
     ),
     pytest.param(
@@ -238,19 +260,21 @@ GOLDEN_JSON = [
         "V = 2*q1^3 - 3*q1^2*q2 + 3*q1*q2^2 + 3*q1^2 + q1*q2 + 3*q2^2 - 3*q2\n",
         ["theorem1", "--max-gamma-degree", "10"],
         "4cf921ec2b3c5b771799e0b8b5d53ace33672774e104532b593ddbec5e2ca297",
+        None,
         id="theorem1-residual",
     ),
     pytest.param(
         None,
         ["examples"],
         "b659954efda6882b39c679853f4de1a746f9134527617fe178342c15e0997e08",
+        None,
         id="examples",
     ),
 ]
 
 
-@pytest.mark.parametrize("system, argv, digest", GOLDEN_JSON)
-def test_golden_json_bytes(capsys, tmp_path, system, argv, digest):
+@pytest.mark.parametrize("system, argv, digest, dropped", GOLDEN_JSON)
+def test_golden_json_bytes(capsys, tmp_path, leaf_log, system, argv, digest, dropped):
     if system is not None:
         path = tmp_path / "golden.sys"
         path.write_text(system)
@@ -258,6 +282,11 @@ def test_golden_json_bytes(capsys, tmp_path, system, argv, digest):
     assert main(argv + ["--output", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if dropped is not None:
+        report = json.loads(out)
+        summary = next(r for r in report["results"] if r["kind"] == "search_summary")
+        assert summary["evidence"] == {"branches_explored": 7443, "certificates": 10}
+        check_residuals_against_leaves(report["residual_conditions"], leaf_log, dropped)
 
 
 def test_json_byte_identical(capsys, s1_q):

@@ -196,3 +196,19 @@ def test_components_are_ints_unless_fractional(spec):
         raw = FieldElement(spec, Fraction(n), 0, 0, 0)
         assert type(raw.a) is int
         assert raw == from_int and hash(raw) == hash(from_int)
+
+
+@pytest.mark.parametrize("spec", [RATIONALS, Q2, quad_gauss(6)], ids=["Q", "Q2", "Q6"])
+def test_int_operand_scales_like_its_element(spec):
+    # an int operand scales the components directly; the product, its stored
+    # component form and its hash are those of the product by the element
+    rng = random.Random(41)
+    large = 3**80 + 1
+    for _ in range(200):
+        x = rand_element(rng, spec)
+        for n in (0, 1, -1, 7, -7, large, -large):
+            want = x * spec.from_rational(n)
+            for got in (x * n, n * x):
+                assert got == want and hash(got) == hash(want)
+                assert (got.a, got.b, got.c, got.e) == (want.a, want.b, want.c, want.e)
+                _assert_component_form(got)

@@ -9,7 +9,7 @@ import pytest
 import sympy as sp
 
 from hamdarboux.darboux import InternalInvariantError, certificate_holds
-from hamdarboux.field import RATIONALS, quad_gauss
+from hamdarboux.field import RATIONALS, FieldKind, quad_gauss
 from hamdarboux.hamsys import load_system
 from hamdarboux.parsing import format_poly
 from hamdarboux.poly import MultiPoly, VarSet
@@ -23,7 +23,7 @@ from hamdarboux.search import (
     sqrt_in_field,
 )
 
-from conftest import poly_of, rand_element
+from conftest import check_residuals_against_leaves, poly_of, rand_element
 
 Q2 = quad_gauss(2)
 
@@ -341,7 +341,8 @@ def test_random_certificates_verify():
 # certificate: q1^3 + q2^3 runs the generic Bareiss path with no cofactor
 # unknown, the next two systems the integer path with one unknown (the second
 # of them with a residual), and q1^4 over Q(i, sqrt2) the generic path with
-# two unknowns, forks and residuals.
+# two unknowns, forks and residuals.  The last value lists the residual
+# strings earlier reports carried from leaves without a kernel column.
 PINNED_REPORTS = [
     pytest.param(
         "Q", "q1^3 + q2^3", 12, 1,
@@ -353,6 +354,7 @@ PINNED_REPORTS = [
             ("p1^4 + 4*q1^3*p1^2 + 4*q1^6", "0"),
         ],
         (),
+        (),
         id="cubic-generic",
     ),
     pytest.param(
@@ -362,6 +364,7 @@ PINNED_REPORTS = [
             ("p1^2 + 2*q1^3 + 2*q1^2", "0"),
         ],
         (),
+        (),
         id="cubic-integer-path",
     ),
     pytest.param(
@@ -370,6 +373,7 @@ PINNED_REPORTS = [
             ("p1^2 + p2^2 + 4*q1^3 - 6*q1^2*q2 + 6*q1^2 + 6*q1*q2^2 + 2*q1*q2 + 6*q2^2 - 6*q2", "0"),
         ],
         ("l1^2 + 6",),
+        (),
         id="cubic-integer-path-residual",
     ),
     pytest.param(
@@ -389,26 +393,29 @@ PINNED_REPORTS = [
             "-3*l1^3*l2^7 - 24*l1*l2^7",
             "-3*l1^4*l2^6 - 24*l1^2*l2^6",
             "-5*l1^5*l2^8 - 32*l1^3*l2^8 + 64*l1*l2^8",
-            "-l1^2*l2^5 - 8*l2^5",
             "-l1^2*l2^7 - 8*l2^7",
             "-l1^4*l2^8 - 8*l1^2*l2^8",
             "-l1^4*l2^9 - 8*l1^2*l2^9",
             "-l1^5*l2^5 - 16*l1^3*l2^5 - 64*l1*l2^5",
             "-l1^5*l2^7 - 16*l1^3*l2^7 - 64*l1*l2^7",
             "5*l1^7*l2^6 + 128*l1^5*l2^6 + 1088*l1^3*l2^6 + 3072*l1*l2^6",
-            "l1^2*l2^10 + 8*l2^10",
             "l1^2*l2^8 + 8*l2^8",
             "l1^3*l2^6 + 8*l1*l2^6",
             "l1^4*l2^5 + 8*l1^2*l2^5",
             "l1^8*l2^5 + 48*l1^6*l2^5 + 576*l1^4*l2^5 + 2048*l1^2*l2^5",
         ),
+        ("-l1^2*l2^5 - 8*l2^5", "l1^2*l2^10 + 8*l2^10"),
         id="quartic-extension",
     ),
 ]
 
 
-@pytest.mark.parametrize("field, V, degree, branches, certificates, residuals", PINNED_REPORTS)
-def test_pinned_ordered_reports(field, V, degree, branches, certificates, residuals):
+@pytest.mark.parametrize(
+    "field, V, degree, branches, certificates, residuals, dropped", PINNED_REPORTS
+)
+def test_pinned_ordered_reports(
+    field, V, degree, branches, certificates, residuals, dropped, leaf_log
+):
     from hamdarboux.hamsys import load_system
 
     system = load_system(f"m = 2\nfield = {field}\nmu = 1, 1\nV = {V}\n")
@@ -416,6 +423,7 @@ def test_pinned_ordered_reports(field, V, degree, branches, certificates, residu
     assert [(format_poly(c.F), format_poly(c.Lambda)) for c in report.certificates] == certificates
     assert report.residual_conditions == residuals
     assert report.branches_explored == branches
+    check_residuals_against_leaves(report.residual_conditions, leaf_log, dropped)
 
 
 # the PINNED_REPORTS systems (the two non-homogeneous cubics build integer
@@ -509,32 +517,115 @@ def test_ansatz_rows_are_the_darboux_relation(definition, degree, monkeypatch):
         assert row == want
 
 
-def test_every_settled_leaf_reaches_the_kernel(monkeypatch):
-    # one leaf here keeps l1 and l2 free under the nonzero assumptions l1^2
-    # and l1^2 - l2^2, which every shared sample l1 = l2 = s violates; it
-    # must still take a point and solve its kernel, not vanish
-    import hamdarboux.search as search_module
-    from hamdarboux.hamsys import load_system
+def _lemma_systems():
+    """Seeded potentials with 2 to 4 terms of degree 2 to 4 in m = 2, and 2
+    to 3 in m = 3, over Q and over Q(i, sqrt d) with coefficients drawn from
+    the whole field, searched at gamma-degree 6; the m = 3 cubic of ANSATZ_SYSTEMS;
+    and V = q1^4 + q1*q2, whose free leaves keep l1 and l2 under the
+    assumptions l1^2 and l1^2 - l2^2."""
+    import warnings
 
-    settled, kernels = [], []
-    handle_leaf, kernel_basis = search_module._handle_leaf, search_module._kernel_basis
+    from hamdarboux.hamsys import make_system
+
+    rng = random.Random(23)
+    fields = [RATIONALS] * 3 + [quad_gauss(2), quad_gauss(3), quad_gauss(6)]
+    systems = []
+    for m, spec in [(2, spec) for spec in fields * 2] + [(3, spec) for spec in fields[2:5]]:
+        terms = {}
+        while max((sum(e) for e in terms), default=0) < 3:
+            terms = {}
+            for _ in range(rng.randint(2, 4)):
+                exps = [0] * (2 * m)
+                for _ in range(rng.randint(2, 6 - m)):
+                    exps[rng.randrange(m)] += 1
+                terms[tuple(exps)] = _nonzero_element(rng, spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            systems.append((make_system([1] * m, MultiPoly(VarSet(m), spec, terms)), 6))
+    definition, degree = ANSATZ_SYSTEMS[-1].values
+    systems.append((load_system(definition), degree))
+    systems.append((load_system("m = 2\nfield = Q\nmu = 1, 1\nV = q1^4 + q1*q2\n"), 4))
+    return systems
+
+
+def test_free_leaves_have_no_kernel(monkeypatch):
+    # Darboux polynomials with distinct cofactors are linearly independent,
+    # so a leaf with no pending constraint and a free unknown, whose lam-set
+    # is infinite, has no kernel column.  Checked against the full ansatz at
+    # two points of each such leaf's set (its assignment, the free unknowns
+    # drawn so that no nonzero assumption vanishes), where the reference
+    # forward reduction must find an empty kernel.  A leaf with pending
+    # constraints may have a finite set and a kernel, so it is not checked.
+    import hamdarboux.search as search_module
+
+    rng = random.Random(5)
+    built = {}
+    checked = []
+    choose, handle_leaf = search_module._choose_entry_form, search_module._handle_leaf
+
+    def capture(rows, lam_vars, spec):
+        built["maps"] = list(rows)
+        choose(rows, lam_vars, spec)
+
+    def point_of(state, free, spec):
+        for attempt in range(1000):
+            point = dict(state.assign)
+            bound = 3 + attempt // 20
+            point.update((i, spec.from_rational(rng.randint(-bound, bound))) for i in free)
+            if all(not p.substitute(point).is_zero() for p in state.nonzero):
+                return point
+        raise AssertionError("no point off the nonzero assumptions")
 
     def leaf(ctx, state):
-        settled.append(not state.pending)
+        free = [i for i in range(1, len(ctx.lam_monomials) + 1) if i not in state.assign]
+        if free and not state.pending:
+            ncols = len(ctx.f_monomials)
+            assert len(state.pivots) == ncols
+            spec, lam_vars = ctx.sys.field, ctx.lam_vars
+            points = []
+            while len(points) < 2:
+                point = point_of(state, free, spec)
+                if point not in points:
+                    points.append(point)
+            for point in points:
+                rows = []
+                for row in built["maps"]:
+                    values = {
+                        col: MultiPoly(lam_vars, spec, terms).substitute(point).constant_value()
+                        for col, terms in row.items()
+                    }
+                    rows.append({col: x for col, x in values.items() if not x.is_zero()})
+                assert _forward_kernel(rows, ncols, spec) == []
+            checked.append((ctx.sys.m, spec.kind, len(free)))
         handle_leaf(ctx, state)
 
-    def kernel(rows, ncols, spec):
-        kernels.append(ncols)
-        return kernel_basis(rows, ncols, spec)
+    monkeypatch.setattr(search_module, "_choose_entry_form", capture)
+    monkeypatch.setattr(search_module, "_handle_leaf", leaf)
+    reports = [search_darboux(system, degree) for system, degree in _lemma_systems()]
+    assert len(checked) >= 30 and max(n for _, _, n in checked) >= 2
+    assert {(m, kind) for m, kind, _ in checked} == {(m, kind) for m in (2, 3) for kind in FieldKind}
+    # the last system once reported the constraints of its kernel-0 leaves
+    assert reports[-1].branches_explored == 19
+    assert reports[-1].certificates == ()
+    assert reports[-1].residual_conditions == ()
+
+
+def test_leaf_with_a_free_unknown_and_a_kernel_raises(monkeypatch):
+    # a free leaf that lost a pivot row would have a kernel column, which the
+    # lemma rules out: it must raise rather than pick a point and solve
+    import hamdarboux.search as search_module
+
+    handle_leaf = search_module._handle_leaf
+
+    def leaf(ctx, state):
+        if len(state.assign) < len(ctx.lam_monomials) and not state.pending:
+            state.pivots = state.pivots[:-1]
+        handle_leaf(ctx, state)
 
     monkeypatch.setattr(search_module, "_handle_leaf", leaf)
-    monkeypatch.setattr(search_module, "_kernel_basis", kernel)
     system = load_system("m = 2\nfield = Q\nmu = 1, 1\nV = q1^4 + q1*q2\n")
-    report = search_darboux(system, 4)
-    assert len(kernels) == sum(settled) > 0
-    assert report.branches_explored == 19
-    assert report.certificates == ()
-    assert report.residual_conditions == ("-l1^2*l3 - 8*l3", "l1^2 - l2^2")
+    with pytest.raises(InternalInvariantError, match="linearly independent"):
+        search_darboux(system, 4)
 
 
 def _forward_kernel(rows, ncols, spec):
