@@ -266,3 +266,39 @@ class FieldElement:
         from .parsing import format_field_element
 
         return format_field_element(self)
+
+
+# -- bridge to sympy -------------------------------------------------------------
+# sympy is imported inside these functions, so only a caller that needs it
+# (factoring of degree >= 3, `multivariate_gcd`) pays for loading it.
+
+
+def fe_to_sympy(x: FieldElement):
+    """x as a sympy number on the basis {1, I, sqrt(d), I*sqrt(d)}."""
+    import sympy as sp
+
+    expr = sp.Rational(x.a)
+    if x.b or x.c or x.e:
+        s = sp.sqrt(x.spec.d)
+        expr = expr + sp.Rational(x.b) * sp.I + sp.Rational(x.c) * s + sp.Rational(x.e) * sp.I * s
+    return expr
+
+
+def sympy_to_fe(expr, spec: FieldSpec) -> FieldElement:
+    """The element of `spec` equal to a sympy number; ValueError when the
+    number lies outside the field."""
+    import sympy as sp
+
+    expr = sp.expand(expr)
+    if spec.kind is FieldKind.RATIONALS:
+        rat = sp.Rational(expr)
+        return spec.from_rational(Fraction(rat.p, rat.q))
+    s = sp.sqrt(spec.d)
+    poly = sp.Poly(expr, sp.I, s)
+    comps = dict.fromkeys([(0, 0), (1, 0), (0, 1), (1, 1)], 0)
+    for monom, coef in poly.terms():
+        if monom not in comps or not coef.is_rational:
+            raise ValueError(f"{expr} does not lie in Q(i,sqrt{spec.d})")
+        rat = sp.Rational(coef)
+        comps[monom] = Fraction(rat.p, rat.q)
+    return spec.element(comps[(0, 0)], comps[(1, 0)], comps[(0, 1)], comps[(1, 1)])

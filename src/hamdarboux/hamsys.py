@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .field import FieldElement, FieldSpec
 from .parsing import SystemDefinition, parse_system_definition
-from .poly import Direction, MultiPoly, VarSet
+from .poly import Direction, Exponents, MultiPoly, VarSet
 
 
 class GradingUnavailableError(ValueError):
@@ -83,21 +83,40 @@ def load_system(definition: SystemDefinition | str) -> NaturalHamiltonian:
     return make_system(list(definition.mu), definition.potential)
 
 
+def lie_image(sys: NaturalHamiltonian, alpha: Exponents) -> dict[Exponents, FieldElement]:
+    """L_H of the monomial q^a p^b with exponents alpha = (a, b), by exponent
+    arithmetic: the sum over i of mu_i a_i q^(a - e_i) p^(b + e_i) and of
+    -b_i (dV/dq_i) q^a p^(b - e_i).  No two terms share an exponent (each
+    moves the p-part by +e_i or -e_i for its own i), so each coefficient is a
+    single nonzero product."""
+    m = sys.m
+    image: dict[Exponents, FieldElement] = {}
+    for i in range(m):
+        a, b = alpha[i], alpha[m + i]
+        if a and not sys.mu[i].is_zero():
+            exps = list(alpha)
+            exps[i] -= 1
+            exps[m + i] += 1
+            image[tuple(exps)] = sys.mu[i] * a
+        if b:
+            lowered = list(alpha)
+            lowered[m + i] -= 1
+            for g_exps, g_coef in sys.grad_V[i].terms.items():
+                image[tuple(x + y for x, y in zip(lowered, g_exps))] = g_coef * -b
+    return image
+
+
 def lie_derivative(sys: NaturalHamiltonian, F: MultiPoly) -> MultiPoly:
-    """sum_i mu_i p_i dF/dq_i - sum_i (dV/dq_i) dF/dp_i, exactly."""
+    """sum_i mu_i p_i dF/dq_i - sum_i (dV/dq_i) dF/dp_i, exactly: the sum of
+    the `lie_image`s of F's terms, with cancelled terms dropped."""
     if F.varset != sys.varset or F.field != sys.field:
         raise ValueError("polynomial does not live in the system's ring")
-    m = sys.m
-    out = MultiPoly.zero(sys.varset, sys.field)
-    for i in range(1, m + 1):
-        dq = F.diff(i)
-        if not dq.is_zero():
-            p_i = MultiPoly.variable(sys.varset, sys.field, m + i)
-            out = out + p_i.scale(sys.mu[i - 1]) * dq
-        dp = F.diff(m + i)
-        if not dp.is_zero():
-            out = out - sys.grad_V[i - 1] * dp
-    return out
+    terms: dict[Exponents, FieldElement] = {}
+    for alpha, coef in F.terms.items():
+        for exps, c in lie_image(sys, alpha).items():
+            cur = terms.get(exps)
+            terms[exps] = coef * c if cur is None else cur + coef * c
+    return MultiPoly(sys.varset, sys.field, {e: c for e, c in terms.items() if not c.is_zero()})
 
 
 def tau(F: MultiPoly) -> MultiPoly:

@@ -16,7 +16,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .field import FieldElement, FieldSpec
+from .field import FieldElement, FieldKind, FieldSpec, fe_to_sympy, sympy_to_fe
 
 MAX_TERMS = 10**6
 
@@ -357,12 +357,13 @@ class MultiPoly:
     def univariate_coeffs(self, index: int) -> list[FieldElement]:
         """Coefficients, lowest degree first, of a polynomial in variable
         `index` alone; ValueError when another variable occurs."""
-        by_degree = _coeffs_in_var(self, index)
-        zero = self.field.zero()
-        return [
-            by_degree[d].constant_value() if d in by_degree else zero
-            for d in range(max(by_degree, default=-1) + 1)
-        ]
+        i = index - 1
+        coeffs = [self.field.zero()] * (max((e[i] for e in self.terms), default=-1) + 1)
+        for exps, coef in self.terms.items():
+            if any(a for j, a in enumerate(exps) if j != i):
+                raise ValueError(f"not a polynomial in {self.varset.name(index)} alone")
+            coeffs[exps[i]] = coef
+        return coeffs
 
     # -- gamma grading ----------------------------------------------------------
 
@@ -380,15 +381,6 @@ class MultiPoly:
         return [
             (s, MultiPoly(self.varset, self.field, buckets[s])) for s in sorted(buckets)
         ]
-
-    def gamma_top(self, direction: Direction) -> "MultiPoly":
-        parts = self.gamma_decompose(direction)
-        if not parts:
-            return self
-        return parts[-1][1]
-
-    def is_gamma_homogeneous(self, direction: Direction) -> bool:
-        return len({direction.weight(e) for e in self.terms}) <= 1
 
     # -- division and normalisation ------------------------------------------
 
@@ -451,97 +443,24 @@ class MultiPoly:
         return MultiPoly(self.varset, self.field, quotient)
 
 
-# -- multivariate gcd (primitive pseudo-remainder sequence) --------------------
+# -- multivariate gcd --------------------------------------------------------------
 
 
-def _coeffs_in_var(A: MultiPoly, index: int) -> dict[int, MultiPoly]:
-    """View A as a univariate polynomial in variable `index` over the others."""
-    i = index - 1
-    out: dict[int, dict[Exponents, FieldElement]] = {}
-    for exps, coef in A.terms.items():
-        deg = exps[i]
-        rest = list(exps)
-        rest[i] = 0
-        out.setdefault(deg, {})[tuple(rest)] = coef
-    return {d: MultiPoly(A.varset, A.field, t) for d, t in out.items()}
+def multivariate_gcd(A: MultiPoly, B: MultiPoly) -> MultiPoly:
+    """The greatest common divisor over the field, monic-normalised in the
+    canonical order, by sympy's `Poly.gcd`; zero only when both inputs are zero."""
+    import sympy as sp
 
-
-def _pseudo_remainder(A: MultiPoly, B: MultiPoly, index: int) -> MultiPoly:
-    """lc(B)^(deg A - deg B + 1) * A mod B, in the main variable `index`."""
-    cb = _coeffs_in_var(B, index)
-    db = max(cb)
-    lb = cb[db]
-    x = MultiPoly.variable(A.varset, A.field, index)
-    rem = A
-    n = max(_coeffs_in_var(A, index)) - db + 1
-    while not rem.is_zero():
-        cr = _coeffs_in_var(rem, index)
-        dr = max(cr)
-        if dr < db:
-            break
-        rem = rem * lb - cr[dr] * (x ** (dr - db)) * B
-        n -= 1
-    for _ in range(max(n, 0)):
-        rem = rem * lb
-    return rem
-
-
-def _content(A: MultiPoly, index: int) -> MultiPoly:
-    coeffs = list(_coeffs_in_var(A, index).values())
-    g = coeffs[0]
-    for c in coeffs[1:]:
-        g = multivariate_gcd(g, c, _monic=False)
-        if g.is_constant():
-            break
-    return g
-
-
-def multivariate_gcd(A: MultiPoly, B: MultiPoly, _monic: bool = True) -> MultiPoly:
-    """A greatest common divisor, monic-normalised in the canonical order."""
     A._check(B)
+    gens = sp.symbols(A.varset.names())
+    if A.field.kind is FieldKind.RATIONALS:
+        options = {"domain": sp.QQ}
+    else:
+        options = {"extension": [sp.I, sp.sqrt(A.field.d)]}
 
-    def finish(G: MultiPoly) -> MultiPoly:
-        return G.monic() if _monic else G
+    def to_sympy(P: MultiPoly):
+        return sp.Poly.from_dict({e: fe_to_sympy(c) for e, c in P.terms.items()}, *gens, **options)
 
-    if A.is_zero():
-        return finish(B)
-    if B.is_zero():
-        return finish(A)
-    if A.is_constant() or B.is_constant():
-        return MultiPoly.constant(A.varset, A.field, 1)
-    common = A.variables_used() & B.variables_used()
-    if not common:
-        return MultiPoly.constant(A.varset, A.field, 1)
-    x = max(common)
-    in_a = x in A.variables_used()
-    in_b = x in B.variables_used()
-    if not (in_a and in_b):
-        # x occurs in only one input: gcd lives in the content of that one
-        src, other = (A, B) if in_a else (B, A)
-        return finish(multivariate_gcd(_content(src, x), other, _monic=False))
-    cont_a = _content(A, x)
-    cont_b = _content(B, x)
-    cont_g = multivariate_gcd(cont_a, cont_b, _monic=False)
-    pa = A.divide_exact(cont_a)
-    pb = B.divide_exact(cont_b)
-    if pa is None or pb is None:
-        raise InternalInvariantError("an input is not divisible by its own content")
-    # primitive PRS in the main variable
-    da = max(_coeffs_in_var(pa, x))
-    db = max(_coeffs_in_var(pb, x))
-    if da < db:
-        pa, pb = pb, pa
-    while not pb.is_zero():
-        rem = _pseudo_remainder(pa, pb, x)
-        pa = pb
-        if rem.is_zero():
-            pb = rem
-        else:
-            pb = rem.divide_exact(_content(rem, x))
-            if pb is None:
-                raise InternalInvariantError("a pseudo-remainder is not divisible by its content")
-    if pa.variables_used() and x in pa.variables_used():
-        pa = pa.divide_exact(_content(pa, x))
-        if pa is None:
-            raise InternalInvariantError("the gcd candidate is not divisible by its content")
-    return finish(cont_g * pa)
+    G = to_sympy(A).gcd(to_sympy(B))
+    terms = {e: sympy_to_fe(c, A.field) for e, c in G.terms() if c}
+    return MultiPoly(A.varset, A.field, terms).monic()

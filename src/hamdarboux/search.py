@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .darboux import DarbouxCertificate, InternalInvariantError, cofactor_of
-from .field import RATIONALS, FieldElement, FieldKind, FieldSpec
-from .hamsys import NaturalHamiltonian, gamma_direction, is_homogeneous_potential
+from .field import RATIONALS, FieldElement, FieldKind, FieldSpec, fe_to_sympy, sympy_to_fe
+from .hamsys import NaturalHamiltonian, gamma_direction, is_homogeneous_potential, lie_image
 from .parsing import format_terms
 from .poly import Exponents, MultiPoly, VarSet, monomial_key
 
@@ -49,36 +49,8 @@ class SearchReport:
 
 
 # -- exact roots over Q and Q(i, sqrt d) -----------------------------------------
-# sympy is imported inside the bridge functions: only a search that meets a
+# sympy is imported inside `_factor_with_sympy`: only a search that meets a
 # cofactor constraint of degree >= 3 past its x^k content pays for loading it.
-
-
-def _fe_to_sympy(x: FieldElement):
-    import sympy as sp
-
-    expr = sp.Rational(x.a)
-    if x.b or x.c or x.e:
-        s = sp.sqrt(x.spec.d)
-        expr = expr + sp.Rational(x.b) * sp.I + sp.Rational(x.c) * s + sp.Rational(x.e) * sp.I * s
-    return expr
-
-
-def _sympy_to_fe(expr, spec: FieldSpec) -> FieldElement:
-    import sympy as sp
-
-    expr = sp.expand(expr)
-    if spec.kind is FieldKind.RATIONALS:
-        rat = sp.Rational(expr)
-        return spec.from_rational(Fraction(rat.p, rat.q))
-    s = sp.sqrt(spec.d)
-    poly = sp.Poly(expr, sp.I, s)
-    comps = dict.fromkeys([(0, 0), (1, 0), (0, 1), (1, 1)], 0)
-    for monom, coef in poly.terms():
-        if monom not in comps or not coef.is_rational:
-            raise ValueError(f"{expr} does not lie in Q(i,sqrt{spec.d})")
-        rat = sp.Rational(coef)
-        comps[monom] = Fraction(rat.p, rat.q)
-    return spec.element(comps[(0, 0)], comps[(1, 0)], comps[(0, 1)], comps[(1, 1)])
 
 
 def roots_in_field(
@@ -135,7 +107,7 @@ def _factor_with_sympy(
     import sympy as sp
 
     x = sp.Symbol("x")
-    expr = sp.Add(*(_fe_to_sympy(c) * x**k for k, c in enumerate(coeffs)))
+    expr = sp.Add(*(fe_to_sympy(c) * x**k for k, c in enumerate(coeffs)))
     if spec.kind is FieldKind.QUAD_GAUSS:
         _, factors = sp.factor_list(expr, x, extension=[sp.I, sp.sqrt(spec.d)])
     else:
@@ -148,9 +120,9 @@ def _factor_with_sympy(
             continue
         if poly.degree() == 1:
             c1, c0 = poly.all_coeffs()
-            roots.append(_sympy_to_fe(sp.cancel(-sp.sympify(c0) / sp.sympify(c1)), spec))
+            roots.append(sympy_to_fe(sp.cancel(-sp.sympify(c0) / sp.sympify(c1)), spec))
         else:
-            fe_coeffs = [_sympy_to_fe(c, spec) for c in reversed(poly.all_coeffs())]
+            fe_coeffs = [sympy_to_fe(c, spec) for c in reversed(poly.all_coeffs())]
             lead = fe_coeffs[-1].inverse()
             residuals.append([c * lead for c in fe_coeffs])
     return roots, residuals
@@ -377,29 +349,6 @@ def _monomials_up_to_weight(
 
     rec(0, bound, [])
     return out
-
-
-def _lie_image(sys: NaturalHamiltonian, alpha: Exponents) -> dict[Exponents, FieldElement]:
-    """L_H of the monomial q^a p^b with exponents alpha = (a, b), by exponent
-    arithmetic: the sum over i of mu_i a_i q^(a - e_i) p^(b + e_i) and of
-    -b_i (dV/dq_i) q^a p^(b - e_i).  No two terms share an exponent (each
-    moves the p-part by +e_i or -e_i for its own i), so each coefficient is a
-    single nonzero product."""
-    m = sys.m
-    image: dict[Exponents, FieldElement] = {}
-    for i in range(m):
-        a, b = alpha[i], alpha[m + i]
-        if a and not sys.mu[i].is_zero():
-            exps = list(alpha)
-            exps[i] -= 1
-            exps[m + i] += 1
-            image[tuple(exps)] = sys.mu[i] * a
-        if b:
-            lowered = list(alpha)
-            lowered[m + i] -= 1
-            for g_exps, g_coef in sys.grad_V[i].terms.items():
-                image[tuple(x + y for x, y in zip(lowered, g_exps))] = g_coef * -b
-    return image
 
 
 # -- the branching elimination ----------------------------------------------------
@@ -874,7 +823,7 @@ def _choose_entry_form(rows: list[dict], lam_vars: VarSet, spec: FieldSpec) -> N
 # -- public entry point -------------------------------------------------------------
 
 
-def _check_search_bounds(max_gamma_degree: int, branch_cap: int) -> None:
+def check_search_bounds(max_gamma_degree: int, branch_cap: int) -> None:
     """ValueError unless the degree bound is >= 0 and the branch cap >= 1:
     anything else would return a report with no evidence in it."""
     if max_gamma_degree < 0:
@@ -898,7 +847,7 @@ def search_darboux(
     (constant included) otherwise.  ValueError for a negative degree bound
     or a branch cap below 1.
     """
-    _check_search_bounds(max_gamma_degree, branch_cap)
+    check_search_bounds(max_gamma_degree, branch_cap)
     grading = gamma_direction(sys)
     gamma = grading.direction.gamma
     spec = sys.field
@@ -928,7 +877,7 @@ def search_darboux(
     minus_one = -spec.one()
     rows_by_monomial: dict[Exponents, dict[int, dict[Exponents, FieldElement]]] = {}
     for col, alpha in enumerate(f_monomials):
-        for exps, coef in _lie_image(sys, alpha).items():
+        for exps, coef in lie_image(sys, alpha).items():
             rows_by_monomial.setdefault(exps, {})[col] = {zero_key: coef}
         for beta, unit in zip(lam_monomials, unit_keys):
             prod = tuple(a + b for a, b in zip(alpha, beta))

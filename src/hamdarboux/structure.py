@@ -15,11 +15,10 @@ from .darboux import (
 )
 from .hamsys import (
     NaturalHamiltonian,
-    gamma_direction,
     is_homogeneous_potential,
 )
 from .poly import MultiPoly, monomial_key
-from .search import _check_search_bounds, _monomials_up_to_weight, search_darboux, sqrt_in_field
+from .search import check_search_bounds, search_darboux, sqrt_in_field
 
 
 class Verdict(Enum):
@@ -84,20 +83,14 @@ def factor_ansatz_search(sys: NaturalHamiltonian) -> FactorWitness | None:
     nz = [i for i in range(m) if not sys.mu[i].is_zero()]
     if not nz:
         raise ValueError("all mu_i are zero: H has no kinetic part to factor against")
+    # write 2H = (alpha.p + W1)(beta.p + W2).  For two indices i, j with
+    # nonzero mu: alpha_i beta_i = mu_i, the p_i p_j terms give
+    # alpha_i beta_j + alpha_j beta_i = 0 and the p-linear terms give
+    # alpha_i W2 + beta_i W1 = 0 for each i; together they force
+    # W1 = W2 = 0, so 2V = W1 W2 = 0, impossible for V != 0.
+    if len(nz) >= 2:
+        return None
     k = nz[0]
-    # normalise alpha_k = 1 (scalar freedom of the factorisation), so
-    # beta_k = mu_k and beta_i = -mu_k alpha_i for i != k.
-    # alpha_i beta_i = mu_i forces alpha_i^2 = -mu_i/mu_k; pairwise
-    # p_i p_j matching forces alpha_i alpha_j = 0 off the k-th index.
-    if len(nz) >= 3:
-        return None
-    if len(nz) == 2:
-        i = nz[1] if nz[0] == k else nz[0]
-        alpha_i = sqrt_in_field(-sys.mu[i] * sys.mu[k].inverse())
-        if alpha_i is None:
-            return None
-        # the W-matching conditions then force W1 = 0, impossible for V != 0
-        return None
     # single nonzero mu_k: 2H = (p_k + W1)(mu_k p_k + W2), W2 = -mu_k W1,
     # so W1^2 = -2V/mu_k must be a polynomial square.
     target = sys.V.scale(spec.from_rational(-2) * sys.mu[k].inverse())
@@ -114,23 +107,20 @@ def factor_ansatz_search(sys: NaturalHamiltonian) -> FactorWitness | None:
 
 
 def is_irreducible_natural_H(sys: NaturalHamiltonian) -> tuple[bool, FactorWitness | str]:
-    """Irreducibility of H, with an explicit factorisation as the negative
-    witness.  When at least two mu_i are nonzero the general argument applies;
-    the factor search is still run as a cross-check at desk scale."""
+    """Irreducibility of H over its field, with an explicit factorisation of
+    2H as the negative witness.  Every factorisation of 2H is degree 1 in p
+    when some mu_i is nonzero, so `factor_ansatz_search` decides it for every
+    m: never reducible with two or more nonzero mu_i, and with one nonzero
+    mu_k reducible exactly when -2V/mu_k is a polynomial square."""
     if sys.m < 2:
         raise ValueError("need m >= 2")
     if sys.V.is_zero():
         raise ValueError("need V != 0")
-    nonzero_mu = sum(1 for x in sys.mu if not x.is_zero())
-    witness = factor_ansatz_search(sys) if sys.m <= 3 else None
-    if nonzero_mu >= 2:
-        if witness is not None:
-            raise InternalInvariantError(
-                "factor search contradicts the two-nonzero-mu irreducibility argument"
-            )  # pragma: no cover
-        return True, "at least two mu_i nonzero: H is irreducible"
+    witness = factor_ansatz_search(sys)
     if witness is not None:
         return False, witness
+    if sum(1 for x in sys.mu if not x.is_zero()) >= 2:
+        return True, "at least two mu_i nonzero: H is irreducible"
     return True, "no degree-1-in-p factorisation of 2H exists"
 
 
@@ -152,20 +142,16 @@ def check_theorem1(
     sys: NaturalHamiltonian, max_gamma_degree: int, branch_cap: int = 10_000
 ) -> TheoremReport:
     """Odd-degree potential: every Darboux polynomial should be a first
-    integral.  Runs the structural parity check on the cofactor ansatz plus
-    a bounded-degree empirical search for proper certificates."""
-    _check_search_bounds(max_gamma_degree, branch_cap)
+    integral.  Notes which cofactor strata parity empties (every q-monomial
+    has even weight) and runs a bounded-degree search for proper
+    certificates."""
+    check_search_bounds(max_gamma_degree, branch_cap)
     if sys.r % 2 == 0:
         return TheoremReport(
             verdict=Verdict.HYPOTHESES_NOT_MET,
             notes=[f"deg V = {sys.r} is even; the theorem assumes an odd degree"],
         )
-    grading = gamma_direction(sys)  # also enforces r >= 3
     notes = []
-    # structural check: q-monomials all have even weight, so the weight-(r-2)
-    # cofactor stratum is empty when r is odd
-    top_stratum = _monomials_up_to_weight(grading.direction.gamma[: sys.m], sys.r - 2, exact=True)
-    structural_ok = not top_stratum
     if is_homogeneous_potential(sys):
         notes.append(
             "homogeneous odd potential: parity empties the entire cofactor ansatz"
@@ -185,11 +171,6 @@ def check_theorem1(
             verdict=Verdict.COUNTEREXAMPLE,
             evidence=proper,
             notes=notes + ["a proper Darboux certificate was found and re-verified"],
-        )
-    if not structural_ok:
-        return TheoremReport(  # pragma: no cover - arithmetically impossible
-            verdict=Verdict.COUNTEREXAMPLE,
-            notes=notes + ["non-empty top cofactor stratum"],
         )
     notes.append(
         f"no proper certificate up to weighted degree {max_gamma_degree} "

@@ -9,15 +9,13 @@ import pytest
 import sympy as sp
 
 from hamdarboux.darboux import InternalInvariantError, certificate_holds
-from hamdarboux.field import RATIONALS, FieldKind, quad_gauss
+from hamdarboux.field import RATIONALS, FieldKind, fe_to_sympy, quad_gauss, sympy_to_fe
 from hamdarboux.hamsys import load_system
 from hamdarboux.parsing import format_poly
 from hamdarboux.poly import MultiPoly, VarSet
 from hamdarboux.search import (
     BranchCapExceededError,
     _IntPoly,
-    _fe_to_sympy,
-    _sympy_to_fe,
     roots_in_field,
     search_darboux,
     sqrt_in_field,
@@ -98,7 +96,7 @@ def _factor_by_sympy(coeffs, spec):
     """Oracle: sorted distinct in-field roots and monic residual factors of
     sum coeffs[k] x^k, from sympy's factor_list over the field."""
     x = sp.Symbol("x")
-    expr = sp.Add(*(_fe_to_sympy(c) * x**k for k, c in enumerate(coeffs)))
+    expr = sp.Add(*(fe_to_sympy(c) * x**k for k, c in enumerate(coeffs)))
     if spec is RATIONALS:
         _, factors = sp.factor_list(expr, x)
     else:
@@ -107,7 +105,7 @@ def _factor_by_sympy(coeffs, spec):
     for fac, _ in factors:
         poly = sp.Poly(fac, x)
         lead = poly.LC()
-        monic = [_sympy_to_fe(c / lead, spec) for c in reversed(poly.all_coeffs())]
+        monic = [sympy_to_fe(c / lead, spec) for c in reversed(poly.all_coeffs())]
         if poly.degree() == 1:
             roots.add(-monic[0])
         elif poly.degree() > 1:
@@ -447,15 +445,15 @@ ANSATZ_SYSTEMS = [
 @pytest.mark.parametrize("definition, degree", ANSATZ_SYSTEMS)
 def test_ansatz_columns_are_lie_derivative_images(definition, degree):
     # each ansatz column is L_H of its monomial, built by exponent arithmetic
-    from hamdarboux.hamsys import gamma_direction, lie_derivative
-    from hamdarboux.search import _lie_image, _monomials_up_to_weight
+    from hamdarboux.hamsys import gamma_direction, lie_derivative, lie_image
+    from hamdarboux.search import _monomials_up_to_weight
 
     system = load_system(definition)
     gamma = gamma_direction(system).direction.gamma
     monomials = _monomials_up_to_weight(gamma, degree, exact=False)
     assert len(monomials) > 20
     for alpha in monomials:
-        image = _lie_image(system, alpha)
+        image = lie_image(system, alpha)
         assert all(not c.is_zero() for c in image.values())
         mono = MultiPoly(system.varset, system.field, {alpha: system.field.one()})
         assert MultiPoly(system.varset, system.field, image) == lie_derivative(system, mono)

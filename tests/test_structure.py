@@ -1,9 +1,12 @@
 import random
+import warnings
 
 import pytest
+import sympy as sp
 
 from hamdarboux.darboux import cofactor_of
-from hamdarboux.hamsys import load_system
+from hamdarboux.field import fe_to_sympy
+from hamdarboux.hamsys import load_system, make_system
 from hamdarboux.parsing import format_poly
 from hamdarboux.structure import (
     FactorWitness,
@@ -38,6 +41,15 @@ def test_reducible_example():
     }
 
 
+def test_reducible_with_four_degrees_of_freedom():
+    # the factor search runs for every m: 2H = (p1 - q1^2 - q2^2)(p1 + q1^2 + q2^2)
+    system = load_system("m = 4\nfield = Q\nmu = 1, 0, 0, 0\nV = -1/2*(q1^2 + q2^2)^2\n")
+    verdict, witness = is_irreducible_natural_H(system)
+    assert not verdict
+    assert isinstance(witness, FactorWitness)
+    assert witness.G1 * witness.G2 == system.H.scale(system.field.from_rational(2))
+
+
 def test_single_mu_irreducible_when_no_square_root():
     # -2V is not a polynomial square, so H stays irreducible even with one mu
     system = load_system("m = 2\nfield = Q\nmu = 1, 0\nV = q2^3\n")
@@ -56,6 +68,43 @@ def test_factor_search_agrees_with_lemma_on_random_systems():
         if witness is not None:
             two_h = system.H.scale(system.field.from_rational(2))
             assert witness.G1 * witness.G2 == two_h
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_irreducibility_matches_sympy_factoring(m):
+    # an oracle independent of the lemma: sympy's factor_list of 2H over Q.
+    # Half the draws keep one nonzero mu_k, and half of those take
+    # V = -mu_k/2 * W^2, which makes 2H reducible.
+    rng = random.Random(600 + m)
+    verdicts = []
+    for _ in range(24):
+        system = random_small_system(rng, m=m)
+        if rng.random() < 0.5:
+            k = rng.randrange(m)
+            mu = [0] * m
+            mu[k] = rng.choice([-2, -1, 1, 2])
+            V = system.V
+            if rng.random() < 0.5:
+                W = random_small_system(rng, m=m, max_degree=2).V
+                V = (W * W).scale(system.field.from_rational(-mu[k]) / 2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                system = make_system(mu, V)
+        two_h = system.H.scale(system.field.from_rational(2))
+        gens = sp.symbols(system.varset.names())
+        expr = sp.Add(
+            *(fe_to_sympy(c) * sp.Mul(*(g**a for g, a in zip(gens, e))) for e, c in two_h.terms.items())
+        )
+        _, factors = sp.factor_list(expr, *gens)
+        # every factorisation of 2H is degree 1 in p when some mu_i is nonzero
+        if len(factors) > 1 or factors[0][1] > 1:
+            assert all(sp.Poly(f, *gens[m:]).total_degree() == 1 for f, _ in factors)
+        verdict, witness = is_irreducible_natural_H(system)
+        assert verdict == (sum(mult for _, mult in factors) == 1)
+        if not verdict:
+            assert witness.G1 * witness.G2 == two_h
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 def test_jacobian_independence(sys_s2):
