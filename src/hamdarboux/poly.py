@@ -349,11 +349,6 @@ class MultiPoly:
                 terms[key] = s
         return MultiPoly(self.varset, self.field, terms)
 
-    def evaluate(self, point: Sequence[FieldElement]) -> FieldElement:
-        if len(point) != self.varset.n:
-            raise ValueError(f"point must have {self.varset.n} coordinates")
-        return self.substitute(dict(enumerate(point, 1))).constant_value()
-
     def univariate_coeffs(self, index: int) -> list[FieldElement]:
         """Coefficients, lowest degree first, of a polynomial in variable
         `index` alone; ValueError when another variable occurs."""

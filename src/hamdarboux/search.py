@@ -14,8 +14,8 @@ reported as residual conditions.
 Each branch keeps its pivot rows, with their pivot columns, in echelon
 form.  At a leaf every remaining row is empty and every pivot is nonzero at
 the leaf's lam-values, so the kernel has one dimension per non-pivot column.
-A fully assigned leaf with a kernel evaluates those rows there and
-back-substitutes through them, with no further elimination."""
+A fully assigned leaf with a kernel back-substitutes through those rows,
+with no further elimination, evaluating there only the entries it reads."""
 
 from __future__ import annotations
 
@@ -705,18 +705,7 @@ def _handle_leaf(ctx: _Context, state: _State) -> None:
     # the branch's pivot rows at the leaf's lam-values: every pivot is
     # nonzero there and every dropped entry vanishes, so their kernel is the
     # kernel of the full ansatz
-    numeric_rows: list[tuple[int, dict[int, FieldElement]]] = []
-    for pivot_col, row in state.pivots:
-        nrow: dict[int, FieldElement] = {}
-        for col, p in row.items():
-            p2 = p.substitute(state.assign)
-            if p2.is_zero():
-                continue
-            if not p2.is_constant():
-                raise InternalInvariantError("leaf pivot row still depends on a cofactor unknown")
-            nrow[col] = p2.constant_value()
-        numeric_rows.append((pivot_col, nrow))
-    for vector in _kernel_basis(numeric_rows, ncols, spec):
+    for vector in _kernel_basis(state.pivots, ncols, spec, state.assign):
         # distinct columns are distinct monomials, and no coefficient is zero
         F = MultiPoly(ctx.sys.varset, spec, {ctx.f_monomials[j]: c for j, c in vector.items()})
         if F.is_constant():
@@ -729,15 +718,20 @@ def _handle_leaf(ctx: _Context, state: _State) -> None:
 
 
 def _kernel_basis(
-    pivots: list[tuple[int, dict[int, FieldElement]]], ncols: int, spec: FieldSpec
+    pivots: list[tuple[int, dict[int, Entry]]],
+    ncols: int,
+    spec: FieldSpec,
+    assign: dict[int, FieldElement],
 ) -> list[dict[int, FieldElement]]:
-    """Nullspace basis of a branch's pivot rows at the leaf, in reduced form:
-    each vector is one at its highest column, its lead, which every other
-    vector misses; sorted by lead.  The rows are in echelon form (a nonzero
-    pivot, no entry in an earlier pivot's column), so each non-pivot column
-    set to one, the others to zero, back-substitutes through them in reverse
-    into a kernel vector.  Reducing those gives the unique reduced basis, the
-    one a forward reduction of the rows gives."""
+    """Nullspace basis of a branch's pivot rows at the leaf's lam-values
+    `assign`, in reduced form: each vector is one at its highest column, its
+    lead, which every other vector misses; sorted by lead.  The rows are in
+    echelon form (a nonzero pivot, no entry in an earlier pivot's column), so
+    each non-pivot column set to one, the others to zero, back-substitutes
+    through them in reverse into a kernel vector.  Reducing those gives the
+    unique reduced basis, the one a forward reduction of the rows gives.
+    Only the entries back-substitution reads are evaluated: each pivot, and
+    the entries on columns some vector has reached."""
     earlier = {col for col, _ in pivots}
     if len(earlier) < len(pivots):
         raise InternalInvariantError("a pivot row has an entry in an earlier pivot column")
@@ -745,17 +739,19 @@ def _kernel_basis(
     live = set().union(*vectors)  # the columns some vector has reached
     for k in range(len(pivots) - 1, -1, -1):
         col, row = pivots[k]
-        pv = row.get(col)
-        if pv is None or pv.is_zero():
+        pv = _at_leaf(row[col], assign) if col in row else spec.zero()
+        if pv.is_zero():
             raise InternalInvariantError(f"pivot {k} vanishes at the leaf in column {col}")
         earlier.discard(col)
         if not earlier.isdisjoint(row):
             raise InternalInvariantError(f"pivot row {k} has an entry in an earlier pivot column")
         if live.isdisjoint(row):
             continue
+        # no vector holds this row's own column until the loop below sets it
+        reached = {c: _at_leaf(p, assign) for c, p in row.items() if c in live}
         for vec in vectors:
             acc = None
-            for c, v in row.items():
+            for c, v in reached.items():
                 x = vec.get(c)
                 if x is not None:
                     acc = v * x if acc is None else acc + v * x
@@ -775,6 +771,14 @@ def _kernel_basis(
                 basis[other] = _minus_multiple(b, b[lead], vec)
         basis[lead] = vec
     return [basis[lead] for lead in sorted(basis)]
+
+
+def _at_leaf(entry: Entry, assign: dict[int, FieldElement]) -> FieldElement:
+    """A kept pivot row's entry at the leaf's lam-values."""
+    value = entry.substitute(assign)
+    if not value.is_constant():
+        raise InternalInvariantError("leaf pivot row still depends on a cofactor unknown")
+    return value.constant_value()
 
 
 def _minus_multiple(

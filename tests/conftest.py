@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hamdarboux.field import RATIONALS, FieldSpec, quad_gauss
+from hamdarboux.field import RATIONALS, FieldElement, FieldSpec, quad_gauss
 from hamdarboux.hamsys import NaturalHamiltonian, load_system, make_system
 from hamdarboux.parsing import ParseContext, parse_poly
 from hamdarboux.poly import MultiPoly, VarSet
@@ -54,6 +54,18 @@ def rand_poly(
     if nonzero and P.is_zero():
         return MultiPoly.constant(varset, spec, spec.one())
     return P
+
+
+def evaluate_exact(A: MultiPoly, point) -> FieldElement:
+    """A at the point's field elements, term by term with repeated
+    multiplication: the tests' exact evaluation oracle."""
+    total = A.field.zero()
+    for exps, coef in A.terms.items():
+        for x, a in zip(point, exps):
+            for _ in range(a):
+                coef = coef * x
+        total = total + coef
+    return total
 
 
 def poly_of(system: NaturalHamiltonian, text: str) -> MultiPoly:

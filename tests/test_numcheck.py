@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,14 +9,13 @@ import pytest
 from hamdarboux.hamsys import load_system
 from hamdarboux.numcheck import (
     NotRealEvaluableError,
-    _evaluate,
     _vector_field,
     drift,
     evaluate_float,
     integrate_rk4,
 )
 
-from conftest import poly_of, random_small_system
+from conftest import evaluate_exact, poly_of, random_small_system
 
 
 def test_free_motion_trajectory():
@@ -33,6 +33,8 @@ def test_evaluate_float(sys_s2):
     F = poly_of(sys_s2, "q1*p2 - q2*p1")
     state = np.array([1.0, 2.0, 3.0, 4.0])
     assert math.isclose(evaluate_float(F, state), 1 * 4 - 2 * 3)
+    # the coefficient 1/3 rounded once, times 1.0
+    assert evaluate_float(poly_of(sys_s2, "1/3*q1"), (1, 0, 0, 0)) == 1 / 3
 
 
 def test_hamiltonian_drift_small(sys_s2, sys_s4):
@@ -101,13 +103,13 @@ def test_vector_field_matches_exact(sys_s3):
     systems = [sys_s3, custom] + [random_small_system(rng, m=m) for m in (2, 3, 3)]
     for system in systems:
         m = system.m
-        E, C = _vector_field(system)
+        vector_field = _vector_field(system)
         for _ in range(8):
             point = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(2 * m)]
             exact_point = [system.field.from_rational(x) for x in point]
             exact = [system.mu[i] * exact_point[m + i] for i in range(m)]
-            exact += [-g.evaluate(exact_point) for g in system.grad_V]
-            got = _evaluate(E, C, np.array([float(x) for x in point]))
+            exact += [-evaluate_exact(g, exact_point) for g in system.grad_V]
+            got = vector_field(*[float(x) for x in point])
             for value, want in zip(got, exact):
                 assert math.isclose(value, want.to_float(), rel_tol=1e-12, abs_tol=1e-12)
 
@@ -141,3 +143,33 @@ def test_horizon_must_be_whole_steps(sys_s2):
     traj = integrate_rk4(sys_s2, x0, 0.1, 0.3)
     assert len(traj.samples) == 3 + 1
     assert math.isclose(traj.samples[-1][0], 0.3)
+
+
+def test_constant_outputs_keep_the_batch_shape():
+    # dV/dq2 = 0 for V = q1^4 and dV/dq1 = 1 for V = q1 + q2^2 come out as
+    # columns of the batch's length, and F = 1 drifts by exactly 0
+    columns = [np.array([0.1, -0.2, 0.3]), np.array([0.5, 0.6, -0.7]), np.zeros(3), np.ones(3)]
+    states = np.array(columns).T
+    for text, pdot in [("q1^4", [-4 * columns[0] ** 3, np.zeros(3)]), ("q1 + q2^2", [-np.ones(3), -2 * columns[1]])]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # deg V = 2 is fine for numerics
+            system = load_system(f"m = 2\nfield = Q\nmu = 1, 1\nV = {text}\n")
+        got = _vector_field(system)(*columns)
+        assert all(value.shape == (3,) for value in got)
+        assert np.allclose(got[2:], pdot, rtol=1e-15, atol=0.0)
+        one = poly_of(system, "1")
+        assert drift(system, one, states[0], 1e-2, 0.5) == 0.0
+        batch = drift(system, one, states, 1e-2, 0.5)
+        assert batch.shape == (3,) and not batch.any()
+        F = poly_of(system, "p2" if text == "q1^4" else "p1")
+        assert list(drift(system, F, states, 1e-2, 0.5)) == [drift(system, F, x0, 1e-2, 0.5) for x0 in states]
+
+
+def test_batch_drift_equals_single_drifts_m3():
+    system = load_system("m = 3\nfield = Q\nmu = 1, 2, -1/2\nV = q1^2*q2 + 1/4*q3^4 - 1/3*q1*q3\n")
+    rng = random.Random(77)
+    states = [[rng.uniform(-1.0, 1.0) for _ in range(6)] for _ in range(8)]
+    for F in (system.H, poly_of(system, "q1*p3 - p2^2")):
+        batch = drift(system, F, states, 1e-3, 0.2)
+        assert batch.shape == (8,)
+        assert list(batch) == [drift(system, F, x0, 1e-3, 0.2) for x0 in states]

@@ -13,7 +13,7 @@ from hamdarboux.poly import (
     multivariate_gcd,
 )
 
-from conftest import rand_element, rand_poly
+from conftest import evaluate_exact, rand_element, rand_poly
 
 Q2 = quad_gauss(2)
 VS = VarSet(2)
@@ -93,17 +93,7 @@ def test_diff_and_evaluate():
     )
     assert A.diff(2).is_zero()
     pt = [RATIONALS.from_rational(x) for x in (2, 0, 0, 3)]
-    assert A.evaluate(pt) == RATIONALS.from_rational(14)
-
-
-def _evaluate_directly(A, point):
-    total = A.field.zero()
-    for exps, coef in A.terms.items():
-        for x, a in zip(point, exps):
-            for _ in range(a):
-                coef = coef * x
-        total = total + coef
-    return total
+    assert evaluate_exact(A, pt) == RATIONALS.from_rational(14)
 
 
 @pytest.mark.parametrize("spec", [RATIONALS, Q2], ids=["Q", "sqrt2"])
@@ -122,7 +112,8 @@ def test_substitute_random(spec):
             assert not part.variables_used() & first
             rest = part.substitute({i: point[i - 1] for i in indices if i not in first})
             assert rest.is_constant()
-            assert rest.constant_value() == A.evaluate(point) == _evaluate_directly(A, point)
+            whole = A.substitute(dict(enumerate(point, 1))).constant_value()
+            assert rest.constant_value() == whole == evaluate_exact(A, point)
             unused = {i: point[i - 1] for i in indices if i not in A.variables_used()}
             assert A.substitute(unused) == A
 
@@ -181,8 +172,8 @@ def test_scaling_identity_on_homogeneous_parts():
             for i, x in enumerate(pt)
         ]
         for s, comp in A.gamma_decompose(direction):
-            lhs = comp.evaluate(scaled)
-            rhs = comp.evaluate(pt) * RATIONALS.from_rational(t**s)
+            lhs = evaluate_exact(comp, scaled)
+            rhs = evaluate_exact(comp, pt) * RATIONALS.from_rational(t**s)
             assert lhs == rhs
 
 

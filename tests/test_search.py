@@ -442,9 +442,21 @@ ANSATZ_SYSTEMS = [
 ]
 
 
+def _lie_derivative_by_diff(system, F):
+    """L_H F = sum_i mu_i p_i dF/dq_i - dV/dq_i dF/dp_i from `MultiPoly.diff`
+    and products: an oracle that shares no code with `lie_image`."""
+    m, varset, spec = system.m, system.varset, system.field
+    total = MultiPoly.zero(varset, spec)
+    for i in range(1, m + 1):
+        p_i = MultiPoly.variable(varset, spec, m + i)
+        total = total + (p_i * F.diff(i)).scale(system.mu[i - 1]) - system.V.diff(i) * F.diff(m + i)
+    return total
+
+
 @pytest.mark.parametrize("definition, degree", ANSATZ_SYSTEMS)
 def test_ansatz_columns_are_lie_derivative_images(definition, degree):
-    # each ansatz column is L_H of its monomial, built by exponent arithmetic
+    # each ansatz column is L_H of its monomial, built by exponent arithmetic:
+    # the same polynomial as the diff-and-product oracle and `lie_derivative`
     from hamdarboux.hamsys import gamma_direction, lie_derivative, lie_image
     from hamdarboux.search import _monomials_up_to_weight
 
@@ -456,7 +468,8 @@ def test_ansatz_columns_are_lie_derivative_images(definition, degree):
         image = lie_image(system, alpha)
         assert all(not c.is_zero() for c in image.values())
         mono = MultiPoly(system.varset, system.field, {alpha: system.field.one()})
-        assert MultiPoly(system.varset, system.field, image) == lie_derivative(system, mono)
+        oracle = _lie_derivative_by_diff(system, mono)
+        assert MultiPoly(system.varset, system.field, image) == oracle == lie_derivative(system, mono)
 
 
 @pytest.mark.parametrize("definition, degree", ANSATZ_SYSTEMS)
@@ -469,7 +482,6 @@ def test_ansatz_rows_are_the_darboux_relation(definition, degree, monkeypatch):
     import math
 
     import hamdarboux.search as search_module
-    from hamdarboux.hamsys import lie_derivative
     from hamdarboux.poly import monomial_key
 
     system = load_system(definition)
@@ -488,7 +500,7 @@ def test_ansatz_rows_are_the_darboux_relation(definition, degree, monkeypatch):
     lam = ctx.lam_vars
     relation: dict = {}
     for col, alpha in enumerate(ctx.f_monomials):
-        image = lie_derivative(system, MultiPoly(system.varset, spec, {alpha: spec.one()}))
+        image = _lie_derivative_by_diff(system, MultiPoly(system.varset, spec, {alpha: spec.one()}))
         for exps, coef in image.terms.items():
             relation.setdefault(exps, {})[col] = MultiPoly.constant(lam, spec, coef)
         for t, beta in enumerate(ctx.lam_monomials, 1):
@@ -701,7 +713,10 @@ def test_kernel_basis_matches_forward_reduction(spec):
                 if c not in order[: k + 1] and rng.random() < 0.5:
                     row[c] = nonzero(rng)
             pivots.append((col, row))
-        basis = _kernel_basis(pivots, ncols, spec)
+        # the entries as constants in the cofactor unknowns, with nothing to assign
+        lam = VarSet.cofactor_unknowns(1)
+        entries = [(col, {c: MultiPoly.constant(lam, spec, x) for c, x in row.items()}) for col, row in pivots]
+        basis = _kernel_basis(entries, ncols, spec, {})
         assert basis == _forward_kernel([row for _, row in pivots], ncols, spec)
         assert len(basis) == dim
         for vec in basis:
@@ -740,6 +755,25 @@ def test_leaf_rejects_a_kept_row_out_of_echelon_form(field, V, corruption, monke
     match = "vanishes at the leaf" if corruption == "pivot vanishes" else "earlier pivot column"
     with pytest.raises(InternalInvariantError, match=match):
         search_darboux(system, 8)
+
+
+def test_leaf_rejects_a_pivot_in_an_unassigned_unknown(sys_s1_ext, monkeypatch):
+    # a fully assigned leaf reads every kept pivot at its lam-values: one
+    # that still holds an unknown (here one past the ansatz's) must raise
+    import hamdarboux.search as search_module
+
+    handle_leaf = search_module._handle_leaf
+
+    def leaf(ctx, state):
+        if len(state.assign) == len(ctx.lam_monomials) and len(state.pivots) < len(ctx.f_monomials):
+            extra = VarSet.cofactor_unknowns(len(ctx.lam_monomials) + 1)
+            col, row = state.pivots[-1]
+            state.pivots[-1] = (col, {**row, col: MultiPoly.variable(extra, ctx.sys.field, extra.n)})
+        handle_leaf(ctx, state)
+
+    monkeypatch.setattr(search_module, "_handle_leaf", leaf)
+    with pytest.raises(InternalInvariantError, match="still depends on a cofactor unknown"):
+        search_darboux(sys_s1_ext, 4)
 
 
 def test_leaf_rejects_a_kernel_vector_that_is_not_darboux(sys_s1_ext, monkeypatch):
