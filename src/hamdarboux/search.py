@@ -7,8 +7,11 @@ gathered once as a map from lam-exponent to coefficient and built once in
 its final form.  The f-unknowns are eliminated fraction-free over the
 polynomial ring in lam, branching on whether each pivot vanishes;
 univariate lam-constraints are solved over the configured field (in closed
-form up to degree 2 once their x^k content is removed, by sympy factoring
-beyond), in-field roots branch the search and out-of-field factors are
+form up to degree 2 once their x^k content is removed; beyond that a
+rational constraint is factored over Q by sympy, its factors of degree up
+to 2 are solved in closed form, and only a Q-irreducible factor of degree
+>= 3, or a constraint with irrational coefficients, is factored over
+Q(i, sqrt d)), in-field roots branch the search and out-of-field factors are
 reported as residual conditions.
 
 Each branch keeps its pivot rows, with their pivot columns, in echelon
@@ -49,8 +52,9 @@ class SearchReport:
 
 
 # -- exact roots over Q and Q(i, sqrt d) -----------------------------------------
-# sympy is imported inside `_factor_with_sympy`: only a search that meets a
-# cofactor constraint of degree >= 3 past its x^k content pays for loading it.
+# sympy is imported inside `_factor_over_q` and `_factor_with_sympy`: only a
+# search that meets a cofactor constraint of degree >= 3 past its x^k content
+# pays for loading it.
 
 
 def roots_in_field(
@@ -62,17 +66,24 @@ def roots_in_field(
 
     The x^k content gives the root 0.  A remainder of degree at most 2 is
     solved in closed form, a quadratic through its discriminant and the exact
-    `sqrt_in_field`, so sympy loads only for a remainder of degree >= 3."""
+    `sqrt_in_field`.  A rational remainder of higher degree is factored over
+    Q first: its factors of degree at most 2 are solved in closed form, and
+    only a factor of degree >= 3 on Q(i, sqrt d) is factored over the
+    extension, as is a remainder with irrational coefficients.  Distinct
+    Q-irreducible factors are coprime, so their factors over the field are
+    those of the whole remainder."""
     k = next((i for i, c in enumerate(coeffs) if not c.is_zero()), None)
     if k is None:
         return [], []
     g = list(coeffs[k:])
     while g[-1].is_zero():
         g.pop()
-    if len(g) > 3:
-        roots, residuals = _factor_with_sympy(g, spec)
-    else:
+    if len(g) <= 3:
         roots, residuals = _solve_low_degree(g)
+    elif all(c.is_rational() for c in g):
+        roots, residuals = _factor_over_q(g, spec)
+    else:
+        roots, residuals = _factor_with_sympy(g, spec)
     if k:
         roots.append(spec.zero())
     uniq: list[FieldElement] = []
@@ -99,19 +110,44 @@ def _solve_low_degree(
     return [half + s, half - s], []
 
 
+def _factor_over_q(
+    g: list[FieldElement], spec: FieldSpec
+) -> tuple[list[FieldElement], list[list[FieldElement]]]:
+    """Roots (unsorted) and monic residual factors of a rational g, from
+    sympy's factorisation over Z of g with its denominators cleared.  Over Q
+    a factor of degree >= 3 is itself a residual; over Q(i, sqrt d) it is
+    factored alone over the extension."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_factor_list
+
+    den = math.lcm(*(c.a.denominator for c in g))
+    _, factors = dup_factor_list([ZZ(int(c.a * den)) for c in reversed(g)], ZZ)
+    roots: list[FieldElement] = []
+    residuals: list[list[FieldElement]] = []
+    for fac, _mult in factors:
+        f = [spec.from_rational(int(c)) for c in reversed(fac)]
+        if len(f) <= 3:
+            r, s = _solve_low_degree(f)
+        elif spec.kind is FieldKind.RATIONALS:
+            lead = f[-1].inverse()
+            r, s = [], [[c * lead for c in f]]
+        else:
+            r, s = _factor_with_sympy(f, spec)
+        roots += r
+        residuals += s
+    return roots, residuals
+
+
 def _factor_with_sympy(
     coeffs: list[FieldElement], spec: FieldSpec
 ) -> tuple[list[FieldElement], list[list[FieldElement]]]:
     """Roots (unsorted) and monic residual factors of sum coeffs[k] x^k,
-    from sympy's factorisation over the field."""
+    from sympy's factorisation over Q(i, sqrt d)."""
     import sympy as sp
 
     x = sp.Symbol("x")
     expr = sp.Add(*(fe_to_sympy(c) * x**k for k, c in enumerate(coeffs)))
-    if spec.kind is FieldKind.QUAD_GAUSS:
-        _, factors = sp.factor_list(expr, x, extension=[sp.I, sp.sqrt(spec.d)])
-    else:
-        _, factors = sp.factor_list(expr, x)
+    _, factors = sp.factor_list(expr, x, extension=[sp.I, sp.sqrt(spec.d)])
     roots: list[FieldElement] = []
     residuals: list[list[FieldElement]] = []
     for fac, _mult in factors:
@@ -183,16 +219,37 @@ def _sqrt_real(x: FieldElement) -> FieldElement | None:
     )
 
 
+def _sqrt_of_rational(x: FieldElement) -> FieldElement | None:
+    """A square root in Q(i, sqrt d) of a rational x.  A y with rational y^2
+    generates a field of degree at most 2 inside Q(i, sqrt d), so it lies on
+    one of the lines Q, Q*i, Q*sqrt d and Q*i*sqrt d, where y^2 is x, -x,
+    x/d and -x/d times a rational square."""
+    spec, d = x.spec, x.spec.d
+    for scale, unit in (
+        (1, spec.one()),
+        (-1, spec.i()),
+        (Fraction(1, d), spec.sqrt_d()),
+        (Fraction(-1, d), spec.element(0, 0, 0, 1)),
+    ):
+        s = _sqrt_rational(spec.from_rational(x.a * scale))
+        if s is not None:
+            return s * unit
+    return None
+
+
 def sqrt_in_field(x: FieldElement) -> FieldElement | None:
     """The square root of x in its own field with the smaller `sort_key`, or
     None when x is not a square there.  Exact and free of sympy: it climbs
     Q < Q(sqrt d) < Q(sqrt d)(i), taking each level's root from norms that
-    must be squares one level down."""
+    must be squares one level down, except that a rational x in Q(i, sqrt d)
+    is tested on the four lines its roots can lie on."""
     if x.is_zero():
         return x
     spec = x.spec
     if spec.kind is FieldKind.RATIONALS:
         y = _sqrt_rational(x)
+    elif x.is_rational():
+        y = _sqrt_of_rational(x)
     else:
         real, imag = spec.element(x.a, 0, x.c), spec.element(x.b, 0, x.e)
         y = _sqrt_step(real, imag, -1, spec.i(), _sqrt_real)

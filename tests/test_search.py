@@ -21,7 +21,7 @@ from hamdarboux.search import (
     sqrt_in_field,
 )
 
-from conftest import check_residuals_against_leaves, poly_of, rand_element
+from conftest import check_residuals_against_leaves, poly_of, rand_element, rand_fraction
 
 Q2 = quad_gauss(2)
 
@@ -211,6 +211,126 @@ print("sympy" in sys.modules)
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["consistent-with-theorem", "False"]
+
+
+def _rational(spec, *coeffs):
+    return [spec.from_rational(c) for c in coeffs]
+
+
+def _q_first_factor(rng, spec, shape):
+    """A rational factor, lowest degree first, of the given shape."""
+    d = spec.d or 2
+    if shape == "linear":
+        return _rational(spec, rand_fraction(rng), 1)
+    if shape in ("split", "irreducible"):  # (x - a)^2 - r
+        a, t = rand_fraction(rng), Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        if shape == "irreducible":
+            lines = (-1, 5, -5) if spec is RATIONALS else (5, -5)
+        else:
+            lines = (1,) if spec is RATIONALS else (1, -1, d, -d)
+        r = rng.choice(lines) * t * t
+        return _rational(spec, a * a - r, -2 * a, 1)
+    if shape == "quartic":  # Q-irreducible; x^4 + 1 splits over Q(i, sqrt 2) alone
+        return rng.choice(
+            (_rational(spec, (d + 1) ** 2, 0, -2 * (d - 1), 0, 1), _rational(spec, 1, 0, 0, 0, 1))
+        )
+    # Q-irreducible and split over none of the fields
+    return rng.choice((_rational(spec, -2, 0, 0, 1), _rational(spec, -2, 0, 0, 0, 1)))
+
+
+def _in_order(factors):
+    return sorted(tuple(c.sort_key() for c in f) for f in factors)
+
+
+@FIELDS
+def test_rational_constraints_factored_over_q_match_factoring(spec, monkeypatch):
+    # c * x^k * (a product of rational linear factors, quadratics split and
+    # irreducible over the field, the Q-irreducible quartics x^4 + 1 and the
+    # minimal polynomial of i + sqrt d, and x^3 - 2 or x^4 - 2), total
+    # degree 3-10 with a remainder of degree >= 3: the Q-first path against
+    # sympy factoring of the whole polynomial over the field; only
+    # Q-irreducible factors of degree >= 3 reach the extension factoring
+    import hamdarboux.search as search_module
+
+    climbed = []
+    factor_with_sympy = search_module._factor_with_sympy
+
+    def recorded(coeffs, field):
+        climbed.append(coeffs)
+        return factor_with_sympy(coeffs, field)
+
+    monkeypatch.setattr(search_module, "_factor_with_sympy", recorded)
+    rng = random.Random(53)
+    shapes = dict.fromkeys(["linear", "split", "irreducible", "quartic", "unsplit"], 0)
+    for _ in range(24):
+        k = rng.randrange(3)
+        rest, used = [spec.one()], set()
+        while len(rest) - 1 < 3 or (len(rest) - 1 < 10 - k and rng.random() < 0.5):
+            shape = rng.choice(list(shapes))
+            fac = _q_first_factor(rng, spec, shape)
+            if len(rest) + len(fac) - 2 > 10 - k:
+                continue
+            if shape in ("split", "irreducible"):
+                assert bool(_factor_by_sympy(fac, spec)[0]) == (shape == "split")
+            rest = _times(rest, fac)
+            used.add(shape)
+        c = spec.from_rational(rand_fraction(rng) or 1)
+        coeffs = [spec.zero()] * k + [c * a for a in rest]
+        roots, residuals = roots_in_field(coeffs, spec)
+        expected_roots, expected_residuals = _factor_by_sympy(coeffs, spec)
+        assert roots == expected_roots, [str(a) for a in coeffs]
+        # factors over Q come in another order than over the field
+        assert _in_order(residuals) == _in_order(expected_residuals), [str(a) for a in coeffs]
+        for shape in used:
+            shapes[shape] += 1
+    assert min(shapes.values()) >= 4, shapes
+    x = sp.Symbol("x")
+    for coeffs in climbed:
+        assert spec is not RATIONALS and len(coeffs) > 3
+        assert all(c.is_rational() for c in coeffs)
+        _, factors = sp.factor_list(sp.Add(*(fe_to_sympy(c) * x**k for k, c in enumerate(coeffs))), x)
+        assert [m for _, m in factors] == [1], [str(c) for c in coeffs]
+    assert bool(climbed) == (spec is not RATIONALS)
+
+
+def test_rational_constraints_skip_extension_factoring(monkeypatch):
+    # the degree-8 search on Q(i, sqrt2) meets rational constraints of
+    # degree >= 3, and every one splits over Q into factors of degree <= 2
+    import hamdarboux.search as search_module
+
+    calls = {"over_q": 0, "extension": 0}
+    for name, key in (("_factor_over_q", "over_q"), ("_factor_with_sympy", "extension")):
+        def counted(*args, _fn=getattr(search_module, name), _key=key):
+            calls[_key] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(search_module, name, counted)
+    system = load_system("m = 2\nfield = Q(i,sqrt2)\nmu = 1, 1\nV = q1^2 + q2^4\n")
+    report = search_darboux(system, 8)
+    assert len(report.certificates) == 10
+    assert calls["over_q"] > 0 and calls["extension"] == 0, calls
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_sqrt_of_rational_radicands_matches_factoring(d):
+    # rational radicands with roots on Q, Q*i, Q*sqrt d and Q*i*sqrt d, and
+    # non-squares, against sympy factoring of x^2 - r over the field
+    spec = quad_gauss(d)
+    rng = random.Random(59 + d)
+    lines = {1: 0, -1: 0, d: 0, -d: 0, None: 0}
+    for n in range(60):
+        line = list(lines)[n % 5]
+        t = Fraction(rng.randint(1, 12), rng.randint(1, 5))
+        if line is None:
+            r = rng.choice((1, -1)) * rng.choice([p for p in (2, 3, 5, 7, 10, 15) if p != d]) * t * t
+        else:
+            r = line * t * t
+        x = spec.from_rational(r)
+        roots, _ = _factor_by_sympy([-x, spec.zero(), spec.one()], spec)
+        got = sqrt_in_field(x)
+        assert got == (roots[0] if roots else None), str(x)
+        lines[None if got is None else line] += 1
+    assert min(lines.values()) >= 10, lines
 
 
 def test_search_v_q1_4_over_extension(sys_s1_ext):
