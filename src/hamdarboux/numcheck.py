@@ -71,14 +71,6 @@ def integrate_rk4(sys: NaturalHamiltonian, x0, h: float, T: float) -> Trajectory
     """Fixed-step classical RK4 for qdot_i = mu_i p_i, pdot_i = -dV/dq_i, from
     one state (2m,) or a batch (S, 2m), ending at T: T/h must be a positive
     whole number of steps, to a relative 1e-9."""
-    states, times = _rk4_states(sys, x0, h, T)
-    return Trajectory(samples=list(zip(times, (state.T for state in states))), h=h)
-
-
-def _rk4_states(sys: NaturalHamiltonian, x0, h: float, T: float) -> tuple[np.ndarray, list[float]]:
-    """The RK4 loop of `integrate_rk4`: the states as one array of shape
-    (steps + 1, 2m) for one state, (steps + 1, 2m, S) for a batch, and the
-    sample times."""
     if h <= 0:
         raise ValueError("step size h must be positive")
     if T <= 0:
@@ -105,16 +97,16 @@ def _rk4_states(sys: NaturalHamiltonian, x0, h: float, T: float) -> tuple[np.nda
         y = [a + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         states[s] = y
         times.append(times[-1] + h)
-    return states, times
+    return Trajectory(samples=list(zip(times, (state.T for state in states))), h=h)
 
 
 def drift(sys: NaturalHamiltonian, F: MultiPoly, x0, h: float, T: float):
     """max_t |F(x(t)) - F(x0)| / max(1, |F(x0)|) along the RK4 trajectory: a
-    float for one state, an array of S drifts for a batch (S, 2m).  F runs
-    on the coordinate views of the array the RK4 loop fills, without a copy."""
+    float for one state, an array of S drifts for a batch (S, 2m)."""
     f = _compile([F], 2 * sys.m)
-    states, _ = _rk4_states(sys, x0, h, T)
-    (values,) = f(*states.swapaxes(0, 1))
+    trajectory = integrate_rk4(sys, x0, h, T)
+    states = np.stack([state for _, state in trajectory.samples])
+    (values,) = f(*np.moveaxis(states, -1, 0))
     scale = np.maximum(1.0, np.abs(values[0]))
     worst = np.max(np.abs(values[1:] - values[0]) / scale, axis=0)
     return float(worst) if worst.ndim == 0 else worst

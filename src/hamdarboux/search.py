@@ -219,37 +219,16 @@ def _sqrt_real(x: FieldElement) -> FieldElement | None:
     )
 
 
-def _sqrt_of_rational(x: FieldElement) -> FieldElement | None:
-    """A square root in Q(i, sqrt d) of a rational x.  A y with rational y^2
-    generates a field of degree at most 2 inside Q(i, sqrt d), so it lies on
-    one of the lines Q, Q*i, Q*sqrt d and Q*i*sqrt d, where y^2 is x, -x,
-    x/d and -x/d times a rational square."""
-    spec, d = x.spec, x.spec.d
-    for scale, unit in (
-        (1, spec.one()),
-        (-1, spec.i()),
-        (Fraction(1, d), spec.sqrt_d()),
-        (Fraction(-1, d), spec.element(0, 0, 0, 1)),
-    ):
-        s = _sqrt_rational(spec.from_rational(x.a * scale))
-        if s is not None:
-            return s * unit
-    return None
-
-
 def sqrt_in_field(x: FieldElement) -> FieldElement | None:
     """The square root of x in its own field with the smaller `sort_key`, or
     None when x is not a square there.  Exact and free of sympy: it climbs
     Q < Q(sqrt d) < Q(sqrt d)(i), taking each level's root from norms that
-    must be squares one level down, except that a rational x in Q(i, sqrt d)
-    is tested on the four lines its roots can lie on."""
+    must be squares one level down."""
     if x.is_zero():
         return x
     spec = x.spec
     if spec.kind is FieldKind.RATIONALS:
         y = _sqrt_rational(x)
-    elif x.is_rational():
-        y = _sqrt_of_rational(x)
     else:
         real, imag = spec.element(x.a, 0, x.c), spec.element(x.b, 0, x.e)
         y = _sqrt_step(real, imag, -1, spec.i(), _sqrt_real)

@@ -293,7 +293,7 @@ def test_rational_constraints_factored_over_q_match_factoring(spec, monkeypatch)
     assert bool(climbed) == (spec is not RATIONALS)
 
 
-def test_rational_constraints_skip_extension_factoring(monkeypatch):
+def test_rational_constraints_skip_extension_factoring(sys_s3, monkeypatch):
     # the degree-8 search on Q(i, sqrt2) meets rational constraints of
     # degree >= 3, and every one splits over Q into factors of degree <= 2
     import hamdarboux.search as search_module
@@ -305,16 +305,15 @@ def test_rational_constraints_skip_extension_factoring(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(search_module, name, counted)
-    system = load_system("m = 2\nfield = Q(i,sqrt2)\nmu = 1, 1\nV = q1^2 + q2^4\n")
-    report = search_darboux(system, 8)
-    assert len(report.certificates) == 10
+    search_darboux(sys_s3, 8)
     assert calls["over_q"] > 0 and calls["extension"] == 0, calls
 
 
 @pytest.mark.parametrize("d", [2, 3, 6])
-def test_sqrt_of_rational_radicands_matches_factoring(d):
-    # rational radicands with roots on Q, Q*i, Q*sqrt d and Q*i*sqrt d, and
-    # non-squares, against sympy factoring of x^2 - r over the field
+def test_rational_radicands_match_factoring(d):
+    # the tower's square roots of rational radicands, whose roots lie on Q,
+    # Q*i, Q*sqrt d or Q*i*sqrt d, and of non-squares, against sympy
+    # factoring of x^2 - r over the field
     spec = quad_gauss(d)
     rng = random.Random(59 + d)
     lines = {1: 0, -1: 0, d: 0, -d: 0, None: 0}
