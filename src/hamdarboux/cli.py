@@ -27,16 +27,12 @@ from .parsing import ParseContext, format_field_spec, format_poly, parse_poly
 from .search import BranchCapExceededError, SearchReport, search_darboux
 from .structure import (
     FactorWitness,
-    Verdict,
+    TheoremReport,
     check_theorem1,
     check_theorem2_pipeline,
     is_irreducible_natural_H,
     jacobian_independent,
 )
-
-
-class UserError(ValueError):
-    pass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,12 +137,30 @@ def _load(args) -> NaturalHamiltonian:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise UserError(f"cannot read system file {path}: {exc}") from exc
+        raise ValueError(f"cannot read system file {path}: {exc}") from exc
     return load_system(text)
 
 
 def _parse_arg_poly(system: NaturalHamiltonian, text: str):
     return parse_poly(text, ParseContext(system.varset, system.field))
+
+
+def _darboux_arg(system: NaturalHamiltonian, text: str) -> DarbouxCertificate:
+    """The certificate of the `--poly` argument; ValueError when it is not a
+    Darboux polynomial of the system."""
+    cert = cofactor_of(system, _parse_arg_poly(system, text))
+    if cert is None:
+        raise ValueError(f"{text} is not a Darboux polynomial of this system")
+    return cert
+
+
+def _theorem_result(command: str, report: TheoremReport) -> dict:
+    return {
+        "kind": command,
+        "verdict": report.verdict.value,
+        "evidence": [_cert_result(c) for c in report.evidence],
+        "notes": report.notes,
+    }
 
 
 def _report(
@@ -204,17 +218,14 @@ def _run(args, system: NaturalHamiltonian | None) -> tuple[int, dict]:
         )
 
     elif command == "reversal":
-        F = _parse_arg_poly(system, args.poly)
-        cert = cofactor_of(system, F)
-        if cert is None:
-            raise UserError(f"{args.poly} is not a Darboux polynomial of this system")
+        cert = _darboux_arg(system, args.poly)
         integral = reversal_integral(system, cert)
         results.append(_cert_result(cert))
         results.append(_cert_result(integral))
 
     elif command == "independence":
         if len(args.poly) != 2:
-            raise UserError("independence needs --poly given exactly twice")
+            raise ValueError("independence needs --poly given exactly twice")
         F = _parse_arg_poly(system, args.poly[0])
         G = _parse_arg_poly(system, args.poly[1])
         results.append(
@@ -236,38 +247,16 @@ def _run(args, system: NaturalHamiltonian | None) -> tuple[int, dict]:
 
     elif command == "theorem1":
         report = check_theorem1(system, args.max_gamma_degree, branch_cap=args.branch_cap)
-        results.append(
-            {
-                "kind": "theorem1",
-                "verdict": report.verdict.value,
-                "evidence": [
-                    _cert_result(c) for c in report.evidence if isinstance(c, DarbouxCertificate)
-                ],
-                "notes": report.notes,
-            }
-        )
+        results.append(_theorem_result(command, report))
 
     elif command == "theorem2":
-        F = _parse_arg_poly(system, args.poly)
-        cert = cofactor_of(system, F)
-        if cert is None:
-            raise UserError(f"{args.poly} is not a Darboux polynomial of this system")
-        report = check_theorem2_pipeline(system, cert)
-        results.append(
-            {
-                "kind": "theorem2",
-                "verdict": report.verdict.value,
-                "evidence": [
-                    _cert_result(c) for c in report.evidence if isinstance(c, DarbouxCertificate)
-                ],
-                "notes": report.notes,
-            }
-        )
+        report = check_theorem2_pipeline(system, _darboux_arg(system, args.poly))
+        results.append(_theorem_result(command, report))
 
     elif command == "numcheck":
         if args.samples < 1:
             # no states would report verdict 0.0, which reads as "no drift"
-            raise UserError(f"--samples must be a positive count, got {args.samples}")
+            raise ValueError(f"--samples must be a positive count, got {args.samples}")
         from .numcheck import drift  # numpy loads only for this command
 
         F = _parse_arg_poly(system, args.poly)

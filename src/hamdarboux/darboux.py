@@ -61,17 +61,20 @@ def _validate_cofactor(sys: NaturalHamiltonian, Lambda: MultiPoly) -> None:
 
 
 def cofactor_of(sys: NaturalHamiltonian, F: MultiPoly) -> DarbouxCertificate | None:
-    """Certificate for F, or None when F is not a Darboux polynomial."""
+    """Certificate for F, or None when F is not a Darboux polynomial.  The
+    cofactor does not depend on the scale of F, so it is taken from monic F,
+    whose smaller coefficients make L_H F and the division cheaper."""
     if F.is_zero():
         raise ValueError("the zero polynomial is not a Darboux polynomial")
+    F = F.monic()
     image = lie_derivative(sys, F)
     if image.is_zero():
-        return DarbouxCertificate(F=F.monic(), Lambda=MultiPoly.zero(sys.varset, sys.field))
+        return DarbouxCertificate(F=F, Lambda=MultiPoly.zero(sys.varset, sys.field))
     quotient = image.divide_exact(F)
     if quotient is None:
         return None
     _validate_cofactor(sys, quotient)
-    return DarbouxCertificate(F=F.monic(), Lambda=quotient)
+    return DarbouxCertificate(F=F, Lambda=quotient)
 
 
 def certificate_holds(sys: NaturalHamiltonian, cert: DarbouxCertificate) -> bool:

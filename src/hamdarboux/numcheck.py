@@ -27,7 +27,9 @@ class NotRealEvaluableError(ValueError):
 class Trajectory:
     samples: list[tuple[float, np.ndarray]]  # each state has the start's shape
     h: float
-    method: str = "rk4"
+    # (steps + 1, 2m[, S]): step s holds the 2m coordinates, each a float or
+    # a column of S floats; the samples are views into it
+    states: np.ndarray
 
 
 def _compile(polys: Sequence[MultiPoly], n: int) -> Callable[..., tuple]:
@@ -84,7 +86,6 @@ def integrate_rk4(sys: NaturalHamiltonian, x0, h: float, T: float) -> Trajectory
     if x.ndim not in (1, 2) or x.shape[-1] != 2 * m:
         raise ValueError(f"initial state must have {2 * m} coordinates")
     f = _vector_field(sys)
-    # step s holds the 2m coordinates, each a float or a column of S floats
     states = np.empty((steps + 1, 2 * m) + x.shape[:-1])
     states[0] = x.T
     times = [0.0]
@@ -97,16 +98,14 @@ def integrate_rk4(sys: NaturalHamiltonian, x0, h: float, T: float) -> Trajectory
         y = [a + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         states[s] = y
         times.append(times[-1] + h)
-    return Trajectory(samples=list(zip(times, (state.T for state in states))), h=h)
+    return Trajectory(samples=list(zip(times, (state.T for state in states))), h=h, states=states)
 
 
 def drift(sys: NaturalHamiltonian, F: MultiPoly, x0, h: float, T: float):
     """max_t |F(x(t)) - F(x0)| / max(1, |F(x0)|) along the RK4 trajectory: a
     float for one state, an array of S drifts for a batch (S, 2m)."""
     f = _compile([F], 2 * sys.m)
-    trajectory = integrate_rk4(sys, x0, h, T)
-    states = np.stack([state for _, state in trajectory.samples])
-    (values,) = f(*np.moveaxis(states, -1, 0))
+    (values,) = f(*integrate_rk4(sys, x0, h, T).states.swapaxes(0, 1))
     scale = np.maximum(1.0, np.abs(values[0]))
     worst = np.max(np.abs(values[1:] - values[0]) / scale, axis=0)
     return float(worst) if worst.ndim == 0 else worst

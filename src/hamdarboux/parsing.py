@@ -229,10 +229,6 @@ def parse_poly(text: str, ctx: ParseContext) -> MultiPoly:
 # -- rendering -----------------------------------------------------------------
 
 
-def _rational_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _component_strs(x: FieldElement) -> list[tuple[int, str]]:
     """(sign, magnitude-string) per nonzero basis component, basis order."""
     out: list[tuple[int, str]] = []
@@ -246,9 +242,9 @@ def _component_strs(x: FieldElement) -> list[tuple[int, str]]:
         if suffix and mag == 1:
             out.append((sign, suffix))
         elif suffix:
-            out.append((sign, f"{_rational_str(mag)}*{suffix}"))
+            out.append((sign, f"{mag}*{suffix}"))
         else:
-            out.append((sign, _rational_str(mag)))
+            out.append((sign, str(mag)))
 
     push(x.a, "")
     push(x.b, "i")

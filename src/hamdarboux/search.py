@@ -6,13 +6,14 @@ per monomial, is linear in f with entries affine in lam.  Each entry is
 gathered once as a map from lam-exponent to coefficient and built once in
 its final form.  The f-unknowns are eliminated fraction-free over the
 polynomial ring in lam, branching on whether each pivot vanishes;
-univariate lam-constraints are solved over the configured field (in closed
-form up to degree 2 once their x^k content is removed; beyond that a
-rational constraint is factored over Q by sympy, its factors of degree up
-to 2 are solved in closed form, and only a Q-irreducible factor of degree
->= 3, or a constraint with irrational coefficients, is factored over
-Q(i, sqrt d)), in-field roots branch the search and out-of-field factors are
-reported as residual conditions.
+univariate lam-constraints are solved over the configured field: once their
+x^k content is removed, one of degree at most 2 is its own factor, a
+rational one of higher degree is factored over Q by sympy, and only a
+Q-irreducible factor of degree >= 3, or a constraint with irrational
+coefficients, is factored over Q(i, sqrt d).  `roots_in_field` alone reads
+each factor, in field arithmetic, into roots or a monic residual; in-field
+roots branch the search and out-of-field factors are reported as residual
+conditions.
 
 Each branch keeps its pivot rows, with their pivot columns, in echelon
 form.  At a leaf every remaining row is empty and every pivot is nonzero at
@@ -64,14 +65,15 @@ def roots_in_field(
     without repeats, plus the monic irreducible-over-the-field factors whose
     roots fall outside it.
 
-    The x^k content gives the root 0.  A remainder of degree at most 2 is
-    solved in closed form, a quadratic through its discriminant and the exact
-    `sqrt_in_field`.  A rational remainder of higher degree is factored over
-    Q first: its factors of degree at most 2 are solved in closed form, and
-    only a factor of degree >= 3 on Q(i, sqrt d) is factored over the
-    extension, as is a remainder with irrational coefficients.  Distinct
+    The x^k content gives the root 0.  A remainder of degree at most 2 is its
+    own factor.  A rational remainder of higher degree is factored over Q
+    first, and only a factor of degree >= 3 on Q(i, sqrt d) is factored over
+    the extension, as is a remainder with irrational coefficients.  Distinct
     Q-irreducible factors are coprime, so their factors over the field are
-    those of the whole remainder."""
+    those of the whole remainder.  Every factor is read here, in field
+    arithmetic: a linear one gives its root, a quadratic its roots through
+    the discriminant and the exact `sqrt_in_field`, and one with no root to
+    read is a monic residual."""
     k = next((i for i, c in enumerate(coeffs) if not c.is_zero()), None)
     if k is None:
         return [], []
@@ -79,13 +81,26 @@ def roots_in_field(
     while g[-1].is_zero():
         g.pop()
     if len(g) <= 3:
-        roots, residuals = _solve_low_degree(g)
+        factors = [g]
     elif all(c.is_rational() for c in g):
-        roots, residuals = _factor_over_q(g, spec)
+        factors = _factor_over_q(g, spec)
     else:
-        roots, residuals = _factor_with_sympy(g, spec)
-    if k:
-        roots.append(spec.zero())
+        factors = _factor_with_sympy(g, spec)
+    roots = [spec.zero()] if k else []
+    residuals: list[list[FieldElement]] = []
+    for f in factors:
+        if len(f) == 2:
+            roots.append(-f[0] * f[1].inverse())
+        elif len(f) > 2:
+            inv = f[-1].inverse()
+            monic = [c * inv for c in f]
+            if len(f) == 3:
+                half = monic[1] * Fraction(-1, 2)
+                s = sqrt_in_field(half * half - monic[0])
+                if s is not None:
+                    roots += [half + s, half - s]
+                    continue
+            residuals.append(monic)
     uniq: list[FieldElement] = []
     for r in sorted(roots, key=lambda z: z.sort_key()):
         if not uniq or uniq[-1] != r:
@@ -93,75 +108,41 @@ def roots_in_field(
     return uniq, residuals
 
 
-def _solve_low_degree(
-    g: list[FieldElement],
-) -> tuple[list[FieldElement], list[list[FieldElement]]]:
-    """Roots and residual factor of g0 + g1 x + g2 x^2 (degree at most 2)."""
-    if len(g) == 1:
-        return [], []
-    if len(g) == 2:
-        return [-g[0] * g[1].inverse()], []
-    inv = g[2].inverse()
-    c0, c1 = g[0] * inv, g[1] * inv  # x^2 + c1 x + c0
-    half = c1 * Fraction(-1, 2)
-    s = sqrt_in_field(half * half - c0)
-    if s is None:
-        return [], [[c0, c1, g[0].spec.one()]]
-    return [half + s, half - s], []
-
-
-def _factor_over_q(
-    g: list[FieldElement], spec: FieldSpec
-) -> tuple[list[FieldElement], list[list[FieldElement]]]:
-    """Roots (unsorted) and monic residual factors of a rational g, from
-    sympy's factorisation over Z of g with its denominators cleared.  Over Q
-    a factor of degree >= 3 is itself a residual; over Q(i, sqrt d) it is
+def _factor_over_q(g: list[FieldElement], spec: FieldSpec) -> list[list[FieldElement]]:
+    """The distinct Q-irreducible factors of a rational g, as coefficient
+    lists lowest degree first, from sympy's factorisation over Z of g with
+    its denominators cleared.  Over Q(i, sqrt d) a factor of degree >= 3 is
     factored alone over the extension."""
     from sympy.polys.domains import ZZ
     from sympy.polys.factortools import dup_factor_list
 
     den = math.lcm(*(c.a.denominator for c in g))
     _, factors = dup_factor_list([ZZ(int(c.a * den)) for c in reversed(g)], ZZ)
-    roots: list[FieldElement] = []
-    residuals: list[list[FieldElement]] = []
+    out: list[list[FieldElement]] = []
     for fac, _mult in factors:
         f = [spec.from_rational(int(c)) for c in reversed(fac)]
-        if len(f) <= 3:
-            r, s = _solve_low_degree(f)
-        elif spec.kind is FieldKind.RATIONALS:
-            lead = f[-1].inverse()
-            r, s = [], [[c * lead for c in f]]
+        if len(f) <= 3 or spec.kind is FieldKind.RATIONALS:
+            out.append(f)
         else:
-            r, s = _factor_with_sympy(f, spec)
-        roots += r
-        residuals += s
-    return roots, residuals
+            out += _factor_with_sympy(f, spec)
+    return out
 
 
 def _factor_with_sympy(
     coeffs: list[FieldElement], spec: FieldSpec
-) -> tuple[list[FieldElement], list[list[FieldElement]]]:
-    """Roots (unsorted) and monic residual factors of sum coeffs[k] x^k,
-    from sympy's factorisation over Q(i, sqrt d)."""
+) -> list[list[FieldElement]]:
+    """The distinct irreducible factors of sum coeffs[k] x^k over
+    Q(i, sqrt d), as coefficient lists lowest degree first, from sympy's
+    factorisation."""
     import sympy as sp
 
     x = sp.Symbol("x")
     expr = sp.Add(*(fe_to_sympy(c) * x**k for k, c in enumerate(coeffs)))
     _, factors = sp.factor_list(expr, x, extension=[sp.I, sp.sqrt(spec.d)])
-    roots: list[FieldElement] = []
-    residuals: list[list[FieldElement]] = []
-    for fac, _mult in factors:
-        poly = sp.Poly(fac, x)
-        if poly.degree() == 0:
-            continue
-        if poly.degree() == 1:
-            c1, c0 = poly.all_coeffs()
-            roots.append(sympy_to_fe(sp.cancel(-sp.sympify(c0) / sp.sympify(c1)), spec))
-        else:
-            fe_coeffs = [sympy_to_fe(c, spec) for c in reversed(poly.all_coeffs())]
-            lead = fe_coeffs[-1].inverse()
-            residuals.append([c * lead for c in fe_coeffs])
-    return roots, residuals
+    return [
+        [sympy_to_fe(c, spec) for c in reversed(sp.Poly(fac, x).all_coeffs())]
+        for fac, _mult in factors
+    ]
 
 
 # -- exact square roots up the tower Q < Q(sqrt d) < Q(sqrt d)(i) ----------------
@@ -746,7 +727,7 @@ def _handle_leaf(ctx: _Context, state: _State) -> None:
         F = MultiPoly(ctx.sys.varset, spec, {ctx.f_monomials[j]: c for j, c in vector.items()})
         if F.is_constant():
             continue
-        cert = cofactor_of(ctx.sys, F.monic())
+        cert = cofactor_of(ctx.sys, F)
         if cert is None:
             raise InternalInvariantError(f"leaf kernel vector {F} is not a Darboux polynomial")
         key = (cert.F.canonical_key(), cert.Lambda.canonical_key())
@@ -888,8 +869,7 @@ def search_darboux(
     or a branch cap below 1.
     """
     check_search_bounds(max_gamma_degree, branch_cap)
-    grading = gamma_direction(sys)
-    gamma = grading.direction.gamma
+    gamma = gamma_direction(sys).direction.gamma
     spec = sys.field
     m = sys.m
 
@@ -897,15 +877,11 @@ def search_darboux(
     key = monomial_key(m)
     f_monomials.sort(key=key, reverse=True)
 
-    q_weights = gamma[:m]
-    homog = is_homogeneous_potential(sys)
-    lam_q = _monomials_up_to_weight(q_weights, sys.r - 2, exact=homog)
+    lam_q = _monomials_up_to_weight(gamma[:m], sys.r - 2, exact=is_homogeneous_potential(sys))
     lam_monomials = [
         q + (0,) * m
         for q in sorted(lam_q, key=lambda e: key(e + (0,) * m), reverse=True)
     ]
-    if homog:
-        lam_monomials = [e for e in lam_monomials if grading.direction.weight(e) == sys.r - 2]
     lam_vars = VarSet.cofactor_unknowns(len(lam_monomials))
 
     # each entry as a map from lam-exponent to coefficient: the L_H image's

@@ -7,12 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 
-from .darboux import (
-    DarbouxCertificate,
-    InternalInvariantError,
-    reversal_integral,
-    verify_first_integral,
-)
+from .darboux import DarbouxCertificate, InternalInvariantError, reversal_integral
 from .hamsys import (
     NaturalHamiltonian,
     is_homogeneous_potential,
@@ -203,11 +198,8 @@ def check_theorem2_pipeline(
             verdict=Verdict.HYPOTHESES_NOT_MET,
             notes=["certificate is not proper (cofactor is zero)"],
         )
+    # reversal_integral raises unless tau(F)*F is a first integral
     integral = reversal_integral(sys, cert)
-    if not verify_first_integral(sys, integral.F):
-        return TheoremReport(  # pragma: no cover - reversal_integral re-verifies
-            verdict=Verdict.COUNTEREXAMPLE, evidence=[integral]
-        )
     if not jacobian_independent(sys, sys.H, integral.F):
         return TheoremReport(verdict=Verdict.COUNTEREXAMPLE, evidence=[integral])
     notes.append("tau(F)*F is a first integral functionally independent of H")

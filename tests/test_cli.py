@@ -58,12 +58,17 @@ def test_cofactor_json(capsys, s1_ext):
     assert report["timing_ms"] == 0
 
 
-def test_verify_negative_result_is_exit_zero(capsys, s1_q):
+def test_verify_negative_result_is_exit_zero(capsys, s1_q, tmp_path):
     code, report = run_json(
         capsys, ["verify-integral", "--system", s1_q, "--poly", "p1"]
     )
     assert code == 0
     assert report["results"][0]["verdict"] is False
+    path = tmp_path / "quartic.sys"
+    path.write_text("m = 2\nfield = Q\nmu = 1, 1\nV = q1^4 + q2^4\n")
+    code, report = run_json(capsys, ["cofactor", "--system", str(path), "--poly", "p1"])
+    assert code == 0
+    assert report["results"] == [{"kind": "not_darboux", "poly": "p1", "verdict": False}]
 
 
 def test_search_reports_residuals(capsys, s1_q):
@@ -74,6 +79,10 @@ def test_search_reports_residuals(capsys, s1_q):
     assert report["residual_conditions"] == ["l1^2 + 8"]
     certs = [r for r in report["results"] if r["kind"] == "darboux_certificate"]
     assert [c["poly"] for c in certs] == ["p2"]
+    # the text report lists the same residual strings
+    assert main(["search", "--system", s1_q, "--max-gamma-degree", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "residual conditions: " + "; ".join(report["residual_conditions"]) in lines
 
 
 def test_search_extension_field(capsys, s1_ext):
@@ -107,6 +116,17 @@ def test_reversal_and_theorem2(capsys, tmp_path):
     assert code == 0
     assert report["results"][1]["poly"] == "p2^2 + 2*q2^4"
     assert report["results"][1]["cofactor"] == "0"
+    code, report = run_json(
+        capsys, ["theorem2", "--system", str(path), "--poly", "i*p2 + sqrt(2)*q2^2"]
+    )
+    assert code == 0
+    (result,) = report["results"]
+    assert result["verdict"] == "consistent-with-theorem"
+    assert [(c["poly"], c["cofactor"]) for c in result["evidence"]] == [("p2^2 + 2*q2^4", "0")]
+    # p1 is no Darboux polynomial here: a usage error, like reversal's
+    assert main(["theorem2", "--system", str(path), "--poly", "p1", "--output", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_independence(capsys, s2):
@@ -262,6 +282,13 @@ GOLDEN_JSON = [
         "4cf921ec2b3c5b771799e0b8b5d53ace33672774e104532b593ddbec5e2ca297",
         None,
         id="theorem1-residual",
+    ),
+    pytest.param(
+        "m = 2\nfield = Q(i,sqrt2)\nmu = 1, 1\nV = q1^2 + q2^4\n",
+        ["theorem2", "--poly", "i*p2 + sqrt(2)*q2^2"],
+        "75abae1fe914039f1ff5c0d14994f69a9e482369c009503117fcd3a9ba4ec675",
+        None,
+        id="theorem2",
     ),
     pytest.param(
         None,

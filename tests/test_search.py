@@ -309,6 +309,78 @@ def test_rational_constraints_skip_extension_factoring(sys_s3, monkeypatch):
     assert calls["over_q"] > 0 and calls["extension"] == 0, calls
 
 
+def _irrational_element(rng, spec):
+    while True:
+        x = _sparse_element(rng, spec)
+        if not x.is_rational():
+            return x
+
+
+def _extension_factor(rng, spec, shape):
+    """A factor with irrational coefficients, lowest degree first: x - a,
+    (x - a)^2 - y^2, (x - a)^2 - y or (x - a)^3 - 2, a cubic irreducible
+    over Q(i, sqrt d) because x^3 - 2 has no root there."""
+    one = spec.one()
+    a = _irrational_element(rng, spec)
+    if shape == "linear":
+        return [-a, one]
+    fac = _times([-a, one], [-a, one])
+    if shape == "cubic":
+        fac = _times(fac, [-a, one])
+        fac[0] = fac[0] - spec.from_rational(2)
+        return fac
+    y = _irrational_element(rng, spec)
+    fac[0] = fac[0] - (y * y if shape == "split" else y)
+    return fac
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_irrational_constraints_read_like_factoring(d, monkeypatch):
+    # c * x^k * (irrational linear factors, quadratics split and irreducible
+    # over the field, and an irreducible cubic), total degree 3-8: each
+    # remainder reaches the extension factoring with irrational coefficients,
+    # and its factors are read into roots and residuals in field arithmetic;
+    # against sympy factoring of the whole polynomial over the field
+    import hamdarboux.search as search_module
+
+    climbed = []
+    factor_with_sympy = search_module._factor_with_sympy
+
+    def recorded(coeffs, field):
+        climbed.append(coeffs)
+        return factor_with_sympy(coeffs, field)
+
+    monkeypatch.setattr(search_module, "_factor_with_sympy", recorded)
+    spec = quad_gauss(d)
+    rng = random.Random(61)
+    shapes = dict.fromkeys(["cubic", "irreducible", "linear", "split"], 0)
+    for n in range(6):
+        k = rng.randrange(3)
+        rest, used = [spec.one()], set()
+        shape = list(shapes)[n % 4]
+        while len(rest) - 1 < 3 or (len(rest) - 1 < 8 - k and rng.random() < 0.5):
+            fac = _extension_factor(rng, spec, shape)
+            fits = len(rest) + len(fac) - 2 <= 8 - k
+            if fits and shape in ("split", "irreducible"):
+                fits = bool(_factor_by_sympy(fac, spec)[0]) == (shape == "split")
+            if fits:
+                rest = _times(rest, fac)
+                used.add(shape)
+            shape = rng.choice(list(shapes))
+        c = _nonzero_element(rng, spec)
+        coeffs = [spec.zero()] * k + [c * a for a in rest]
+        calls = len(climbed)
+        roots, residuals = roots_in_field(coeffs, spec)
+        assert len(climbed) == calls + 1
+        assert not all(a.is_rational() for a in climbed[-1])
+        expected_roots, expected_residuals = _factor_by_sympy(coeffs, spec)
+        assert roots == expected_roots, [str(a) for a in coeffs]
+        assert _in_order(residuals) == _in_order(expected_residuals), [str(a) for a in coeffs]
+        for shape in used:
+            shapes[shape] += 1
+    assert min(shapes.values()) >= 2, shapes
+
+
 @pytest.mark.parametrize("d", [2, 3, 6])
 def test_rational_radicands_match_factoring(d):
     # the tower's square roots of rational radicands, whose roots lie on Q,
