@@ -5,11 +5,15 @@ A state is a float array of shape (2m,) ordered (q1..qm, p1..pm), or a batch
 of S such states of shape (S, 2m) that one RK4 loop advances together. Each
 polynomial runs as generated straight-line source, free of user text, on a
 state's floats or a batch's coordinate columns in one order of operations,
-so a state's floats are the same alone and inside a batch."""
+so a state's floats are the same alone and inside a batch. The RK4 loop is
+generated too: one function per integration holds every step, with the
+vector field's source inlined in each of the four stages and the same float
+operations, in the same order, as four calls of the compiled vector field."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,43 +29,106 @@ class NotRealEvaluableError(ValueError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    samples: list[tuple[float, np.ndarray]]  # each state has the start's shape
+    """The step h and every step's state as `integrate_rk4` wrote them;
+    `samples` is derived from these on read."""
+
     h: float
     # (steps + 1, 2m[, S]): step s holds the 2m coordinates, each a float or
-    # a column of S floats; the samples are views into it
+    # a column of S floats
     states: np.ndarray
+
+    @property
+    def samples(self) -> list[tuple[float, np.ndarray]]:
+        """(t, state) per step, built on read: t accumulates h from 0.0 and
+        each state is a view into `states` with the start's shape."""
+        times = accumulate(repeat(self.h, len(self.states) - 1), initial=0.0)
+        return list(zip(times, (state.T for state in self.states)))
+
+
+def _terms(polys: Sequence[MultiPoly], n: int) -> tuple[list, list[float]]:
+    """Each polynomial's terms as (coefficient index, exponents) in
+    `sorted_terms()` order, a zero polynomial as one zero constant term, with
+    a flag for constant polynomials; and the coefficients as floats."""
+    coefs: list[float] = []
+    plan = []
+    for poly in polys:
+        terms = []
+        for e, c in poly.sorted_terms() or [((0,) * n, poly.field.zero())]:
+            if not c.is_real():
+                raise NotRealEvaluableError(f"{poly} has non-real coefficients")
+            terms.append((len(coefs), e))
+            coefs.append(c.to_float())
+        plan.append((terms, poly.is_constant()))
+    return plan, coefs
+
+
+def _render(plan: list, inputs: Sequence[str], outputs: Sequence[str], indent: str) -> str:
+    """Statements setting outputs[j] to polynomial j of `plan` at the
+    coordinates named by `inputs`. Each term c{k}*x0*x0*x1 is added by its
+    own statement, which keeps long sums within the compiler's recursion
+    limit; a constant is multiplied by inputs[0]**0 (1.0 even at inf or nan)
+    to take the coordinates' shape."""
+    body = ""
+    for (terms, constant), y in zip(plan, outputs):
+        for t, (k, e) in enumerate(terms):
+            variables = "".join(f"*{inputs[i]}" for i, a in enumerate(e) for _ in range(a))
+            body += f"{indent}{y} = {f'{y} + ' if t else ''}c{k}{variables}\n"
+        if constant:
+            body += f"{indent}{y} = {y}*{inputs[0]}**0\n"
+    return body
+
+
+def _define(name: str, args: Sequence[str], coefs: list[float], body: str) -> Callable:
+    """Execute `def name(args)` with the coefficients bound once to the
+    locals c0, c1, ... from a tuple, never written as float literals (inf
+    has none), ahead of `body`."""
+    bind = f"    {', '.join(f'c{k}' for k in range(len(coefs)))}, = c\n"
+    namespace = {"c": tuple(coefs)}
+    exec(f"def {name}({', '.join(args)}):\n{bind}{body}", namespace)
+    return namespace[name]
 
 
 def _compile(polys: Sequence[MultiPoly], n: int) -> Callable[..., tuple]:
     """A function of the coordinates x0..x{n-1} (floats, or arrays of one
-    shape) returning the polynomials' values. Each term c[k]*x0*x0*x1 is
-    added in `sorted_terms()` order by its own statement, which keeps long
-    sums within the compiler's recursion limit; a constant is multiplied by
-    x0**0 (1.0 even at inf or nan) to take the coordinates' shape."""
-    coefs: list[float] = []
-    body = ""
-    for j, poly in enumerate(polys):
-        for t, (e, c) in enumerate(poly.sorted_terms() or [((0,) * n, poly.field.zero())]):
-            if not c.is_real():
-                raise NotRealEvaluableError(f"{poly} has non-real coefficients")
-            variables = "".join(f"*x{i}" for i, a in enumerate(e) for _ in range(a))
-            body += f"    y{j} = {f'y{j} + ' if t else ''}c[{len(coefs)}]{variables}\n"
-            coefs.append(c.to_float())
-        if poly.is_constant():
-            body += f"    y{j} = y{j}*x0**0\n"
-    args = ", ".join(f"x{i}" for i in range(n))
-    outputs = ", ".join(f"y{j}" for j in range(len(polys)))
-    namespace = {"c": tuple(coefs)}
-    exec(f"def f({args}):\n{body}    return ({outputs},)\n", namespace)
-    return namespace["f"]
+    shape) returning the polynomials' values."""
+    plan, coefs = _terms(polys, n)
+    xs = [f"x{i}" for i in range(n)]
+    ys = [f"y{j}" for j in range(len(polys))]
+    return _define("f", xs, coefs, f"{_render(plan, xs, ys, '    ')}    return ({', '.join(ys)},)\n")
+
+
+def _field_polys(sys: NaturalHamiltonian) -> list[MultiPoly]:
+    """(mu_i p_i, -dV/dq_i)."""
+    m = sys.m
+    p = [MultiPoly.variable(sys.varset, sys.field, m + i) for i in range(1, m + 1)]
+    return [p_i.scale(mu_i) for p_i, mu_i in zip(p, sys.mu)] + [-g for g in sys.grad_V]
 
 
 def _vector_field(sys: NaturalHamiltonian) -> Callable[..., tuple]:
     """(mu_i p_i, -dV/dq_i) compiled as one function."""
-    m = sys.m
-    p = [MultiPoly.variable(sys.varset, sys.field, m + i) for i in range(1, m + 1)]
-    qdot = [p_i.scale(mu_i) for p_i, mu_i in zip(p, sys.mu)]
-    return _compile(qdot + [-g for g in sys.grad_V], 2 * m)
+    return _compile(_field_polys(sys), 2 * sys.m)
+
+
+def _rk4_loop(sys: NaturalHamiltonian) -> Callable[..., None]:
+    """run(out, h, x0, ..., x{2m-1}) writes RK4 step s from the start x into
+    out[s] for s = 1 .. len(out) - 1. The stages k1..k4 are the vector
+    field's source inlined at x, x + hh*k1, x + hh*k2 and x + h*k3 with
+    hh = 0.5*h, and the step is x + h6*(k1 + 2*k2 + 2*k3 + k4) with
+    h6 = h/6.0."""
+    n = 2 * sys.m
+    plan, coefs = _terms(_field_polys(sys), n)
+    xs = [f"x{i}" for i in range(n)]
+    us = [f"u{i}" for i in range(n)]
+    ks = [[f"k{r}_{i}" for i in range(n)] for r in range(1, 5)]
+    pad = " " * 8
+    body = _render(plan, xs, ks[0], pad)
+    for scale, k, k_next in zip(("hh", "hh", "h"), ks, ks[1:]):
+        body += "".join(f"{pad}{u} = {x} + {scale}*{a}\n" for u, x, a in zip(us, xs, k))
+        body += _render(plan, us, k_next, pad)
+    body += "".join(f"{pad}{x} = {x} + h6*({a} + 2*{b} + 2*{c} + {d})\n" for x, a, b, c, d in zip(xs, *ks))
+    body += f"{pad}out[s] = ({', '.join(xs)},)\n"
+    head = "    hh = 0.5*h\n    h6 = h/6.0\n    for s in range(1, len(out)):\n"
+    return _define("run", ["out", "h"] + xs, coefs, head + body)
 
 
 def evaluate_float(poly: MultiPoly, state: np.ndarray) -> float:
@@ -72,7 +139,8 @@ def evaluate_float(poly: MultiPoly, state: np.ndarray) -> float:
 def integrate_rk4(sys: NaturalHamiltonian, x0, h: float, T: float) -> Trajectory:
     """Fixed-step classical RK4 for qdot_i = mu_i p_i, pdot_i = -dV/dq_i, from
     one state (2m,) or a batch (S, 2m), ending at T: T/h must be a positive
-    whole number of steps, to a relative 1e-9."""
+    whole number of steps, to a relative 1e-9. One generated loop runs every
+    step and writes each state into the preallocated `states` array."""
     if h <= 0:
         raise ValueError("step size h must be positive")
     if T <= 0:
@@ -85,20 +153,11 @@ def integrate_rk4(sys: NaturalHamiltonian, x0, h: float, T: float) -> Trajectory
     x = np.array(x0, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != 2 * m:
         raise ValueError(f"initial state must have {2 * m} coordinates")
-    f = _vector_field(sys)
+    run = _rk4_loop(sys)
     states = np.empty((steps + 1, 2 * m) + x.shape[:-1])
     states[0] = x.T
-    times = [0.0]
-    y = x.tolist() if x.ndim == 1 else list(x.T)
-    for s in range(1, steps + 1):
-        k1 = f(*y)
-        k2 = f(*[a + 0.5 * h * k for a, k in zip(y, k1)])
-        k3 = f(*[a + 0.5 * h * k for a, k in zip(y, k2)])
-        k4 = f(*[a + h * k for a, k in zip(y, k3)])
-        y = [a + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-        states[s] = y
-        times.append(times[-1] + h)
-    return Trajectory(samples=list(zip(times, (state.T for state in states))), h=h, states=states)
+    run(states, h, *(x.tolist() if x.ndim == 1 else x.T))
+    return Trajectory(h=h, states=states)
 
 
 def drift(sys: NaturalHamiltonian, F: MultiPoly, x0, h: float, T: float):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import warnings
@@ -6,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hamdarboux.hamsys import load_system
+from hamdarboux.field import RATIONALS
+from hamdarboux.hamsys import load_system, make_system
 from hamdarboux.numcheck import (
     NotRealEvaluableError,
     _vector_field,
@@ -14,6 +16,7 @@ from hamdarboux.numcheck import (
     evaluate_float,
     integrate_rk4,
 )
+from hamdarboux.poly import MultiPoly, VarSet
 
 from conftest import evaluate_exact, poly_of, random_small_system
 
@@ -173,3 +176,69 @@ def test_batch_drift_equals_single_drifts_m3():
         batch = drift(system, F, states, 1e-3, 0.2)
         assert batch.shape == (8,)
         assert list(batch) == [drift(system, F, x0, 1e-3, 0.2) for x0 in states]
+
+
+def reference_rk4(system, x0, h, T):
+    """The stage-by-stage RK4 loop: four calls of the compiled vector field
+    per step on lists of coordinates, one state or a batch's columns."""
+    f = _vector_field(system)
+    x = np.array(x0, dtype=float)
+    states = np.empty((round(T / h) + 1, 2 * system.m) + x.shape[:-1])
+    states[0] = x.T
+    y = x.tolist() if x.ndim == 1 else list(x.T)
+    for s in range(1, len(states)):
+        k1 = f(*y)
+        k2 = f(*[a + 0.5 * h * k for a, k in zip(y, k1)])
+        k3 = f(*[a + 0.5 * h * k for a, k in zip(y, k2)])
+        k4 = f(*[a + h * k for a, k in zip(y, k3)])
+        y = [a + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        states[s] = y
+    return states
+
+
+def test_states_equal_the_reference_stepper(sys_s4):
+    # the generated loop does the reference's float operations in its order,
+    # so every state is the same float; the drift bounds would not notice a
+    # reordering. V = q1 + q2^2 has a constant gradient component, and
+    # sys_s4 and the custom system have more coefficients than coordinates
+    rng = random.Random(17)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # deg V = 2 is fine for numerics
+        linear = load_system("m = 2\nfield = Q\nmu = 0, 1\nV = q1 + q2^2\n")
+    custom = load_system("m = 2\nfield = Q\nmu = 2, -1/3\nV = q1^4 - 5/2*q1^2*q2^2 + 1/7*q2^3*q1 + q2^4 - q1^3\n")
+    randoms = [random_small_system(rng, m=m) for m in (2, 2, 2, 3, 3, 3)]
+    assert any(0 in system.mu for system in randoms)
+    h, T = 1e-2, 0.2
+    for system in [linear, custom, sys_s4] + randoms:
+        n = 2 * system.m
+        single = [rng.uniform(-0.5, 0.5) for _ in range(n)]
+        batch = [[rng.uniform(-0.5, 0.5) for _ in range(n)] for _ in range(5)]
+        for x0 in (single, batch):
+            want = reference_rk4(system, x0, h, T)
+            assert np.isfinite(want).all()
+            traj = integrate_rk4(system, x0, h, T)
+            assert np.array_equal(traj.states, want)
+            t = 0.0
+            for s, (time, state) in enumerate(traj.samples):
+                assert time == t
+                assert np.shares_memory(state, traj.states)
+                assert np.array_equal(state, want[s].T)
+                t += h
+            assert s == round(T / h)
+
+
+def test_gradient_longer_than_one_expression_allows():
+    # a dense degree-28 potential in q1, q2, q3 has 4,059 terms in each
+    # gradient component; a sum of over 3,000 terms written as one expression
+    # exceeds the compiler's recursion limit
+    terms = {
+        e + (0, 0, 0): RATIONALS.from_rational(Fraction(1, sum(e)))
+        for e in itertools.product(range(29), repeat=3)
+        if 2 <= sum(e) <= 28
+    }
+    system = make_system([1, 1, 1], MultiPoly(VarSet(3), RATIONALS, terms))
+    assert all(len(g.sorted_terms()) > 3000 for g in system.grad_V)
+    x0 = [0.1, -0.2, 0.1, 0.3, 0.0, -0.1]
+    traj = integrate_rk4(system, x0, 1e-3, 2e-3)
+    assert traj.states.shape == (3, 6) and np.isfinite(traj.states).all()
+    assert drift(system, system.H, x0, 1e-3, 2e-3) <= 1e-12
