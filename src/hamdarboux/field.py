@@ -2,12 +2,15 @@
 
 Elements are stored on the fixed basis {1, i, sqrt(d), i*sqrt(d)} with exact
 rational components, so every operation is exact and canonical forms are
-unique.  The constructor stores a component as a Python `int` whenever it is
-integral and as a `Fraction` only when it is not, so every element is in that
-one form, whatever produced it, and integer-valued work never enters
-`fractions`.  Hashes, order and printed text are those of all-Fraction
-components (hash(3) == hash(Fraction(3))), and `components()` still returns
-Fractions.  For the plain-rational field the i/sqrt components are pinned to 0.
+unique.  Every element stores a component as a Python `int` whenever it is
+integral and as a `Fraction` only when it is not, so integer-valued work
+never enters `fractions`.  The public constructor normalises any input to
+that form; an arithmetic result whose four components are all ints is
+already in it and is stored as built, and only a result holding a Fraction
+goes through the constructor.  Order and printed text are those of
+all-Fraction components, a rational element hashes as the int or Fraction
+it equals, and `components()` still returns Fractions.  For the
+plain-rational field the i/sqrt components are pinned to 0.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from fractions import Fraction
 from typing import Union
 
 RationalLike = Union[int, Fraction]
+
+_new = object.__new__
 
 
 def _component(x) -> RationalLike:
@@ -103,7 +108,7 @@ class FieldSpec:
         return self.element(1)
 
     def from_rational(self, a: RationalLike) -> "FieldElement":
-        return FieldElement(self, a, 0, 0, 0)
+        return _stored(self, a, 0, 0, 0)
 
     def i(self) -> "FieldElement":
         return self.element(0, 1)
@@ -119,9 +124,23 @@ def quad_gauss(d: int) -> FieldSpec:
     return FieldSpec(FieldKind.QUAD_GAUSS, d)
 
 
+def _stored(spec: FieldSpec, a, b, c, e) -> "FieldElement":
+    """The element of `spec` with these components, which are in `spec` (an
+    arithmetic result, or a rational value): stored as built when all four
+    are ints, else through the normalising constructor."""
+    if type(a) is int and type(b) is int and type(c) is int and type(e) is int:
+        x = _new(FieldElement)
+        x.spec, x.a, x.b, x.c, x.e = spec, a, b, c, e
+        return x
+    return FieldElement(spec, a, b, c, e)
+
+
 class FieldElement:
     """a + b*i + c*sqrt(d) + e*i*sqrt(d), all components exact rationals, each
-    stored as an int when integral and as a Fraction otherwise."""
+    stored as an int when integral and as a Fraction otherwise.  The
+    constructor normalises its components to that form; arithmetic builds
+    results through `_stored`.  Truth is being nonzero, as for int and
+    Fraction."""
 
     __slots__ = ("spec", "a", "b", "c", "e")
 
@@ -145,6 +164,9 @@ class FieldElement:
         if isinstance(other, (int, Fraction)):
             return self.spec.from_rational(other)
         return NotImplemented  # type: ignore[return-value]
+
+    def __bool__(self) -> bool:
+        return bool(self.a or self.b or self.c or self.e)
 
     def is_zero(self) -> bool:
         return not (self.a or self.b or self.c or self.e)
@@ -173,51 +195,62 @@ class FieldElement:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.a + o.a, self.b + o.b, self.c + o.c, self.e + o.e)
+        if type(other) is not FieldElement or other.spec is not self.spec:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _stored(self.spec, self.a + other.a, self.b + other.b, self.c + other.c, self.e + other.e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.a - o.a, self.b - o.b, self.c - o.c, self.e - o.e)
+        if type(other) is not FieldElement or other.spec is not self.spec:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _stored(self.spec, self.a - other.a, self.b - other.b, self.c - other.c, self.e - other.e)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return FieldElement(self.spec, -self.a, -self.b, -self.c, -self.e)
+        return _stored(self.spec, -self.a, -self.b, -self.c, -self.e)
 
     def __mul__(self, other):
-        if type(other) is int:
-            # scale the components; no element is built for the operand
-            return FieldElement(self.spec, self.a * other, self.b * other, self.c * other, self.e * other)
-        o = self._coerce(other)
-        if o is NotImplemented:
+        # a rational operand, int or Fraction or element, scales the other
+        # operand's components: 4 multiplications, not 16
+        if type(other) is FieldElement:
+            if other.spec is not self.spec:
+                self._coerce(other)  # raises when the fields differ
+            if other.b or other.c or other.e:
+                if self.b or self.c or self.e:
+                    a1, b1, c1, e1 = self.a, self.b, self.c, self.e
+                    a2, b2, c2, e2 = other.a, other.b, other.c, other.e
+                    d = self.spec.d
+                    # i^2 = -1, sqrt(d)^2 = d, (i sqrt(d))^2 = -d
+                    a = a1 * a2 - b1 * b2 + d * (c1 * c2 - e1 * e2)
+                    b = a1 * b2 + b1 * a2 + d * (c1 * e2 + e1 * c2)
+                    c = a1 * c2 + c1 * a2 - (b1 * e2 + e1 * b2)
+                    e = a1 * e2 + e1 * a2 + b1 * c2 + c1 * b2
+                    return _stored(self.spec, a, b, c, e)
+                x, k = other, self.a
+            else:
+                x, k = self, other.a
+        elif isinstance(other, (int, Fraction)):
+            x, k = self, other
+        else:
             return NotImplemented
-        a1, b1, c1, e1 = self.a, self.b, self.c, self.e
-        a2, b2, c2, e2 = o.a, o.b, o.c, o.e
-        if not (b1 or c1 or e1) and not (b2 or c2 or e2):
-            return FieldElement(self.spec, a1 * a2, 0, 0, 0)
-        d = self.spec.d
-        # i^2 = -1, sqrt(d)^2 = d, (i sqrt(d))^2 = -d
-        a = a1 * a2 - b1 * b2 + d * (c1 * c2 - e1 * e2)
-        b = a1 * b2 + b1 * a2 + d * (c1 * e2 + e1 * c2)
-        c = a1 * c2 + c1 * a2 - (b1 * e2 + e1 * b2)
-        e = a1 * e2 + e1 * a2 + b1 * c2 + c1 * b2
-        return FieldElement(self.spec, a, b, c, e)
+        if x.b or x.c or x.e:
+            return _stored(x.spec, x.a * k, x.b * k, x.c * k, x.e * k)
+        return _stored(x.spec, x.a * k, 0, 0, 0)
 
     __rmul__ = __mul__
 
     def conj_i(self) -> "FieldElement":
-        return FieldElement(self.spec, self.a, -self.b, self.c, -self.e)
+        return _stored(self.spec, self.a, -self.b, self.c, -self.e)
 
     def conj_sqrt(self) -> "FieldElement":
-        return FieldElement(self.spec, self.a, self.b, -self.c, -self.e)
+        return _stored(self.spec, self.a, self.b, -self.c, -self.e)
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
@@ -257,6 +290,9 @@ class FieldElement:
         )
 
     def __hash__(self) -> int:
+        # a rational element equals its value, so it hashes as that value
+        if not (self.b or self.c or self.e):
+            return hash(self.a)
         return hash((self.spec, self.a, self.b, self.c, self.e))
 
     def __repr__(self) -> str:

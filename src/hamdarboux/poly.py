@@ -188,8 +188,9 @@ class MultiPoly:
     def leading_term(self) -> tuple[Exponents, FieldElement]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        key = monomial_key(self.varset.m)
-        exps = max(self.terms, key=key)
+        m = self.varset.m
+        # the ring of cofactor unknowns (m = 0) is ordered plain lexicographically
+        exps = max(self.terms, key=monomial_key(m)) if m else max(self.terms)
         return exps, self.terms[exps]
 
     def canonical_key(self):
@@ -249,30 +250,39 @@ class MultiPoly:
         return MultiPoly(self.varset, self.field, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
+        """The product.  When every coefficient of both factors is rational,
+        the one loop runs on their rational parts (int or Fraction) and each
+        result term becomes an element once, at the end; otherwise it runs
+        on the elements.  Cancelled terms are dropped at the end."""
         if isinstance(other, (int, Fraction, FieldElement)):
             return self.scale(other)
         self._check(other)
         if len(self.terms) * len(other.terms) > 4 * MAX_TERMS:
             raise TooDenseError("product would exceed the dense-term guard")
-        terms: dict[Exponents, FieldElement] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
+        left, right = _rational_values(self.terms), _rational_values(other.terms)
+        rational = left is not None and right is not None
+        if not rational:
+            left, right = self.terms, other.terms
+        terms: dict = {}
+        for e1, c1 in left.items():
+            for e2, c2 in right.items():
+                exps = tuple(map(operator.add, e1, e2))
                 cur = terms.get(exps)
-                s = prod if cur is None else cur + prod
-                if s.is_zero():
-                    terms.pop(exps, None)
-                else:
-                    terms[exps] = s
-        return MultiPoly(self.varset, self.field, terms)
+                terms[exps] = c1 * c2 if cur is None else cur + c1 * c2
+        return self._from_values(terms, rational)
 
     __rmul__ = __mul__
 
+    def _from_values(self, values: dict, rational: bool) -> "MultiPoly":
+        """This ring's polynomial of the nonzero `values`: elements, or
+        rational parts when `rational` is set."""
+        if rational:
+            make = self.field.from_rational
+            return MultiPoly(self.varset, self.field, {e: make(c) for e, c in values.items() if c})
+        return MultiPoly(self.varset, self.field, {e: c for e, c in values.items() if c})
+
     def scale(self, coef: FieldElement | int | Fraction) -> "MultiPoly":
-        if isinstance(coef, (int, Fraction)):
-            coef = self.field.from_rational(coef)
-        if coef.is_zero():
+        if not coef:
             return MultiPoly.zero(self.varset, self.field)
         return MultiPoly(self.varset, self.field, {e: c * coef for e, c in self.terms.items()})
 
@@ -389,53 +399,75 @@ class MultiPoly:
         """Exact quotient self/other, or None when no polynomial quotient exists.
 
         Each quotient term is subtracted, times the divisor's tail, from one
-        mutable remainder; a heap on the canonical order yields the
-        remainder's leading exponent without rescanning its terms.  An
-        exponent whose term has cancelled is skipped when it surfaces."""
+        mutable remainder; a heap on the canonical order (plain lex in the
+        ring of cofactor unknowns) yields the remainder's leading exponent
+        without rescanning its terms, and a term that has cancelled is
+        skipped when it surfaces.  When every coefficient of both operands is
+        rational, the one loop runs on their rational parts: a quotient
+        coefficient is an int when the integer division is exact and a
+        Fraction otherwise, and each quotient term becomes an element at the
+        end."""
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return MultiPoly.zero(self.varset, self.field)
         lexps, lcoef = other.leading_term()
-        lcoef_inv = lcoef.inverse()
-        tail = [(e, c) for e, c in other.terms.items() if e != lexps]
-        key = monomial_key(self.varset.m)
+        rem, divisor = _rational_values(self.terms), _rational_values(other.terms)
+        rational = rem is not None and divisor is not None
+        if rational:
+            lead = lcoef.a
+
+            def divide(c):
+                q, r = divmod(c, lead)
+                return Fraction(c, lead) if r else q
+
+        else:
+            rem, divisor = dict(self.terms), other.terms
+            divide = lcoef.inverse().__mul__
+        tail = [(e, c) for e, c in divisor.items() if e != lexps]
+        m = self.varset.m
 
         def heap_key(exps: Exponents) -> tuple[int, ...]:
-            return tuple(map(operator.neg, key(exps)))
+            return tuple(map(operator.neg, exps[m:] + exps[:m] if m else exps))
 
-        rem = dict(self.terms)
         heap = [(heap_key(e), e) for e in rem]
         heapq.heapify(heap)
-        quotient: dict[Exponents, FieldElement] = {}
+        quotient = {}
         previous = None  # heap key of the last step's leading exponent
         while heap:
             hkey, rexps = heapq.heappop(heap)
-            rcoef = rem.pop(rexps, None)
-            if rcoef is None:
+            rcoef = rem.pop(rexps)
+            if not rcoef:
                 continue
             if previous is not None and hkey <= previous:
                 raise InternalInvariantError("division did not reduce the leading term")  # pragma: no cover
             previous = hkey
-            diff = tuple(a - b for a, b in zip(rexps, lexps))
+            diff = tuple(map(operator.sub, rexps, lexps))
             if any(d < 0 for d in diff):
                 return None
-            qc = rcoef * lcoef_inv
+            qc = divide(rcoef)
             quotient[diff] = qc
             for exps, coef in tail:
-                t = tuple(a + b for a, b in zip(exps, diff))
+                t = tuple(map(operator.add, exps, diff))
                 cur = rem.get(t)
                 if cur is None:
                     rem[t] = -(qc * coef)
                     heapq.heappush(heap, (heap_key(t), t))
                 else:
-                    s = cur - qc * coef
-                    if s.is_zero():
-                        del rem[t]
-                    else:
-                        rem[t] = s
-        return MultiPoly(self.varset, self.field, quotient)
+                    rem[t] = cur - qc * coef
+        return self._from_values(quotient, rational)
+
+
+def _rational_values(terms: dict[Exponents, FieldElement]) -> dict | None:
+    """The coefficients' rational parts when every coefficient is rational,
+    else None."""
+    values = {}
+    for exps, coef in terms.items():
+        if coef.b or coef.c or coef.e:
+            return None
+        values[exps] = coef.a
+    return values
 
 
 # -- multivariate gcd --------------------------------------------------------------

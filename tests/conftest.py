@@ -162,3 +162,25 @@ def check_residuals_against_leaves(residuals, leaves, dropped) -> None:
         kernels = {kernel for kernel, strs in leaves if text in strs}
         assert kernels == {0}, (text, kernels)
         assert text not in residuals
+
+
+def assert_ring_form(P: MultiPoly) -> None:
+    """P keeps no zero coefficient, and each coefficient stores a component as
+    an int when integral and as a Fraction only when not."""
+    for coef in P.terms.values():
+        assert not coef.is_zero(), P.terms
+        for comp in (coef.a, coef.b, coef.c, coef.e):
+            assert type(comp) is int or (type(comp) is Fraction and comp.denominator > 1), P.terms
+
+
+def rand_rational_poly(
+    rng: random.Random,
+    varset: VarSet,
+    spec: FieldSpec,
+    max_degree: int = 3,
+    max_terms: int = 4,
+    nonzero: bool = False,
+) -> MultiPoly:
+    """A random polynomial over `spec` whose coefficients are all rational."""
+    P = rand_poly(rng, varset, RATIONALS, max_degree, max_terms, nonzero)
+    return MultiPoly(varset, spec, {e: spec.from_rational(c.a) for e, c in P.terms.items()})

@@ -212,3 +212,15 @@ def test_int_operand_scales_like_its_element(spec):
                 assert got == want and hash(got) == hash(want)
                 assert (got.a, got.b, got.c, got.e) == (want.a, want.b, want.c, want.e)
                 _assert_component_form(got)
+
+
+@pytest.mark.parametrize("spec", [RATIONALS, Q2], ids=["Q", "Q2"])
+def test_rational_element_hashes_as_its_value(spec):
+    # a rational element equals its int or Fraction value, so it hashes like
+    # it: as a set member or dict key the two are one
+    for n in (0, 1, 3, -7, 3**80, Fraction(1, 2), Fraction(-5, 3), Fraction(6, 3)):
+        x = spec.from_rational(n)
+        assert x == n and hash(x) == hash(n)
+        assert n in {x} and x in {n}
+        assert {x: 1}.get(n) == 1
+    assert Q2.i() in {Q2.element(0, 1)}

@@ -13,7 +13,7 @@ from hamdarboux.poly import (
     multivariate_gcd,
 )
 
-from conftest import evaluate_exact, rand_element, rand_poly
+from conftest import assert_ring_form, evaluate_exact, rand_element, rand_poly, rand_rational_poly
 
 Q2 = quad_gauss(2)
 VS = VarSet(2)
@@ -73,6 +73,22 @@ def test_ring_axioms_random(spec):
         assert A + zero == A
         assert A * one == A
         assert (A - A).is_zero()
+    # every result keeps no zero coefficient and stores its components as
+    # ints or Fractions; over Q(i, sqrt2) the operands are also polynomials
+    # with only rational coefficients, against each other and against
+    # irrational ones
+    rng = random.Random(31)
+    draws = (rand_poly, rand_rational_poly)
+    for _ in range(300):
+        A, B = (rng.choice(draws)(rng, VS, spec) for _ in range(2))
+        k = rand_element(rng, spec)
+        point = {i: rand_element(rng, spec) for i in rng.sample(range(1, 5), rng.randint(1, 4))}
+        results = [A * B, A + B, A - B, A.substitute(point), (A + B) * (A - B)]
+        results += [A.scale(c) for c in (0, 3, -6, Fraction(2, 3), Fraction(-1, 4), k)]
+        if not B.is_zero():
+            results.append((A * B).divide_exact(B))
+        for P in results:
+            assert_ring_form(P)
 
 
 def test_degree_and_leading():
@@ -219,6 +235,34 @@ def test_divide_exact_random():
         geometric = MultiPoly(lam, Q2, {(n - 1 - k, k, 0): Q2.one() for k in range(n)})
         assert (l1**n - l2**n).divide_exact(l1 - l2) == geometric
         assert (l1**n - l2**n + l1).divide_exact(l1 - l2) is None
+    # polynomials over Q(i, sqrt2) with only rational coefficients, divided
+    # by each other and paired with irrational ones
+    for varset, max_degree, max_terms, count in ((lam, 3, 6, 80), (VS, 2, 4, 80)):
+        one = MultiPoly.constant(varset, Q2, 1)
+        for _ in range(count):
+            R, S = (rand_rational_poly(rng, varset, Q2, max_degree, max_terms, nonzero=True) for _ in range(2))
+            T = rand_poly(rng, varset, Q2, max_degree, max_terms, nonzero=True)
+            for A, B in ((R, S), (R, T), (T, R)):
+                P = A * B
+                quotient = P.divide_exact(B)
+                assert quotient == A
+                assert_ring_form(P)
+                assert_ring_form(quotient)
+                if not B.is_constant():
+                    assert (P + one).divide_exact(B) is None
+    # products whose cross terms cancel, on the element path and on the
+    # rational-parts path
+    sq = MultiPoly.constant(lam, Q2, Q2.i() * Q2.sqrt_d())
+    for A, B, product in (
+        (l1 + sq * l2, l1 - sq * l2, l1 * l1 + (l2 * l2).scale(2)),
+        (l1 - l2, l1 + l2, l1 * l1 - l2 * l2),
+        (l1.scale(Fraction(1, 2)) - l2, l1.scale(Fraction(1, 2)) + l2, (l1 * l1).scale(Fraction(1, 4)) - l2 * l2),
+    ):
+        assert A * B == B * A == product
+        assert len(product.terms) == 2
+        for P in (A * B, B * A, product.divide_exact(A), product.divide_exact(B)):
+            assert_ring_form(P)
+        assert product.divide_exact(A) == B and product.divide_exact(B) == A
 
 
 def test_gcd_examples_and_random():

@@ -530,8 +530,10 @@ def test_random_certificates_verify():
 # certificate: q1^3 + q2^3 runs the generic Bareiss path with no cofactor
 # unknown, the next two systems the integer path with one unknown (the second
 # of them with a residual), and q1^4 over Q(i, sqrt2) the generic path with
-# two unknowns, forks and residuals.  The last value lists the residual
-# strings earlier reports carried from leaves without a kernel column.
+# two unknowns, forks and residuals, once more as 3*q1^4 over Q(i, sqrt6).
+# The last value lists the residual strings earlier reports carried from
+# leaves without a kernel column (for the sqrt6 case, the pending strings
+# found only at such leaves).
 PINNED_REPORTS = [
     pytest.param(
         "Q", "q1^3 + q2^3", 12, 1,
@@ -595,6 +597,37 @@ PINNED_REPORTS = [
         ),
         ("-l1^2*l2^5 - 8*l2^5", "l1^2*l2^10 + 8*l2^10"),
         id="quartic-extension",
+    ),
+    pytest.param(
+        "Q(i,sqrt6)", "3*q1^4", 8, 94,
+        [
+            ("p2", "0"),
+            ("p2^2", "0"),
+            ("p1 - i*sqrt(6)*q1^2", "-2*i*sqrt(6)*q1"),
+            ("p1 + i*sqrt(6)*q1^2", "2*i*sqrt(6)*q1"),
+            ("p1*p2 - i*sqrt(6)*q1^2*p2", "-2*i*sqrt(6)*q1"),
+            ("p1*p2 + i*sqrt(6)*q1^2*p2", "2*i*sqrt(6)*q1"),
+            ("p1^2 + 6*q1^4", "0"),
+            ("p1^2 - 2*i*sqrt(6)*q1^2*p1 - 6*q1^4", "-4*i*sqrt(6)*q1"),
+            ("p1^2 + 2*i*sqrt(6)*q1^2*p1 - 6*q1^4", "4*i*sqrt(6)*q1"),
+        ],
+        (
+            "-3*l1^3*l2^7 - 72*l1*l2^7",
+            "-3*l1^4*l2^6 - 72*l1^2*l2^6",
+            "-5*l1^5*l2^8 - 96*l1^3*l2^8 + 576*l1*l2^8",
+            "-l1^2*l2^7 - 24*l2^7",
+            "-l1^4*l2^8 - 24*l1^2*l2^8",
+            "-l1^4*l2^9 - 24*l1^2*l2^9",
+            "-l1^5*l2^5 - 48*l1^3*l2^5 - 576*l1*l2^5",
+            "-l1^5*l2^7 - 48*l1^3*l2^7 - 576*l1*l2^7",
+            "5*l1^7*l2^6 + 384*l1^5*l2^6 + 9792*l1^3*l2^6 + 82944*l1*l2^6",
+            "l1^2*l2^8 + 24*l2^8",
+            "l1^3*l2^6 + 24*l1*l2^6",
+            "l1^4*l2^5 + 24*l1^2*l2^5",
+            "l1^8*l2^5 + 144*l1^6*l2^5 + 5184*l1^4*l2^5 + 55296*l1^2*l2^5",
+        ),
+        ("-l1^2*l2^5 - 24*l2^5", "l1^2*l2^10 + 24*l2^10"),
+        id="quartic-extension-sqrt6",
     ),
 ]
 
