@@ -10,11 +10,14 @@ already in it and is stored as built, and only a result holding a Fraction
 goes through the constructor.  Order and printed text are those of
 all-Fraction components, a rational element hashes as the int or Fraction
 it equals, and `components()` still returns Fractions.  For the
-plain-rational field the i/sqrt components are pinned to 0.
+plain-rational field the i/sqrt components are pinned to 0.  The library's
+one bridge to sympy is here too: `sympy_domain` is a field as a sympy domain,
+and `to_domain`/`from_domain` carry elements across it.
 """
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 from fractions import Fraction
 from typing import Union
@@ -305,36 +308,42 @@ class FieldElement:
 
 
 # -- bridge to sympy -------------------------------------------------------------
-# sympy is imported inside these functions, so only a caller that needs it
-# (factoring of degree >= 3, `multivariate_gcd`) pays for loading it.
+# The one place that says what a field is to sympy: Q is QQ, and Q(i, sqrt d)
+# is QQ<theta> for theta = i + sqrt(d), with minimal polynomial
+# x^4 - 2(d - 1)x^2 + (d + 1)^2.  On the basis {1, i, sqrt(d), i*sqrt(d)} the
+# powers of theta are 1, i + sqrt(d), (d - 1) + 2i*sqrt(d) and
+# (3d - 1)i + (d - 3)sqrt(d), so an element and its coefficients on them are
+# one rational change of basis apart.  sympy is imported inside
+# `sympy_domain`, so only factoring and `multivariate_gcd` load it, and each
+# domain is built once.
 
 
-def fe_to_sympy(x: FieldElement):
-    """x as a sympy number on the basis {1, I, sqrt(d), I*sqrt(d)}."""
+@functools.cache
+def sympy_domain(spec: FieldSpec):
+    """The sympy domain of `spec`: `QQ`, or `QQ.algebraic_field(I + sqrt(d))`."""
     import sympy as sp
 
-    expr = sp.Rational(x.a)
-    if x.b or x.c or x.e:
-        s = sp.sqrt(x.spec.d)
-        expr = expr + sp.Rational(x.b) * sp.I + sp.Rational(x.c) * s + sp.Rational(x.e) * sp.I * s
-    return expr
-
-
-def sympy_to_fe(expr, spec: FieldSpec) -> FieldElement:
-    """The element of `spec` equal to a sympy number; ValueError when the
-    number lies outside the field."""
-    import sympy as sp
-
-    expr = sp.expand(expr)
     if spec.kind is FieldKind.RATIONALS:
-        rat = sp.Rational(expr)
-        return spec.from_rational(Fraction(rat.p, rat.q))
-    s = sp.sqrt(spec.d)
-    poly = sp.Poly(expr, sp.I, s)
-    comps = dict.fromkeys([(0, 0), (1, 0), (0, 1), (1, 1)], 0)
-    for monom, coef in poly.terms():
-        if monom not in comps or not coef.is_rational:
-            raise ValueError(f"{expr} does not lie in Q(i,sqrt{spec.d})")
-        rat = sp.Rational(coef)
-        comps[monom] = Fraction(rat.p, rat.q)
-    return spec.element(comps[(0, 0)], comps[(1, 0)], comps[(0, 1)], comps[(1, 1)])
+        return sp.QQ
+    return sp.QQ.algebraic_field(sp.I + sp.sqrt(spec.d))
+
+
+def to_domain(x: FieldElement):
+    """x as an element of `sympy_domain(x.spec)`."""
+    K = sympy_domain(x.spec)
+    if x.spec.kind is FieldKind.RATIONALS:
+        return K(x.a.numerator, x.a.denominator)
+    d = x.spec.d
+    t3, t2 = Fraction(x.b - x.c, 2 * (d + 1)), Fraction(x.e, 2)
+    coeffs = (t3, t2, x.c - (d - 3) * t3, x.a - (d - 1) * t2)  # theta^3 first
+    return K([K.dom(t.numerator, t.denominator) for t in coeffs])
+
+
+def from_domain(v, spec: FieldSpec) -> FieldElement:
+    """The element of `spec` that `sympy_domain(spec)` holds as v."""
+    if spec.kind is FieldKind.RATIONALS:
+        return spec.from_rational(Fraction(int(v.numerator), int(v.denominator)))
+    coeffs = [Fraction(int(t.numerator), int(t.denominator)) for t in v.to_list()]  # theta^3 first
+    t3, t2, t1, t0 = [0] * (4 - len(coeffs)) + coeffs
+    d = spec.d
+    return spec.element(t0 + (d - 1) * t2, t1 + (3 * d - 1) * t3, t1 + (d - 3) * t3, 2 * t2)

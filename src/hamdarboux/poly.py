@@ -16,7 +16,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .field import FieldElement, FieldKind, FieldSpec, fe_to_sympy, sympy_to_fe
+from .field import FieldElement, FieldSpec, from_domain, sympy_domain, to_domain
 
 MAX_TERMS = 10**6
 
@@ -475,19 +475,13 @@ def _rational_values(terms: dict[Exponents, FieldElement]) -> dict | None:
 
 def multivariate_gcd(A: MultiPoly, B: MultiPoly) -> MultiPoly:
     """The greatest common divisor over the field, monic-normalised in the
-    canonical order, by sympy's `Poly.gcd`; zero only when both inputs are zero."""
+    canonical order, by sympy's `Poly.gcd` over `sympy_domain`; zero only
+    when both inputs are zero."""
     import sympy as sp
 
     A._check(B)
-    gens = sp.symbols(A.varset.names())
-    if A.field.kind is FieldKind.RATIONALS:
-        options = {"domain": sp.QQ}
-    else:
-        options = {"extension": [sp.I, sp.sqrt(A.field.d)]}
-
-    def to_sympy(P: MultiPoly):
-        return sp.Poly.from_dict({e: fe_to_sympy(c) for e, c in P.terms.items()}, *gens, **options)
-
-    G = to_sympy(A).gcd(to_sympy(B))
-    terms = {e: sympy_to_fe(c, A.field) for e, c in G.terms() if c}
+    gens, dom = sp.symbols(A.varset.names()), sympy_domain(A.field)
+    F, G = (sp.Poly.from_dict({e: to_domain(c) for e, c in P.terms.items()}, *gens, domain=dom)
+            for P in (A, B))
+    terms = {e: from_domain(c, A.field) for e, c in F.gcd(G).rep.terms() if c}
     return MultiPoly(A.varset, A.field, terms).monic()

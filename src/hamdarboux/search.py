@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .darboux import DarbouxCertificate, InternalInvariantError, cofactor_of
-from .field import RATIONALS, FieldElement, FieldKind, FieldSpec, fe_to_sympy, sympy_to_fe
+from .field import RATIONALS, FieldElement, FieldKind, FieldSpec, from_domain, sympy_domain, to_domain
 from .hamsys import NaturalHamiltonian, gamma_direction, is_homogeneous_potential, lie_image
 from .parsing import format_terms
 from .poly import Exponents, MultiPoly, VarSet, monomial_key
@@ -55,7 +55,8 @@ class SearchReport:
 # -- exact roots over Q and Q(i, sqrt d) -----------------------------------------
 # sympy is imported inside `_factor_over_q` and `_factor_with_sympy`: only a
 # search that meets a cofactor constraint of degree >= 3 past its x^k content
-# pays for loading it.
+# pays for loading it.  Over Q(i, sqrt d) the factoring works on sympy's dense
+# lists over `sympy_domain`, the field module's one bridge to sympy.
 
 
 def roots_in_field(
@@ -133,16 +134,11 @@ def _factor_with_sympy(
 ) -> list[list[FieldElement]]:
     """The distinct irreducible factors of sum coeffs[k] x^k over
     Q(i, sqrt d), as coefficient lists lowest degree first, from sympy's
-    factorisation."""
-    import sympy as sp
+    dense factorisation over `sympy_domain(spec)`."""
+    from sympy.polys.factortools import dup_factor_list
 
-    x = sp.Symbol("x")
-    expr = sp.Add(*(fe_to_sympy(c) * x**k for k, c in enumerate(coeffs)))
-    _, factors = sp.factor_list(expr, x, extension=[sp.I, sp.sqrt(spec.d)])
-    return [
-        [sympy_to_fe(c, spec) for c in reversed(sp.Poly(fac, x).all_coeffs())]
-        for fac, _mult in factors
-    ]
+    _, factors = dup_factor_list([to_domain(c) for c in reversed(coeffs)], sympy_domain(spec))
+    return [[from_domain(c, spec) for c in reversed(fac)] for fac, _mult in factors]
 
 
 # -- exact square roots up the tower Q < Q(sqrt d) < Q(sqrt d)(i) ----------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hamdarboux.field import RATIONALS, FieldElement, FieldSpec, quad_gauss
+from hamdarboux.field import RATIONALS, FieldElement, FieldKind, FieldSpec, quad_gauss
 from hamdarboux.hamsys import NaturalHamiltonian, load_system, make_system
 from hamdarboux.parsing import ParseContext, parse_poly
 from hamdarboux.poly import MultiPoly, VarSet
@@ -184,3 +184,40 @@ def rand_rational_poly(
     """A random polynomial over `spec` whose coefficients are all rational."""
     P = rand_poly(rng, varset, RATIONALS, max_degree, max_terms, nonzero)
     return MultiPoly(varset, spec, {e: spec.from_rational(c.a) for e, c in P.terms.items()})
+
+
+# -- the expression-level oracle for sympy numbers --------------------------------
+# The library reaches sympy only through `hamdarboux.field.sympy_domain`; the
+# factoring oracles build sympy expressions instead, so they check the
+# library along a path that does not go through it.
+
+
+def fe_to_sympy(x: FieldElement):
+    """x as a sympy number on the basis {1, I, sqrt(d), I*sqrt(d)}."""
+    import sympy as sp
+
+    expr = sp.Rational(x.a)
+    if x.b or x.c or x.e:
+        s = sp.sqrt(x.spec.d)
+        expr = expr + sp.Rational(x.b) * sp.I + sp.Rational(x.c) * s + sp.Rational(x.e) * sp.I * s
+    return expr
+
+
+def sympy_to_fe(expr, spec: FieldSpec) -> FieldElement:
+    """The element of `spec` equal to a sympy number; ValueError when the
+    number lies outside the field."""
+    import sympy as sp
+
+    expr = sp.expand(expr)
+    if spec.kind is FieldKind.RATIONALS:
+        rat = sp.Rational(expr)
+        return spec.from_rational(Fraction(rat.p, rat.q))
+    s = sp.sqrt(spec.d)
+    poly = sp.Poly(expr, sp.I, s)
+    comps = dict.fromkeys([(0, 0), (1, 0), (0, 1), (1, 1)], 0)
+    for monom, coef in poly.terms():
+        if monom not in comps or not coef.is_rational:
+            raise ValueError(f"{expr} does not lie in Q(i,sqrt{spec.d})")
+        rat = sp.Rational(coef)
+        comps[monom] = Fraction(rat.p, rat.q)
+    return spec.element(comps[(0, 0)], comps[(1, 0)], comps[(0, 1)], comps[(1, 1)])

@@ -10,10 +10,13 @@ from hamdarboux.field import (
     FieldKind,
     FieldMismatchError,
     FieldSpec,
+    from_domain,
     quad_gauss,
+    sympy_domain,
+    to_domain,
 )
 
-from conftest import rand_element
+from conftest import fe_to_sympy, rand_element
 
 Q2 = quad_gauss(2)
 
@@ -224,3 +227,29 @@ def test_rational_element_hashes_as_its_value(spec):
         assert n in {x} and x in {n}
         assert {x: 1}.get(n) == 1
     assert Q2.i() in {Q2.element(0, 1)}
+
+
+@pytest.mark.parametrize(
+    "spec", [RATIONALS, Q2, quad_gauss(3), quad_gauss(6)], ids=["Q", "Q2", "Q3", "Q6"]
+)
+def test_domain_bridge_matches_expression_oracle(spec):
+    # the change of basis to the powers of theta = i + sqrt(d) against
+    # sympy's own reading of the expression a + b*I + c*sqrt(d) + e*I*sqrt(d);
+    # at d = 3 the (d - 3) coefficient vanishes, so d = 2 and 6 are here too
+    rng = random.Random(67)
+    K = sympy_domain(spec)
+    assert K is sympy_domain(FieldSpec(spec.kind, spec.d))
+    basis = [spec.one()]
+    if spec is not RATIONALS:
+        basis += [spec.i(), spec.sqrt_d(), spec.i() * spec.sqrt_d()]
+    drawn = [rand_element(rng, spec) for _ in range(40)]
+    # sparse: each component zeroed with probability 1/2
+    drawn += [spec.element(*(c if rng.random() < 0.5 else 0 for c in x.components())) for x in drawn[:20]]
+    elements = basis + [spec.zero()] + drawn
+    for x in elements:
+        assert from_domain(to_domain(x), spec) == x
+    # sympy's reading takes about 0.1 s an element: the basis and a few draws
+    for x in basis + drawn[:6] + drawn[-6:]:
+        assert to_domain(x) == K.from_sympy(fe_to_sympy(x)), x
+    for x, y in zip(elements, reversed(elements)):
+        assert to_domain(x * y) == to_domain(x) * to_domain(y), (x, y)

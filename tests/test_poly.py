@@ -272,14 +272,18 @@ def test_gcd_examples_and_random():
     G = multivariate_gcd(A, B)
     assert G == q1 - q2  # monic normal form
     rng = random.Random(13)
-    for _ in range(60):
-        A = rand_poly(rng, VS, RATIONALS, max_degree=2, max_terms=3, nonzero=True)
-        B = rand_poly(rng, VS, RATIONALS, max_degree=2, max_terms=3, nonzero=True)
-        C = rand_poly(rng, VS, RATIONALS, max_degree=1, max_terms=2, nonzero=True)
-        G = multivariate_gcd(A * C, B * C)
-        assert (A * C).divide_exact(G) is not None
-        assert (B * C).divide_exact(G) is not None
-        assert G.divide_exact(C) is not None  # gcd is a multiple of the common factor
+    for spec, cases in ((RATIONALS, 60), (Q2, 12), (quad_gauss(3), 12), (quad_gauss(6), 12)):
+        for _ in range(cases):
+            A = rand_poly(rng, VS, spec, max_degree=2, max_terms=3, nonzero=True)
+            B = rand_poly(rng, VS, spec, max_degree=2, max_terms=3, nonzero=True)
+            C = rand_poly(rng, VS, spec, max_degree=1, max_terms=2, nonzero=True)
+            # over an extension the common factor has an irrational coefficient
+            while spec is not RATIONALS and all(c.is_rational() for c in C.terms.values()):
+                C = rand_poly(rng, VS, spec, max_degree=1, max_terms=2, nonzero=True)
+            G = multivariate_gcd(A * C, B * C)
+            assert (A * C).divide_exact(G) is not None
+            assert (B * C).divide_exact(G) is not None
+            assert G.divide_exact(C) is not None  # gcd is a multiple of the common factor
     # over Q(i,sqrt2), q1^2 + 2*q2^2 = (q1 - i*sqrt2*q2)(q1 + i*sqrt2*q2) splits
     x, y = (MultiPoly.variable(VS, Q2, i) for i in (1, 2))
     F = x - y.scale(Q2.i() * Q2.sqrt_d())

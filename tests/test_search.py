@@ -9,7 +9,7 @@ import pytest
 import sympy as sp
 
 from hamdarboux.darboux import InternalInvariantError, certificate_holds
-from hamdarboux.field import RATIONALS, FieldKind, fe_to_sympy, quad_gauss, sympy_to_fe
+from hamdarboux.field import RATIONALS, FieldKind, quad_gauss
 from hamdarboux.hamsys import load_system
 from hamdarboux.parsing import format_poly
 from hamdarboux.poly import MultiPoly, VarSet
@@ -21,7 +21,7 @@ from hamdarboux.search import (
     sqrt_in_field,
 )
 
-from conftest import check_residuals_against_leaves, poly_of, rand_element, rand_fraction
+from conftest import check_residuals_against_leaves, fe_to_sympy, poly_of, rand_element, rand_fraction, sympy_to_fe
 
 Q2 = quad_gauss(2)
 

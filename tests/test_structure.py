@@ -5,7 +5,6 @@ import pytest
 import sympy as sp
 
 from hamdarboux.darboux import cofactor_of
-from hamdarboux.field import fe_to_sympy
 from hamdarboux.hamsys import load_system, make_system
 from hamdarboux.parsing import format_poly
 from hamdarboux.structure import (
@@ -18,7 +17,7 @@ from hamdarboux.structure import (
     jacobian_independent,
 )
 
-from conftest import poly_of, random_small_system
+from conftest import fe_to_sympy, poly_of, random_small_system
 
 
 def test_irreducible_examples(sys_s2, sys_s3, sys_s5):
