@@ -5,15 +5,17 @@ unknown cofactor coefficients lam: the relation L_H F - Lambda*F = 0, read
 per monomial, is linear in f with entries affine in lam.  Each entry is
 gathered once as a map from lam-exponent to coefficient and built once in
 its final form.  The f-unknowns are eliminated fraction-free over the
-polynomial ring in lam, branching on whether each pivot vanishes;
-univariate lam-constraints are solved over the configured field: once their
-x^k content is removed, one of degree at most 2 is its own factor, a
-rational one of higher degree is factored over Q by sympy, and only a
-Q-irreducible factor of degree >= 3, or a constraint with irrational
-coefficients, is factored over Q(i, sqrt d).  `roots_in_field` alone reads
-each factor, in field arithmetic, into roots or a monic residual; in-field
-roots branch the search and out-of-field factors are reported as residual
-conditions.
+polynomial ring in lam, branching on whether each pivot vanishes; a pivot
+alone in its row that is nonzero on the branch sets its unknown to zero, so
+its column is deleted rather than eliminated, which leaves the other rows
+and the previous pivot as they are.  Univariate lam-constraints are solved
+over the configured field: once their x^k content is removed, one of degree
+at most 2 is its own factor, a rational one of higher degree is factored
+over Q by sympy, and only a Q-irreducible factor of degree >= 3, or a
+constraint with irrational coefficients, is factored over Q(i, sqrt d).
+`roots_in_field` alone reads each factor, in field arithmetic, into roots
+or a monic residual; in-field roots branch the search and out-of-field
+factors are reported as residual conditions.
 
 Each branch keeps its pivot rows, with their pivot columns, in echelon
 form.  At a leaf every remaining row is empty and every pivot is nonzero at
@@ -167,7 +169,14 @@ def _sqrt_step(
 
     A root y = s + t*g has y^2 = (s^2 + c*t^2) + 2*s*t*g, so the norm
     u^2 - c*v^2 equals (s^2 - c*t^2)^2 and s^2 = (u +- n)/2 for a root n
-    of the norm; then t = v/(2s), or t^2 = u/c when s = 0."""
+    of the norm; then t = v/(2s), or t^2 = u/c when s = 0.  When v = 0, s*t
+    is 0, so the root is s with s^2 = u or t*g with t^2 = u/c."""
+    if v.is_zero():
+        s = sqrt_below(u)
+        if s is not None:
+            return s
+        t = sqrt_below(u * Fraction(1, c))
+        return None if t is None else t * g
     n = sqrt_below(u * u - v * v * c)
     if n is None:
         return None
@@ -536,13 +545,30 @@ def _eliminate_with_pivot(state: _State, col: int, pivot_ri: int) -> None:
     division never changes which lam-values admit a kernel.  Each rewritten
     row is made primitive, which removes any positive rational factor, such
     as the one an `_IntPoly` quotient carries.  The pivot row is kept on the
-    state for the leaf kernel."""
+    state for the leaf kernel.
+
+    A lone non-constant pivot, a pivot row {col: pv}, says f_col = 0 on this
+    branch, where pv is nonzero (it sits in `state.nonzero`, so a
+    substitution that makes it vanish kills the branch).  Its column is
+    deleted from every other row, and no row is rescaled, divided or
+    stripped; the previous pivot stays.  A Bareiss step would only multiply
+    each other row by pv/prev, which is nonzero here.  Neither the row nor
+    the column has served as a pivot before, so by Sylvester's identity the
+    remaining entries are exactly the Bareiss entries, with the same
+    previous pivot, of the matrix without that row and column, and the
+    elimination continues on that matrix.  The kept pivot row gives the leaf
+    f_col = 0."""
     rows = state.rows
     pivot_row = rows[pivot_ri]
     if pivot_row is None:
         raise InternalInvariantError(f"pivot row {pivot_ri} was already eliminated")
     rows[pivot_ri] = None
     state.pivots.append((col, pivot_row))
+    if len(pivot_row) == 1 and not pivot_row[col].is_constant():
+        for row in rows:
+            if row:
+                row.pop(col, None)
+        return
     pr = dict(pivot_row)
     pv = upv = pr.pop(col)
     prev = state.prev_pivot

@@ -246,33 +246,18 @@ def test_examples_all_green(capsys):
     assert len(report["results"]) == 11
 
 
-# residual strings the anchor search reported while leaves without a kernel
-# column still reported their pending constraints
-ANCHOR_DROPPED = (
-    "-l1*l2*l3^12 - 14*l1*l2*l3^10 - 60*l1*l2*l3^8 - 104*l1*l2*l3^6 - 64*l1*l2*l3^4",
-    "-l1*l2^4 - 8*l1*l2^2",
-    "-l1*l3^3 - 2*l1*l3",
-    "-l1^3*l2^2*l3^2 - 8*l1^3*l3^2",
-    "-l1^3*l2^3 - 8*l1^3*l2",
-    "5*l1^4*l2^3*l3^3 - 2*l1^4*l2*l3^5",
-    "5*l2^2*l3^13 + 70*l2^2*l3^11 + 48*l3^13 + 300*l2^2*l3^9 + 672*l3^11 + 520*l2^2*l3^7 + 2880*l3^9 + 320*l2^2*l3^5 + 4992*l3^7 + 3072*l3^5",
-    "8*l1^5*l3^5 + 16*l1^5*l3^3",
-    "l1^2*l3^12 + 14*l1^2*l3^10 + 60*l1^2*l3^8 + 104*l1^2*l3^6 + 64*l1^2*l3^4",
-    "l1^4*l2^2*l3^3 - 8*l1^4*l3^3",
-    "l1^5*l2^2*l3^2 + 8*l1^5*l3^2",
-    "l2^2*l3^9 + 6*l2^2*l3^7 + 12*l2^2*l3^5 + 8*l2^2*l3^3",
-)
-
 # sha256 of the whole `--output json` stdout; a change to any certificate,
 # residual, count or ordering in these reports changes the bytes.  A search
-# also checks its residuals against its leaves (the last value: the strings
-# earlier reports carried from leaves without a kernel column).
+# also checks its summary (the last value) and its residuals against its
+# leaves.  The anchor's 14 certificates are the four linear Darboux
+# polynomials p1 +- i*sqrt2*q1 and p2 +- i*sqrt2*q2^2 and the ten products of
+# two of them, which weight 8 admits (test_search.py checks their closure).
 GOLDEN_JSON = [
     pytest.param(
         "m = 2\nfield = Q(i,sqrt2)\nmu = 1, 1\nV = q1^2 + q2^4\n",
         ["search", "--max-gamma-degree", "8"],
-        "4cb2d56624dc3e2dcebabdd46ea280c524381bd0d1c25f3c84dd15bec5a628c2",
-        ANCHOR_DROPPED,
+        "2b3e888ee13088566173b801220b63e140fc6546f665cda84568221e914c423e",
+        {"branches_explored": 176, "certificates": 14},
         id="search-anchor",
     ),
     pytest.param(
@@ -300,8 +285,8 @@ GOLDEN_JSON = [
 ]
 
 
-@pytest.mark.parametrize("system, argv, digest, dropped", GOLDEN_JSON)
-def test_golden_json_bytes(capsys, tmp_path, leaf_log, system, argv, digest, dropped):
+@pytest.mark.parametrize("system, argv, digest, summary", GOLDEN_JSON)
+def test_golden_json_bytes(capsys, tmp_path, leaf_log, system, argv, digest, summary):
     if system is not None:
         path = tmp_path / "golden.sys"
         path.write_text(system)
@@ -309,11 +294,11 @@ def test_golden_json_bytes(capsys, tmp_path, leaf_log, system, argv, digest, dro
     assert main(argv + ["--output", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-    if dropped is not None:
+    if summary is not None:
         report = json.loads(out)
-        summary = next(r for r in report["results"] if r["kind"] == "search_summary")
-        assert summary["evidence"] == {"branches_explored": 7443, "certificates": 10}
-        check_residuals_against_leaves(report["residual_conditions"], leaf_log, dropped)
+        result = next(r for r in report["results"] if r["kind"] == "search_summary")
+        assert result["evidence"] == summary
+        check_residuals_against_leaves(report["residual_conditions"], leaf_log)
 
 
 def test_json_byte_identical(capsys, s1_q):

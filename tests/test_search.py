@@ -10,7 +10,7 @@ import sympy as sp
 
 from hamdarboux.darboux import InternalInvariantError, certificate_holds
 from hamdarboux.field import RATIONALS, FieldKind, quad_gauss
-from hamdarboux.hamsys import load_system
+from hamdarboux.hamsys import gamma_direction, load_system, tau
 from hamdarboux.parsing import format_poly
 from hamdarboux.poly import MultiPoly, VarSet
 from hamdarboux.search import (
@@ -293,9 +293,9 @@ def test_rational_constraints_factored_over_q_match_factoring(spec, monkeypatch)
     assert bool(climbed) == (spec is not RATIONALS)
 
 
-def test_rational_constraints_skip_extension_factoring(sys_s3, monkeypatch):
-    # the degree-8 search on Q(i, sqrt2) meets rational constraints of
-    # degree >= 3, and every one splits over Q into factors of degree <= 2
+def test_rational_constraints_skip_extension_factoring(monkeypatch):
+    # this degree-8 search on Q(i, sqrt2) meets a rational constraint of
+    # degree >= 3, which splits over Q into factors of degree <= 2
     import hamdarboux.search as search_module
 
     calls = {"over_q": 0, "extension": 0}
@@ -305,7 +305,7 @@ def test_rational_constraints_skip_extension_factoring(sys_s3, monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(search_module, name, counted)
-    search_darboux(sys_s3, 8)
+    search_darboux(load_system("m = 2\nfield = Q(i,sqrt2)\nmu = 1, 1\nV = q1^2 + 2*q2^2 + q2^4\n"), 8)
     assert calls["over_q"] > 0 and calls["extension"] == 0, calls
 
 
@@ -530,10 +530,9 @@ def test_random_certificates_verify():
 # certificate: q1^3 + q2^3 runs the generic Bareiss path with no cofactor
 # unknown, the next two systems the integer path with one unknown (the second
 # of them with a residual), and q1^4 over Q(i, sqrt2) the generic path with
-# two unknowns, forks and residuals, once more as 3*q1^4 over Q(i, sqrt6).
-# The last value lists the residual strings earlier reports carried from
-# leaves without a kernel column (for the sqrt6 case, the pending strings
-# found only at such leaves).
+# two unknowns and forks, once more as 3*q1^4 over Q(i, sqrt6).  The quartics
+# once left 13 pending residuals, each a monomial times a polynomial in l1:
+# a lone lam-pivot was eliminated as a Bareiss step whose divisions failed.
 PINNED_REPORTS = [
     pytest.param(
         "Q", "q1^3 + q2^3", 12, 1,
@@ -545,7 +544,6 @@ PINNED_REPORTS = [
             ("p1^4 + 4*q1^3*p1^2 + 4*q1^6", "0"),
         ],
         (),
-        (),
         id="cubic-generic",
     ),
     pytest.param(
@@ -555,7 +553,6 @@ PINNED_REPORTS = [
             ("p1^2 + 2*q1^3 + 2*q1^2", "0"),
         ],
         (),
-        (),
         id="cubic-integer-path",
     ),
     pytest.param(
@@ -564,11 +561,10 @@ PINNED_REPORTS = [
             ("p1^2 + p2^2 + 4*q1^3 - 6*q1^2*q2 + 6*q1^2 + 6*q1*q2^2 + 2*q1*q2 + 6*q2^2 - 6*q2", "0"),
         ],
         ("l1^2 + 6",),
-        (),
         id="cubic-integer-path-residual",
     ),
     pytest.param(
-        "Q(i,sqrt2)", "q1^4", 8, 94,
+        "Q(i,sqrt2)", "q1^4", 8, 61,
         [
             ("p2", "0"),
             ("p2^2", "0"),
@@ -580,26 +576,11 @@ PINNED_REPORTS = [
             ("p1^2 - 2*i*sqrt(2)*q1^2*p1 - 2*q1^4", "-4*i*sqrt(2)*q1"),
             ("p1^2 + 2*i*sqrt(2)*q1^2*p1 - 2*q1^4", "4*i*sqrt(2)*q1"),
         ],
-        (
-            "-3*l1^3*l2^7 - 24*l1*l2^7",
-            "-3*l1^4*l2^6 - 24*l1^2*l2^6",
-            "-5*l1^5*l2^8 - 32*l1^3*l2^8 + 64*l1*l2^8",
-            "-l1^2*l2^7 - 8*l2^7",
-            "-l1^4*l2^8 - 8*l1^2*l2^8",
-            "-l1^4*l2^9 - 8*l1^2*l2^9",
-            "-l1^5*l2^5 - 16*l1^3*l2^5 - 64*l1*l2^5",
-            "-l1^5*l2^7 - 16*l1^3*l2^7 - 64*l1*l2^7",
-            "5*l1^7*l2^6 + 128*l1^5*l2^6 + 1088*l1^3*l2^6 + 3072*l1*l2^6",
-            "l1^2*l2^8 + 8*l2^8",
-            "l1^3*l2^6 + 8*l1*l2^6",
-            "l1^4*l2^5 + 8*l1^2*l2^5",
-            "l1^8*l2^5 + 48*l1^6*l2^5 + 576*l1^4*l2^5 + 2048*l1^2*l2^5",
-        ),
-        ("-l1^2*l2^5 - 8*l2^5", "l1^2*l2^10 + 8*l2^10"),
+        (),
         id="quartic-extension",
     ),
     pytest.param(
-        "Q(i,sqrt6)", "3*q1^4", 8, 94,
+        "Q(i,sqrt6)", "3*q1^4", 8, 61,
         [
             ("p2", "0"),
             ("p2^2", "0"),
@@ -611,33 +592,14 @@ PINNED_REPORTS = [
             ("p1^2 - 2*i*sqrt(6)*q1^2*p1 - 6*q1^4", "-4*i*sqrt(6)*q1"),
             ("p1^2 + 2*i*sqrt(6)*q1^2*p1 - 6*q1^4", "4*i*sqrt(6)*q1"),
         ],
-        (
-            "-3*l1^3*l2^7 - 72*l1*l2^7",
-            "-3*l1^4*l2^6 - 72*l1^2*l2^6",
-            "-5*l1^5*l2^8 - 96*l1^3*l2^8 + 576*l1*l2^8",
-            "-l1^2*l2^7 - 24*l2^7",
-            "-l1^4*l2^8 - 24*l1^2*l2^8",
-            "-l1^4*l2^9 - 24*l1^2*l2^9",
-            "-l1^5*l2^5 - 48*l1^3*l2^5 - 576*l1*l2^5",
-            "-l1^5*l2^7 - 48*l1^3*l2^7 - 576*l1*l2^7",
-            "5*l1^7*l2^6 + 384*l1^5*l2^6 + 9792*l1^3*l2^6 + 82944*l1*l2^6",
-            "l1^2*l2^8 + 24*l2^8",
-            "l1^3*l2^6 + 24*l1*l2^6",
-            "l1^4*l2^5 + 24*l1^2*l2^5",
-            "l1^8*l2^5 + 144*l1^6*l2^5 + 5184*l1^4*l2^5 + 55296*l1^2*l2^5",
-        ),
-        ("-l1^2*l2^5 - 24*l2^5", "l1^2*l2^10 + 24*l2^10"),
+        (),
         id="quartic-extension-sqrt6",
     ),
 ]
 
 
-@pytest.mark.parametrize(
-    "field, V, degree, branches, certificates, residuals, dropped", PINNED_REPORTS
-)
-def test_pinned_ordered_reports(
-    field, V, degree, branches, certificates, residuals, dropped, leaf_log
-):
+@pytest.mark.parametrize("field, V, degree, branches, certificates, residuals", PINNED_REPORTS)
+def test_pinned_ordered_reports(field, V, degree, branches, certificates, residuals, leaf_log):
     from hamdarboux.hamsys import load_system
 
     system = load_system(f"m = 2\nfield = {field}\nmu = 1, 1\nV = {V}\n")
@@ -645,7 +607,84 @@ def test_pinned_ordered_reports(
     assert [(format_poly(c.F), format_poly(c.Lambda)) for c in report.certificates] == certificates
     assert report.residual_conditions == residuals
     assert report.branches_explored == branches
-    check_residuals_against_leaves(report.residual_conditions, leaf_log, dropped)
+    check_residuals_against_leaves(report.residual_conditions, leaf_log)
+
+
+def _in_span(target, basis, spec):
+    """Whether target is a linear combination of the polynomials in basis,
+    over their field: some vector of the reference kernel of the columns
+    basis + [target], read monomial by monomial, uses the target."""
+    columns = basis + [target]
+    monomials = {e for P in columns for e in P.terms}
+    rows = [{j: P.terms[e] for j, P in enumerate(columns) if e in P.terms} for e in monomials]
+    return any(len(basis) in vec for vec in _forward_kernel(rows, len(columns), spec))
+
+
+def _spans_by_cofactor(system, report):
+    """The reported polynomials with a given cofactor, and 1 with cofactor 0."""
+    by_cofactor = {}
+    for cert in report.certificates:
+        by_cofactor.setdefault(cert.Lambda, []).append(cert.F)
+    one = MultiPoly.constant(system.varset, system.field, 1)
+    return lambda Lambda: by_cofactor.get(Lambda, []) + ([one] if Lambda.is_zero() else [])
+
+
+def _products_outside_span(system, report, bound):
+    """Products F1*F2 of reported certificates within the gamma-degree bound
+    that the report's polynomials with cofactor Lambda1 + Lambda2 do not
+    span.  Each such product is a Darboux polynomial with that cofactor, so
+    a complete report leaves none."""
+    direction = gamma_direction(system).direction
+    span = _spans_by_cofactor(system, report)
+    certs = report.certificates
+    return [
+        (format_poly(a.F), format_poly(b.F))
+        for i, a in enumerate(certs)
+        for b in certs[i:]
+        if a.F.gamma_degree(direction) + b.F.gamma_degree(direction) <= bound
+        and not _in_span(a.F * b.F, span(a.Lambda + b.Lambda), system.field)
+    ]
+
+
+CLOSURE_SYSTEMS = [
+    pytest.param("Q(i,sqrt2)", "q1^2 + q2^4", 8, id="anchor"),
+    pytest.param("Q(i,sqrt2)", "q1^6 + q2^6", 12, id="sextic"),
+] + [pytest.param(*param.values[:3], id=param.id) for param in PINNED_REPORTS]
+
+
+@pytest.mark.parametrize("field, V, degree", CLOSURE_SYSTEMS)
+def test_certificates_close_under_products_and_reversal(field, V, degree):
+    # the anchor once missed the four cross products
+    # (p1 +- i*sqrt2*q1)(p2 +- i*sqrt2*q2^2) of its own certificates.
+    # L_H(tau F) = -tau(L_H F) and a cofactor depends on q alone, so F has
+    # cofactor Lambda exactly when tau(F) has cofactor -Lambda
+    system = load_system(f"m = 2\nfield = {field}\nmu = 1, 1\nV = {V}\n")
+    report = search_darboux(system, degree)
+    assert _products_outside_span(system, report, degree) == []
+    span = _spans_by_cofactor(system, report)
+    for cert in report.certificates:
+        assert _in_span(tau(cert.F), span(-cert.Lambda), system.field), format_poly(cert.F)
+
+
+def test_constant_cofactor_needs_two_unknowns():
+    # L_H(p1 + c*q1) = c*p1 - 4*q1 is c*(p1 + c*q1) exactly when c^2 = -4:
+    # the cofactor +-2i takes l1 = 0 and l2 nonzero
+    system = load_system("m = 2\nfield = Q(i,sqrt3)\nmu = 1, 1\nV = 2*q1^2 - 3*q2^4\n")
+    report = search_darboux(system, 5)
+    found = {(format_poly(c.F), format_poly(c.Lambda)) for c in report.certificates}
+    assert {("p1 - 2*i*q1", "-2*i"), ("p1 + 2*i*q1", "2*i")} <= found
+    for cert in report.certificates:
+        assert certificate_holds(system, cert)
+
+
+def test_sextic_search_finishes_under_the_default_cap():
+    # once stopped by BranchCapExceededError; the pending constraints that
+    # remain carry monomial content (see ROADMAP)
+    system = load_system("m = 2\nfield = Q(i,sqrt2)\nmu = 1, 1\nV = q1^6 + q2^6\n")
+    report = search_darboux(system, 12)
+    assert len(report.certificates) == 14
+    for cert in report.certificates:
+        assert certificate_holds(system, cert)
 
 
 # the PINNED_REPORTS systems (the two non-homogeneous cubics build integer
@@ -838,10 +877,14 @@ def test_free_leaves_have_no_kernel(monkeypatch):
     reports = [search_darboux(system, degree) for system, degree in _lemma_systems()]
     assert len(checked) >= 30 and max(n for _, _, n in checked) >= 2
     assert {(m, kind) for m, kind, _ in checked} == {(m, kind) for m in (2, 3) for kind in FieldKind}
-    # the last system once reported the constraints of its kernel-0 leaves
-    assert reports[-1].branches_explored == 19
+    # the last system holds no Darboux polynomial at degree 4: its residual
+    # l1^2 + 8 is out of field, and over Q(i, sqrt2), which holds its roots
+    # +-2*i*sqrt2, the same search decides it and finds nothing
+    assert reports[-1].branches_explored == 15
     assert reports[-1].certificates == ()
-    assert reports[-1].residual_conditions == ()
+    assert reports[-1].residual_conditions == ("l1^2 + 8",)
+    extended = search_darboux(load_system("m = 2\nfield = Q(i,sqrt2)\nmu = 1, 1\nV = q1^4 + q1*q2\n"), 4)
+    assert (extended.certificates, extended.residual_conditions) == ((), ())
 
 
 def test_leaf_with_a_free_unknown_and_a_kernel_raises(monkeypatch):
@@ -1220,6 +1263,55 @@ def test_one_bareiss_step_on_both_entry_forms():
         for pivot in ("constant pivot", "lam pivot")
         for previous in ("first", "constant previous", "lam previous")
     } | {"root", "previous pivot vanishes at the root"}
+
+
+@pytest.mark.parametrize("form", ["integer", "generic"])
+def test_lone_lam_pivot_deletes_its_column(form):
+    # a pivot row {col: pv} with pv non-constant says f_col = 0 where pv is
+    # nonzero: the row is kept as a pivot, col leaves every other row, and
+    # nothing else changes, the previous pivot included; a constant lone
+    # pivot still takes the Bareiss step, which makes it the previous pivot
+    import hamdarboux.search as search_module
+
+    lam = VarSet.cofactor_unknowns(1)
+
+    def convert(p):
+        return p if form == "integer" else p.as_multipoly(lam)
+
+    rng = random.Random(8)
+    steps = set()
+    for _ in range(60):
+        ncols = rng.randint(2, 6)
+        col = rng.randrange(ncols)
+        pv = rng.choice([_IntPoly([rng.randint(-3, 3), rng.choice([-2, 1, 3])]), _IntPoly([1, 0, 1])])
+        rows = [_random_int_row(rng, ncols) for _ in range(rng.randint(1, 5))]
+        pivot_ri = rng.randrange(len(rows) + 1)
+        rows.insert(pivot_ri, {col: pv})
+        rows = [{c: convert(p) for c, p in r.items()} for r in rows] + [None]
+        prev = rng.choice([None, _IntPoly([-2]), _IntPoly([1, 2])])
+        prev = None if prev is None else convert(prev)
+        state = search_module._State(
+            rows=[None if r is None else dict(r) for r in rows],
+            assign={}, nonzero=[], pending=[], pivots=[], prev_pivot=prev,
+        )
+        pivot_row = state.rows[pivot_ri]
+        search_module._eliminate_with_pivot(state, col, pivot_ri)
+        assert state.pivots == [(col, pivot_row)] and state.pivots[0][1] is pivot_row
+        assert pivot_row == {col: convert(pv)}
+        assert state.prev_pivot is prev
+        assert state.rows[pivot_ri] is None
+        for ri, (before, after) in enumerate(zip(rows, state.rows)):
+            if ri != pivot_ri:
+                assert after == (None if before is None else {c: p for c, p in before.items() if c != col})
+        steps.add((prev is None or prev.is_constant(), any(col in r for r in rows if r and r is not rows[pivot_ri])))
+    assert steps == {(a, b) for a in (True, False) for b in (True, False)}
+    constant = search_module._State(
+        rows=[{0: convert(_IntPoly([3]))}, {0: convert(_IntPoly([1, 1])), 1: convert(_IntPoly([2]))}],
+        assign={}, nonzero=[], pending=[], pivots=[], prev_pivot=None,
+    )
+    search_module._eliminate_with_pivot(constant, 0, 0)
+    assert constant.prev_pivot == convert(_IntPoly([3]))
+    assert constant.rows[1] == {1: convert(_IntPoly([1]))}
 
 
 def test_dense_entries_sort_like_their_multipolys():

@@ -7,6 +7,7 @@ import sympy as sp
 from hamdarboux.darboux import cofactor_of
 from hamdarboux.hamsys import load_system, make_system
 from hamdarboux.parsing import format_poly
+from hamdarboux.search import search_darboux
 from hamdarboux.structure import (
     FactorWitness,
     Verdict,
@@ -138,6 +139,26 @@ def test_theorem1_degenerate_top_counterexample():
     report = check_theorem1(system, 4)
     assert report.verdict is Verdict.COUNTEREXAMPLE
     assert any(c.proper for c in report.evidence)
+
+
+@pytest.mark.parametrize(
+    "V, residual, field",
+    [
+        ("-3*q1^3 - q1^2*q2 + q1*q2^2 - 2*q2^3 + 2*q1^2 + 2*q1*q2 + 2*q2^2", "l1^2 - 14", "Q(i,sqrt14)"),
+        ("q1^2*q2 + 3*q1*q2^2 - 2*q2^3 - 2*q1^2 + q1*q2 - q2^2", "l1^2 - 7/2", "Q(i,sqrt14)"),
+        ("3*q1^3 - q1^2*q2 + q1*q2^2 - q2^3 + 3*q1^2 + 2*q1*q2 + 3*q2^2", "l1^2 + 24", "Q(i,sqrt6)"),
+    ],
+    ids=["sqrt14", "sqrt14-half", "sqrt6"],
+)
+def test_theorem1_residuals_decide_over_their_splitting_field(V, residual, field):
+    # seeded cubics whose degree-10 search over Q leaves an out-of-field
+    # residual; the extension holds its roots (+-sqrt14, +-sqrt14/2 and
+    # +-2*i*sqrt6), and there the search decides them and still finds no
+    # proper certificate
+    for spec, residuals in (("Q", (residual,)), (field, ())):
+        system = load_system(f"m = 2\nfield = {spec}\nmu = 1, 1\nV = {V}\n")
+        assert check_theorem1(system, 10).verdict is Verdict.CONSISTENT
+        assert search_darboux(system, 10).residual_conditions == residuals
 
 
 def test_theorem1_rejects_even_degree(sys_s1):
