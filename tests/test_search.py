@@ -533,6 +533,8 @@ def test_random_certificates_verify():
 # two unknowns and forks, once more as 3*q1^4 over Q(i, sqrt6).  The quartics
 # once left 13 pending residuals, each a monomial times a polynomial in l1:
 # a lone lam-pivot was eliminated as a Bareiss step whose divisions failed.
+# q1^3*q2 + q2^4 over Q(i, sqrt3) pins the text of multivariate residuals,
+# pending constraints in l1 and l2 that reach leaves with a kernel.
 PINNED_REPORTS = [
     pytest.param(
         "Q", "q1^3 + q2^3", 12, 1,
@@ -594,6 +596,26 @@ PINNED_REPORTS = [
         ],
         (),
         id="quartic-extension-sqrt6",
+    ),
+    pytest.param(
+        "Q(i,sqrt3)", "q1^3*q2 + q2^4", 8, 60,
+        [
+            ("p1^2 + p2^2 + 2*q1^3*q2 + 2*q2^4", "0"),
+        ],
+        (
+            "-l1*l2 - 2",
+            "-l1^6*l2 - 10*l1^3*l2^2 - 16*l1^3 - 24*l1^2*l2 + 8*l2^3 + 64*l2",
+            "-l1^7 - 8*l1^4*l2 - 16*l1^3 + 24*l1*l2^2 - 32*l2",
+            "5*l1^6*l2^2 + 48*l1^6 + 40*l1^3*l2^3 + 384*l1^3*l2 + 120*l1^2*l2^2 + 1152*l1^2",
+            "l1^2*l2^2 + 8*l1^2",
+            "l1^3 + 2*l2",
+            "l1^3*l2 - 4*l2^2",
+            "l1^5*l2^3 + 32*l1^5*l2 + 8*l1^2*l2^4 + 256*l1^2*l2^2 + 24*l1*l2^3 + 768*l1*l2",
+            "l1^6 + 22*l1^3*l2 + 108*l1^2 + 4*l2^2",
+            "l1^7*l2 - 6*l1^6 + 4*l1^4*l2^2 - 32*l1^4 - 48*l1^3*l2 + 64*l1*l2^3 - 144*l1^2 - 64*l1*l2 + 96*l2^2",
+            "l1^8 + 10*l1^5*l2 + 24*l1^4 - 128*l1^2*l2^2 - 528*l1*l2",
+        ),
+        id="pending-residuals",
     ),
 ]
 
@@ -677,12 +699,15 @@ def test_constant_cofactor_needs_two_unknowns():
         assert certificate_holds(system, cert)
 
 
-def test_sextic_search_finishes_under_the_default_cap():
+def test_sextic_search_finishes_under_the_default_cap(leaf_log):
     # once stopped by BranchCapExceededError; the pending constraints that
     # remain carry monomial content (see ROADMAP)
     system = load_system("m = 2\nfield = Q(i,sqrt2)\nmu = 1, 1\nV = q1^6 + q2^6\n")
     report = search_darboux(system, 12)
     assert len(report.certificates) == 14
+    assert report.branches_explored == 194
+    assert len(report.residual_conditions) == 42
+    check_residuals_against_leaves(report.residual_conditions, leaf_log)
     for cert in report.certificates:
         assert certificate_holds(system, cert)
 
