@@ -250,36 +250,22 @@ class MultiPoly:
         return MultiPoly(self.varset, self.field, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        """The product.  When every coefficient of both factors is rational,
-        the one loop runs on their rational parts (int or Fraction) and each
-        result term becomes an element once, at the end; otherwise it runs
-        on the elements.  Cancelled terms are dropped at the end."""
+        """The product, or the scaled polynomial when `other` is a scalar;
+        terms that cancel are dropped."""
         if isinstance(other, (int, Fraction, FieldElement)):
             return self.scale(other)
         self._check(other)
         if len(self.terms) * len(other.terms) > 4 * MAX_TERMS:
             raise TooDenseError("product would exceed the dense-term guard")
-        left, right = _rational_values(self.terms), _rational_values(other.terms)
-        rational = left is not None and right is not None
-        if not rational:
-            left, right = self.terms, other.terms
-        terms: dict = {}
-        for e1, c1 in left.items():
-            for e2, c2 in right.items():
+        terms: dict[Exponents, FieldElement] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
                 exps = tuple(map(operator.add, e1, e2))
                 cur = terms.get(exps)
                 terms[exps] = c1 * c2 if cur is None else cur + c1 * c2
-        return self._from_values(terms, rational)
+        return MultiPoly(self.varset, self.field, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
-
-    def _from_values(self, values: dict, rational: bool) -> "MultiPoly":
-        """This ring's polynomial of the nonzero `values`: elements, or
-        rational parts when `rational` is set."""
-        if rational:
-            make = self.field.from_rational
-            return MultiPoly(self.varset, self.field, {e: make(c) for e, c in values.items() if c})
-        return MultiPoly(self.varset, self.field, {e: c for e, c in values.items() if c})
 
     def scale(self, coef: FieldElement | int | Fraction) -> "MultiPoly":
         if not coef:
@@ -402,38 +388,24 @@ class MultiPoly:
         mutable remainder; a heap on the canonical order (plain lex in the
         ring of cofactor unknowns) yields the remainder's leading exponent
         without rescanning its terms, and a term that has cancelled is
-        skipped when it surfaces.  When every coefficient of both operands is
-        rational, the one loop runs on their rational parts: a quotient
-        coefficient is an int when the integer division is exact and a
-        Fraction otherwise, and each quotient term becomes an element at the
-        end."""
+        skipped when it surfaces."""
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return MultiPoly.zero(self.varset, self.field)
         lexps, lcoef = other.leading_term()
-        rem, divisor = _rational_values(self.terms), _rational_values(other.terms)
-        rational = rem is not None and divisor is not None
-        if rational:
-            lead = lcoef.a
-
-            def divide(c):
-                q, r = divmod(c, lead)
-                return Fraction(c, lead) if r else q
-
-        else:
-            rem, divisor = dict(self.terms), other.terms
-            divide = lcoef.inverse().__mul__
-        tail = [(e, c) for e, c in divisor.items() if e != lexps]
+        lcoef_inv = lcoef.inverse()
+        tail = [(e, c) for e, c in other.terms.items() if e != lexps]
         m = self.varset.m
 
         def heap_key(exps: Exponents) -> tuple[int, ...]:
             return tuple(map(operator.neg, exps[m:] + exps[:m] if m else exps))
 
+        rem = dict(self.terms)
         heap = [(heap_key(e), e) for e in rem]
         heapq.heapify(heap)
-        quotient = {}
+        quotient: dict[Exponents, FieldElement] = {}
         previous = None  # heap key of the last step's leading exponent
         while heap:
             hkey, rexps = heapq.heappop(heap)
@@ -446,7 +418,7 @@ class MultiPoly:
             diff = tuple(map(operator.sub, rexps, lexps))
             if any(d < 0 for d in diff):
                 return None
-            qc = divide(rcoef)
+            qc = rcoef * lcoef_inv
             quotient[diff] = qc
             for exps, coef in tail:
                 t = tuple(map(operator.add, exps, diff))
@@ -456,18 +428,7 @@ class MultiPoly:
                     heapq.heappush(heap, (heap_key(t), t))
                 else:
                     rem[t] = cur - qc * coef
-        return self._from_values(quotient, rational)
-
-
-def _rational_values(terms: dict[Exponents, FieldElement]) -> dict | None:
-    """The coefficients' rational parts when every coefficient is rational,
-    else None."""
-    values = {}
-    for exps, coef in terms.items():
-        if coef.b or coef.c or coef.e:
-            return None
-        values[exps] = coef.a
-    return values
+        return MultiPoly(self.varset, self.field, quotient)
 
 
 # -- multivariate gcd --------------------------------------------------------------

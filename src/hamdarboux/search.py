@@ -376,29 +376,13 @@ def _monomials_up_to_weight(
 # -- the branching elimination ----------------------------------------------------
 
 
-class _Pending:
-    """A multivariate constraint p = 0 waiting for substitution.  Clones of a
-    state share the entry, so its residual string is rendered at most once,
-    by the first leaf that reports it."""
-
-    __slots__ = ("poly", "text")
-
-    def __init__(self, poly: MultiPoly):
-        self.poly = poly
-        self.text: str | None = None
-
-    def render(self, names: list[str]) -> str:
-        if self.text is None:
-            self.text = _render(self.poly, names)
-        return self.text
-
-
 @dataclass
 class _State:
     rows: list[dict[int, Entry] | None]
     assign: dict[int, FieldElement]
     nonzero: list[MultiPoly]
-    pending: list[_Pending]
+    # multivariate constraints p = 0 waiting for substitution
+    pending: list[MultiPoly]
     # (pivot column, eliminated row) in elimination order, never mutated once
     # kept; no row has an entry in an earlier pivot's column
     pivots: list[tuple[int, dict[int, Entry]]]
@@ -474,13 +458,13 @@ def _substitute_state(ctx: _Context, state: _State, var: int, value: FieldElemen
     pending = state.pending
     state.pending = []
     states = [state]
-    for entry in pending:
+    for constraint in pending:
         nxt: list[_State] = []
         for s in states:
-            p = entry.poly.substitute(s.assign)
-            if p is entry.poly:
-                # untouched, so still pending: keep the entry and its rendering
-                s.pending.append(entry)
+            p = constraint.substitute(s.assign)
+            if p is constraint:
+                # no assigned variable occurs, so it stays pending as it is
+                s.pending.append(p)
                 nxt.append(s)
             else:
                 nxt.extend(_apply_constraint(ctx, s, p))
@@ -507,7 +491,7 @@ def _apply_constraint(ctx: _Context, state: _State, p: MultiPoly) -> list[_State
                     _substitute_state(ctx, state.clone(), v, ctx.sys.field.zero())
                 )
             return out_m
-        state.pending.append(_Pending(p))
+        state.pending.append(p)
         return [state]
     (var,) = used
     roots, residual_factors = roots_in_field(p.univariate_coeffs(var), p.field)
@@ -729,8 +713,8 @@ def _handle_leaf(ctx: _Context, state: _State) -> None:
     if len(state.pivots) == ncols:
         return
     if state.pending:
-        for entry in state.pending:
-            ctx.residuals.add(entry.render(ctx.lam_names))
+        for p in state.pending:
+            ctx.residuals.add(_render(p, ctx.lam_names))
         return
     if len(state.assign) < len(ctx.lam_monomials):
         raise InternalInvariantError(

@@ -143,7 +143,7 @@ def leaf_log(monkeypatch):
 
     def leaf(ctx, state):
         kernel = len(ctx.f_monomials) - len(state.pivots)
-        leaves.append((kernel, frozenset(e.render(ctx.lam_names) for e in state.pending)))
+        leaves.append((kernel, frozenset(search_module._render(p, ctx.lam_names) for p in state.pending)))
         handle_leaf(ctx, state)
 
     monkeypatch.setattr(search_module, "_handle_leaf", leaf)
