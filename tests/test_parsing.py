@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -37,6 +38,35 @@ def test_extension_literals():
     assert format_poly(P) == "2*sqrt(2)"
     P = parse_poly("sqrt(9)", CTX_Q)  # perfect square stays rational
     assert format_poly(P) == "3"
+
+
+SQRT_SWEEP = list(range(1001)) + [10**12, 2 * 10**12, 8 * 10**10]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [RATIONALS] + [quad_gauss(d) for d in (2, 3, 6, 10)],
+    ids=["Q", "sqrt2", "sqrt3", "sqrt6", "sqrt10"],
+)
+def test_sqrt_literals_are_the_positive_roots_in_the_field(spec):
+    # sqrt(n) parses exactly when n = k^2, or n = k^2*d on Q(i, sqrt d), to
+    # the root whose one nonzero component is positive
+    ctx = ParseContext(VS, spec)
+    for n in SQRT_SWEEP:
+        k = math.isqrt(n)
+        in_field = k * k == n
+        if spec is not RATIONALS and n % spec.d == 0:
+            k_d = math.isqrt(n // spec.d)
+            in_field = in_field or k_d * k_d * spec.d == n
+        if not in_field:
+            with pytest.raises(ParseError, match=rf"^sqrt\({n}\) is not available in this field"):
+                parse_poly(f"sqrt({n})", ctx)
+            continue
+        P = parse_poly(f"sqrt({n})", ctx)
+        assert P.is_constant()
+        x = P.constant_value()
+        assert x * x == spec.from_rational(n)
+        assert [c > 0 for c in x.components() if c] == ([True] if n else []), n
 
 
 def test_precedence():

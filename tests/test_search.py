@@ -1386,3 +1386,44 @@ def test_dense_row_at_a_rational_point():
             factor = {Fraction(got[c][0]) / exact[c] for c in got}
             assert len(factor) == 1 and factor.pop() > 0
             assert math.gcd(*(p[0] for p in got.values())) == 1
+
+
+def test_dense_exact_division_against_division_over_q():
+    # a nonzero integer dividend a and divisor b: None exactly when b does not
+    # divide a over Q, else the quotient by b's primitive part
+    import math
+
+    x = sp.Symbol("x")
+
+    def as_poly(vec):
+        return sp.Poly(list(reversed(vec)), x, domain=sp.QQ)
+
+    def times(u, v):
+        out = [0] * (len(u) + len(v) - 1)
+        for i, s in enumerate(u):
+            for j, t in enumerate(v):
+                out[i + j] += s * t
+        return out
+
+    def nonzero_vec(rng, length):
+        vec = [rng.randint(-4, 4) for _ in range(length)]
+        vec[-1] = vec[-1] or rng.choice([-3, -1, 2])
+        return vec
+
+    rng = random.Random(29)
+    quotients = 0
+    for k in range(600):
+        b = [rng.choice([-3, -1, 1, 2, 6]) * c for c in nonzero_vec(rng, rng.randint(1, 4))]
+        primitive = [c // math.gcd(*b) for c in b]
+        if k % 2:
+            a = times(nonzero_vec(rng, rng.randint(1, 4)), primitive)
+        else:
+            a = nonzero_vec(rng, rng.randint(1, 6))
+        r = _IntPoly(a).divide_exact(_IntPoly(b))
+        if as_poly(a).rem(as_poly(b)).is_zero:
+            assert r is not None and all(type(c) is int for c in r), (a, b)
+            assert times(list(r), primitive) == a, (a, b, r)
+            quotients += 1
+        else:
+            assert r is None, (a, b, r)
+    assert 300 <= quotients < 600, quotients
