@@ -22,9 +22,9 @@ from .field import (
     FieldMismatchError,
     FieldSpec,
     quad_gauss,
+    sqrt_in_field,
 )
 from .hamsys import (
-    GammaGrading,
     GradingUnavailableError,
     NaturalHamiltonian,
     gamma_direction,
@@ -59,7 +59,6 @@ from .search import (
     SearchReport,
     roots_in_field,
     search_darboux,
-    sqrt_in_field,
 )
 from .structure import (
     FactorWitness,

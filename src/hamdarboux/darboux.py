@@ -52,8 +52,7 @@ def _validate_cofactor(sys: NaturalHamiltonian, Lambda: MultiPoly) -> None:
             f"cofactor {Lambda} depends on momenta (deg V = {sys.r})"
         )
     if sys.r >= 3:
-        grading = gamma_direction(sys)
-        gdeg = Lambda.gamma_degree(grading.direction)
+        gdeg = Lambda.gamma_degree(gamma_direction(sys))
         if gdeg is not None and gdeg > sys.r - 2:
             raise InternalInvariantError(
                 f"cofactor {Lambda} has weighted degree {gdeg} > r - 2 = {sys.r - 2}"

@@ -10,17 +10,20 @@ already in it and is stored as built, and only a result holding a Fraction
 goes through the constructor.  Order and printed text are those of
 all-Fraction components, a rational element hashes as the int or Fraction
 it equals, and `components()` still returns Fractions.  For the
-plain-rational field the i/sqrt components are pinned to 0.  The library's
-one bridge to sympy is here too: `sympy_domain` is a field as a sympy domain,
-and `to_domain`/`from_domain` carry elements across it.
+plain-rational field the i/sqrt components are pinned to 0.  The exact
+square roots are here: `sqrt_in_field`, which `roots_in_field`, the
+factorisation of H and `sqrt(n)` literals read.  The library's one bridge to
+sympy is here too: `sympy_domain` is a field as a sympy domain, and
+`to_domain`/`from_domain` carry elements across it.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -305,6 +308,82 @@ class FieldElement:
         from .parsing import format_field_element
 
         return format_field_element(self)
+
+
+# -- exact square roots up the tower Q < Q(sqrt d) < Q(sqrt d)(i) ----------------
+
+
+def _sqrt_rational(x: FieldElement) -> FieldElement | None:
+    """A square root of a rational element (only its `a` component is read)."""
+    a = x.a
+    if a < 0:
+        return None
+    num, den = math.isqrt(a.numerator), math.isqrt(a.denominator)
+    if num * num != a.numerator or den * den != a.denominator:
+        return None
+    return x.spec.from_rational(Fraction(num, den))
+
+
+def _sqrt_step(
+    u: FieldElement,
+    v: FieldElement,
+    c: int,
+    g: FieldElement,
+    sqrt_below: Callable[[FieldElement], FieldElement | None],
+) -> FieldElement | None:
+    """A square root of u + v*g, where g^2 = c and u, v, c lie in the field
+    below, whose square roots `sqrt_below` takes; None when there is none.
+
+    A root y = s + t*g has y^2 = (s^2 + c*t^2) + 2*s*t*g, so the norm
+    u^2 - c*v^2 equals (s^2 - c*t^2)^2 and s^2 = (u +- n)/2 for a root n
+    of the norm.  When v = 0, s*t is 0, so the root is s with s^2 = u or
+    t*g with t^2 = u/c.  Otherwise 2*s*t = v makes s nonzero, and
+    t = v/(2s)."""
+    if v.is_zero():
+        s = sqrt_below(u)
+        if s is not None:
+            return s
+        t = sqrt_below(u * Fraction(1, c))
+        return None if t is None else t * g
+    n = sqrt_below(u * u - v * v * c)
+    if n is None:
+        return None
+    x = u + v * g
+    for norm_root in (n, -n):
+        s = sqrt_below((u + norm_root) * Fraction(1, 2))
+        if s is None or s.is_zero():
+            continue
+        t = v * (s + s).inverse()
+        y = s + t * g
+        if y * y == x:
+            return y
+    return None
+
+
+def _sqrt_real(x: FieldElement) -> FieldElement | None:
+    """A square root of an element of Q(sqrt d) (its `a` and `c` components)."""
+    spec = x.spec
+    return _sqrt_step(
+        spec.from_rational(x.a), spec.from_rational(x.c), spec.d, spec.sqrt_d(), _sqrt_rational
+    )
+
+
+def sqrt_in_field(x: FieldElement) -> FieldElement | None:
+    """The square root of x in its own field with the smaller `sort_key`, or
+    None when x is not a square there.  Exact and free of sympy: it climbs
+    Q < Q(sqrt d) < Q(sqrt d)(i), taking each level's root from norms that
+    must be squares one level down."""
+    if x.is_zero():
+        return x
+    spec = x.spec
+    if spec.kind is FieldKind.RATIONALS:
+        y = _sqrt_rational(x)
+    else:
+        real, imag = spec.element(x.a, 0, x.c), spec.element(x.b, 0, x.e)
+        y = _sqrt_step(real, imag, -1, spec.i(), _sqrt_real)
+    if y is None:
+        return None
+    return min(y, -y, key=lambda z: z.sort_key())
 
 
 # -- bridge to sympy -------------------------------------------------------------

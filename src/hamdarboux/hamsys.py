@@ -22,12 +22,6 @@ class GradingUnavailableError(ValueError):
 
 
 @dataclass(frozen=True)
-class GammaGrading:
-    direction: Direction
-    r: int
-
-
-@dataclass(frozen=True)
 class NaturalHamiltonian:
     varset: VarSet
     field: FieldSpec
@@ -131,14 +125,14 @@ def tau(F: MultiPoly) -> MultiPoly:
     return MultiPoly(F.varset, F.field, terms)
 
 
-def gamma_direction(sys: NaturalHamiltonian) -> GammaGrading:
+def gamma_direction(sys: NaturalHamiltonian) -> Direction:
     """Weights (2,...,2, r,...,r) with r = deg V; requires r >= 3."""
     if sys.r <= 2:
         raise GradingUnavailableError(
             f"deg V = {sys.r} <= 2: the weighted grading is unavailable"
         )
     m = sys.m
-    return GammaGrading(direction=Direction((2,) * m + (sys.r,) * m), r=sys.r)
+    return Direction((2,) * m + (sys.r,) * m)
 
 
 def top_hamiltonian(sys: NaturalHamiltonian) -> NaturalHamiltonian:

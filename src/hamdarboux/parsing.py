@@ -7,18 +7,19 @@ Grammar (no implicit multiplication):
     power  := atom ('^' positive-integer)?
     atom   := rational | 'i' | 'sqrt' '(' integer ')' | variable | '(' expr ')'
 
-Precedence is ^ > unary- > * > binary +/-.  sqrt(e) is legal only for the
-field's d or a perfect square; 'i' and irrational sqrt require Q(i,sqrt d).
+Precedence is ^ > unary- > * > binary +/-.  sqrt(n) is the root of n in
+the field whose one nonzero component is positive, read off
+`field.sqrt_in_field`: n must be a perfect square, or k^2*d on Q(i,sqrt d).
+'i' and irrational sqrt require Q(i,sqrt d).
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import RATIONALS, FieldElement, FieldKind, FieldSpec, quad_gauss
+from .field import RATIONALS, FieldElement, FieldKind, FieldSpec, quad_gauss, sqrt_in_field
 from .poly import MultiPoly, VarSet
 
 
@@ -203,22 +204,12 @@ class _Parser:
         raise self.error(f"expected a value, found {tok.text!r}" if tok.text else "unexpected end of input")
 
     def _sqrt_value(self, n: int, tok: _Token) -> FieldElement:
-        field = self.ctx.field
-        if n < 0:
-            if field.kind is FieldKind.QUAD_GAUSS:
-                return field.i() * self._sqrt_value(-n, tok)
-        else:
-            root = math.isqrt(n)
-            if root * root == n:
-                return field.from_rational(root)
-            # square part extracted: sqrt(k^2 d) = k sqrt(d)
-            if field.kind is FieldKind.QUAD_GAUSS and n % field.d == 0:
-                k = math.isqrt(n // field.d)
-                if k * k * field.d == n:
-                    return field.sqrt_d() * field.from_rational(k)
-        raise ParseError(
-            f"sqrt({n}) is not available in this field", tok.line, tok.column
-        )
+        """The root of n >= 0 in the field whose one nonzero component is
+        positive: `sqrt_in_field` returns the other."""
+        root = sqrt_in_field(self.ctx.field.from_rational(n))
+        if root is None:
+            raise ParseError(f"sqrt({n}) is not available in this field", tok.line, tok.column)
+        return -root
 
 
 def parse_poly(text: str, ctx: ParseContext) -> MultiPoly:

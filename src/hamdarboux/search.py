@@ -13,9 +13,10 @@ over the configured field: once their x^k content is removed, one of degree
 at most 2 is its own factor, a rational one of higher degree is factored
 over Q by sympy, and only a Q-irreducible factor of degree >= 3, or a
 constraint with irrational coefficients, is factored over Q(i, sqrt d).
-`roots_in_field` alone reads each factor, in field arithmetic, into roots
-or a monic residual; in-field roots branch the search and out-of-field
-factors are reported as residual conditions.
+`roots_in_field` alone reads each factor, in field arithmetic and with the
+square roots of `field.sqrt_in_field`, into roots or a monic residual;
+in-field roots branch the search and out-of-field factors are reported as
+residual conditions.
 
 Each branch keeps its pivot rows, with their pivot columns, in echelon
 form.  At a leaf every remaining row is empty and every pivot is nonzero at
@@ -28,10 +29,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from typing import Callable
 
 from .darboux import DarbouxCertificate, InternalInvariantError, cofactor_of
-from .field import RATIONALS, FieldElement, FieldKind, FieldSpec, from_domain, sympy_domain, to_domain
+from .field import (
+    RATIONALS,
+    FieldElement,
+    FieldKind,
+    FieldSpec,
+    from_domain,
+    sqrt_in_field,
+    sympy_domain,
+    to_domain,
+)
 from .hamsys import NaturalHamiltonian, gamma_direction, is_homogeneous_potential, lie_image
 from .parsing import format_terms
 from .poly import Exponents, MultiPoly, VarSet, monomial_key
@@ -143,86 +152,6 @@ def _factor_with_sympy(
     return [[from_domain(c, spec) for c in reversed(fac)] for fac, _mult in factors]
 
 
-# -- exact square roots up the tower Q < Q(sqrt d) < Q(sqrt d)(i) ----------------
-
-
-def _sqrt_rational(x: FieldElement) -> FieldElement | None:
-    """A square root of a rational element (only its `a` component is read)."""
-    a = x.a
-    if a < 0:
-        return None
-    num, den = math.isqrt(a.numerator), math.isqrt(a.denominator)
-    if num * num != a.numerator or den * den != a.denominator:
-        return None
-    return x.spec.from_rational(Fraction(num, den))
-
-
-def _sqrt_step(
-    u: FieldElement,
-    v: FieldElement,
-    c: int,
-    g: FieldElement,
-    sqrt_below: Callable[[FieldElement], FieldElement | None],
-) -> FieldElement | None:
-    """A square root of u + v*g, where g^2 = c and u, v, c lie in the field
-    below, whose square roots `sqrt_below` takes; None when there is none.
-
-    A root y = s + t*g has y^2 = (s^2 + c*t^2) + 2*s*t*g, so the norm
-    u^2 - c*v^2 equals (s^2 - c*t^2)^2 and s^2 = (u +- n)/2 for a root n
-    of the norm; then t = v/(2s), or t^2 = u/c when s = 0.  When v = 0, s*t
-    is 0, so the root is s with s^2 = u or t*g with t^2 = u/c."""
-    if v.is_zero():
-        s = sqrt_below(u)
-        if s is not None:
-            return s
-        t = sqrt_below(u * Fraction(1, c))
-        return None if t is None else t * g
-    n = sqrt_below(u * u - v * v * c)
-    if n is None:
-        return None
-    x = u + v * g
-    for norm_root in (n, -n):
-        s = sqrt_below((u + norm_root) * Fraction(1, 2))
-        if s is None:
-            continue
-        if s.is_zero():
-            t = sqrt_below(u * Fraction(1, c))
-            if t is None:
-                continue
-        else:
-            t = v * (s + s).inverse()
-        y = s + t * g
-        if y * y == x:
-            return y
-    return None
-
-
-def _sqrt_real(x: FieldElement) -> FieldElement | None:
-    """A square root of an element of Q(sqrt d) (its `a` and `c` components)."""
-    spec = x.spec
-    return _sqrt_step(
-        spec.from_rational(x.a), spec.from_rational(x.c), spec.d, spec.sqrt_d(), _sqrt_rational
-    )
-
-
-def sqrt_in_field(x: FieldElement) -> FieldElement | None:
-    """The square root of x in its own field with the smaller `sort_key`, or
-    None when x is not a square there.  Exact and free of sympy: it climbs
-    Q < Q(sqrt d) < Q(sqrt d)(i), taking each level's root from norms that
-    must be squares one level down."""
-    if x.is_zero():
-        return x
-    spec = x.spec
-    if spec.kind is FieldKind.RATIONALS:
-        y = _sqrt_rational(x)
-    else:
-        real, imag = spec.element(x.a, 0, x.c), spec.element(x.b, 0, x.e)
-        y = _sqrt_step(real, imag, -1, spec.i(), _sqrt_real)
-    if y is None:
-        return None
-    return min(y, -y, key=lambda z: z.sort_key())
-
-
 # -- polynomials in the cofactor unknowns ---------------------------------------
 # Ansatz entries are MultiPolys over VarSet.cofactor_unknowns(k), except on a
 # search over Q with a single unknown l1, where every entry is an `_IntPoly`
@@ -301,28 +230,19 @@ class _IntPoly(list):
 
     def divide_exact(self, other: "_IntPoly") -> "_IntPoly | None":
         """self/other times the positive content of other, or None when other
-        does not divide self over Q.  The factor depends on other alone, so a
-        row divided entry by entry keeps its direction; by Gauss's lemma the
-        quotient by other's primitive part has integer coefficients."""
+        does not divide self over Q, from `MultiPoly.divide_exact`.  The
+        factor depends on other alone, so a row divided entry by entry keeps
+        its direction; by Gauss's lemma the quotient by other's primitive
+        part has integer coefficients."""
+        lam = VarSet.cofactor_unknowns(1)
+        q = self.as_multipoly(lam).divide_exact(other.as_multipoly(lam))
+        if q is None:
+            return None
         g = math.gcd(*other)
-        den = [y // g for y in other]
-        lead, d = den[-1], len(den)
-        shift = len(self) - d
-        if shift < 0:
-            return None
-        work = list(self)
-        quot = [0] * (shift + 1)
-        for k in range(shift, -1, -1):
-            q, r = divmod(work[k + d - 1], lead)
-            if r:
-                return None
-            quot[k] = q
-            if q:
-                for j, y in enumerate(den):
-                    work[k + j] -= q * y
-        if any(work):
-            return None
-        return _IntPoly(quot)
+        coeffs = [c.a * g for c in q.univariate_coeffs(1)]
+        if any(x.denominator != 1 for x in coeffs):
+            raise InternalInvariantError("a quotient by a primitive integer divisor is not integral")
+        return _IntPoly([x.numerator for x in coeffs])
 
     def substitute(self, assign: dict[int, FieldElement]) -> "_IntPoly":
         """The exact value at l1 = assign[1], as a constant."""
@@ -657,33 +577,25 @@ def _explore(ctx: _Context, state: _State) -> None:
         for ri, _ in candidates:
             next_eq: list[_State] = []
             for s in eq_states:
-                row = s.rows[ri]
-                p = row.get(col) if row is not None else None
+                p = s.rows[ri].get(col)
                 if p is None:
                     next_eq.append(s)
                     continue
-                if p.is_constant():
-                    ctx.tick()
-                    s2 = s.clone()
-                    _eliminate_with_pivot(s2, col, ri)
-                    _explore(ctx, s2)
-                    continue
-                # branch A: pivot nonzero
+                # branch A: pivot nonzero, an assumption unless it is constant
                 ctx.tick()
                 # the one place an integer entry leaves the elimination
                 poly = p.as_multipoly(ctx.lam_vars) if type(p) is _IntPoly else p
                 s_nz = s.clone()
-                s_nz.nonzero.append(poly)
+                if not poly.is_constant():
+                    s_nz.nonzero.append(poly)
                 _eliminate_with_pivot(s_nz, col, ri)
                 _explore(ctx, s_nz)
-                # branch B: pivot vanishes; drop the entry so the column is
-                # not revisited (the pending constraint keeps it at zero)
+                # branch B: pivot vanishes, which a nonzero constant cannot;
+                # drop the entry so the column is not revisited (the pending
+                # constraint keeps it at zero)
                 s_eq0 = s.clone()
-                eq_row = s_eq0.rows[ri]
-                if eq_row is not None:
-                    eq_row.pop(col, None)
-                for s_eq in _apply_constraint(ctx, s_eq0, poly):
-                    next_eq.append(s_eq)
+                s_eq0.rows[ri].pop(col)
+                next_eq.extend(_apply_constraint(ctx, s_eq0, poly))
             eq_states = next_eq
         # whole column vanished: the corresponding f-unknown stays unconstrained here
         survivors = eq_states
@@ -875,7 +787,7 @@ def search_darboux(
     or a branch cap below 1.
     """
     check_search_bounds(max_gamma_degree, branch_cap)
-    gamma = gamma_direction(sys).direction.gamma
+    gamma = gamma_direction(sys).gamma
     spec = sys.field
     m = sys.m
 

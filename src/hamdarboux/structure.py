@@ -8,12 +8,13 @@ from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 
 from .darboux import DarbouxCertificate, InternalInvariantError, reversal_integral
+from .field import sqrt_in_field
 from .hamsys import (
     NaturalHamiltonian,
     is_homogeneous_potential,
 )
 from .poly import MultiPoly, monomial_key
-from .search import check_search_bounds, search_darboux, sqrt_in_field
+from .search import check_search_bounds, search_darboux
 
 
 class Verdict(Enum):

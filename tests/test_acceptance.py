@@ -153,12 +153,12 @@ def test_criterion_4_odd_degree_suite():
         ok = ok and report.verdict is Verdict.CONSISTENT
         # structural parity check for homogeneous odd potentials
         if all(
-            gamma_direction(system).direction.weight(e) == system.r
+            gamma_direction(system).weight(e) == system.r
             for e in system.V.terms
         ):
             from hamdarboux.search import _monomials_up_to_weight
 
-            gamma_q = gamma_direction(system).direction.gamma[: system.m]
+            gamma_q = gamma_direction(system).gamma[: system.m]
             stratum = _monomials_up_to_weight(gamma_q, system.r - 2, exact=True)
             ok = ok and not stratum
     crit.finish(ok)
@@ -208,7 +208,7 @@ def test_criterion_6_property_suites(sys_s3, sys_s1_ext):
     rng = random.Random(2718)
     varset = sys_s3.varset
     spec = sys_s3.field
-    direction = gamma_direction(sys_s3).direction
+    direction = gamma_direction(sys_s3)
     ok = True
 
     # Leibniz rule and tau-anticommutation

@@ -81,7 +81,7 @@ def test_cofactor_position_only_and_degree_bound(sys_s1_ext, sys_s3, sys_s5):
         (sys_s3, ["i*p2 + sqrt(2)*q2^2"]),
         (sys_s5, ["3*sqrt(6)*p2^2 + 12*i*p2*q1*q2 + q2^2*(-6*i*p1 + sqrt(6)*(2*q1^2 + q2^2))"]),
     ):
-        direction = gamma_direction(system).direction
+        direction = gamma_direction(system)
         for text in texts:
             cert = cofactor_of(system, poly_of(system, text))
             assert cert is not None

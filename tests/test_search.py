@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 import sympy as sp
+from sympy.polys.factortools import dup_factor_list
 
 from hamdarboux.darboux import InternalInvariantError, certificate_holds
 from hamdarboux.field import RATIONALS, FieldKind, quad_gauss
@@ -92,23 +94,33 @@ def _sparse_element(rng, spec):
     return spec.element(*(c if rng.random() < 0.5 else 0 for c in x.components()))
 
 
+@functools.cache
+def _oracle_domain(spec):
+    """sympy's own domain of the field, built apart from `field.sympy_domain`,
+    and the basis {1, i, sqrt(d), i*sqrt(d)} in it: QQ, or QQ<2i + sqrt(d)>
+    with i and sqrt(d) embedded by sympy."""
+    if spec is RATIONALS:
+        return sp.QQ, (sp.QQ.one,)
+    K = sp.QQ.algebraic_field(2 * sp.I + sp.sqrt(spec.d))
+    i, s = K.from_sympy(sp.I), K.from_sympy(sp.sqrt(spec.d))
+    return K, (K.one, i, s, i * s)
+
+
 def _factor_by_sympy(coeffs, spec):
     """Oracle: sorted distinct in-field roots and monic residual factors of
-    sum coeffs[k] x^k, from sympy's factor_list over the field."""
-    x = sp.Symbol("x")
-    expr = sp.Add(*(fe_to_sympy(c) * x**k for k, c in enumerate(coeffs)))
-    if spec is RATIONALS:
-        _, factors = sp.factor_list(expr, x)
-    else:
-        _, factors = sp.factor_list(expr, x, extension=[sp.I, sp.sqrt(spec.d)])
+    sum coeffs[k] x^k, from sympy's dense factorisation over the field."""
+    K, basis = _oracle_domain(spec)
+    dense = [
+        sum((K.from_sympy(sp.Rational(t)) * b for t, b in zip(c.components(), basis)), K.zero)
+        for c in reversed(coeffs)
+    ]
+    _, factors = dup_factor_list(dense, K)
     roots, residuals = set(), []
     for fac, _ in factors:
-        poly = sp.Poly(fac, x)
-        lead = poly.LC()
-        monic = [sympy_to_fe(c / lead, spec) for c in reversed(poly.all_coeffs())]
-        if poly.degree() == 1:
+        monic = [sympy_to_fe(K.to_sympy(K.quo(c, fac[0])), spec) for c in reversed(fac)]
+        if len(fac) == 2:
             roots.add(-monic[0])
-        elif poly.degree() > 1:
+        elif len(fac) > 2:
             residuals.append(monic)
     return sorted(roots, key=lambda z: z.sort_key()), residuals
 
@@ -656,7 +668,7 @@ def _products_outside_span(system, report, bound):
     that the report's polynomials with cofactor Lambda1 + Lambda2 do not
     span.  Each such product is a Darboux polynomial with that cofactor, so
     a complete report leaves none."""
-    direction = gamma_direction(system).direction
+    direction = gamma_direction(system)
     span = _spans_by_cofactor(system, report)
     certs = report.certificates
     return [
@@ -749,7 +761,7 @@ def test_ansatz_columns_are_lie_derivative_images(definition, degree):
     from hamdarboux.search import _monomials_up_to_weight
 
     system = load_system(definition)
-    gamma = gamma_direction(system).direction.gamma
+    gamma = gamma_direction(system).gamma
     monomials = _monomials_up_to_weight(gamma, degree, exact=False)
     assert len(monomials) > 20
     for alpha in monomials:
