@@ -38,12 +38,10 @@ from .hamsys import (
 from .parsing import (
     ParseContext,
     ParseError,
-    SystemDefinition,
     format_field_spec,
     format_poly,
     parse_field_spec,
     parse_poly,
-    parse_system_definition,
 )
 from .poly import (
     Direction,
@@ -66,7 +64,6 @@ from .structure import (
     Verdict,
     check_theorem1,
     check_theorem2_pipeline,
-    factor_ansatz_search,
     is_irreducible_natural_H,
     jacobian_independent,
 )

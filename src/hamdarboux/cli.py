@@ -248,6 +248,7 @@ def _run(args, system: NaturalHamiltonian | None) -> tuple[int, dict]:
     elif command == "theorem1":
         report = check_theorem1(system, args.max_gamma_degree, branch_cap=args.branch_cap)
         results.append(_theorem_result(command, report))
+        residuals = list(report.residual_conditions)
 
     elif command == "theorem2":
         report = check_theorem2_pipeline(system, _darboux_arg(system, args.poly))

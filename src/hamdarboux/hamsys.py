@@ -1,8 +1,8 @@
 """Natural Hamiltonian systems H = (1/2) sum mu_i p_i^2 + V(q).
 
-Provides the associated derivation (Lie derivative along the canonical
-vector field), the time-reversal involution tau, and the weighted grading
-with q-weight 2 and p-weight r = deg V.
+Reads them from system files, and provides the associated derivation (Lie
+derivative along the canonical vector field), the time-reversal involution
+tau, and the weighted grading with q-weight 2 and p-weight r = deg V.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .field import FieldElement, FieldSpec
-from .parsing import SystemDefinition, parse_system_definition
+from .parsing import ParseContext, ParseError, parse_field_spec, parse_poly
 from .poly import Direction, Exponents, MultiPoly, VarSet
 
 
@@ -70,11 +70,62 @@ def make_system(mu: Sequence, V: MultiPoly) -> NaturalHamiltonian:
     )
 
 
-def load_system(definition: SystemDefinition | str) -> NaturalHamiltonian:
-    """Build a system from a parsed or raw system-definition file."""
-    if isinstance(definition, str):
-        definition = parse_system_definition(definition)
-    return make_system(list(definition.mu), definition.potential)
+def load_system(text: str) -> NaturalHamiltonian:
+    """Build a system from the line-based `key = value` system file (# starts
+    a comment).  Each bad entry raises a ParseError that names its line."""
+    entries: dict[str, tuple[str, int]] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"expected 'key = value', got {raw.strip()!r}", lineno, 1)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in entries:
+            raise ParseError(f"duplicate key {key!r}", lineno, 1)
+        entries[key] = (value.strip(), lineno)
+    for required in ("m", "field", "mu", "V"):
+        if required not in entries:
+            raise ParseError(f"missing key {required!r}", 1, 1)
+    unknown = set(entries) - {"m", "field", "mu", "V"}
+    if unknown:
+        key = sorted(unknown)[0]
+        raise ParseError(f"unknown key {key!r}", entries[key][1], 1)
+
+    mtext, mline = entries["m"]
+    try:
+        m = int(mtext)
+    except ValueError:
+        raise ParseError(f"m must be an integer, got {mtext!r}", mline, 1) from None
+    if m < 2:
+        raise ParseError(f"m must be >= 2, got {m}", mline, 1)
+
+    ftext, fline = entries["field"]
+    try:
+        field = parse_field_spec(ftext)
+    except ValueError as exc:
+        raise ParseError(str(exc), fline, 1) from None
+
+    mutext, muline = entries["mu"]
+    parts = [p.strip() for p in mutext.split(",")]
+    if len(parts) != m:
+        raise ParseError(f"mu must list {m} rationals, got {len(parts)}", muline, 1)
+    mu = []
+    for part in parts:
+        try:
+            mu.append(field.from_rational(Fraction(part)))
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad rational {part!r} in mu", muline, 1) from None
+
+    vtext, vline = entries["V"]
+    try:
+        V = parse_poly(vtext, ParseContext(VarSet(m), field))
+    except ParseError as exc:
+        raise ParseError(f"in V: {exc}", vline, 1) from None
+    if V.depends_on_p():
+        raise ParseError("V must depend on q-variables only", vline, 1)
+    return make_system(mu, V)
 
 
 def lie_image(sys: NaturalHamiltonian, alpha: Exponents) -> dict[Exponents, FieldElement]:

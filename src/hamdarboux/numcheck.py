@@ -12,6 +12,7 @@ operations, in the same order, as four calls of the compiled vector field."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Callable, Sequence
@@ -141,10 +142,10 @@ def integrate_rk4(sys: NaturalHamiltonian, x0, h: float, T: float) -> Trajectory
     one state (2m,) or a batch (S, 2m), ending at T: T/h must be a positive
     whole number of steps, to a relative 1e-9. One generated loop runs every
     step and writes each state into the preallocated `states` array."""
-    if h <= 0:
-        raise ValueError("step size h must be positive")
-    if T <= 0:
-        raise ValueError("horizon T must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError(f"step size h must be positive and finite, got {h}")
+    if not 0 < T < math.inf:
+        raise ValueError(f"horizon T must be positive and finite, got {T}")
     ratio = T / h
     steps = round(ratio)
     if steps < 1 or abs(ratio - steps) > 1e-9 * ratio:

@@ -1,4 +1,4 @@
-"""Expression parsing and canonical rendering, plus system-definition files.
+"""Expression parsing and canonical rendering, plus field specifications.
 
 Grammar (no implicit multiplication):
     expr   := term (('+'|'-') term)*
@@ -281,17 +281,9 @@ def format_poly(A: MultiPoly) -> str:
     return format_terms(A.sorted_terms(), A.varset.names())
 
 
-# -- system-definition files -----------------------------------------------------
+# -- field specifications --------------------------------------------------------
 
 _FIELD_RE = re.compile(r"^Q\(\s*i\s*,\s*sqrt\s*(\d+)\s*\)$")
-
-
-@dataclass(frozen=True)
-class SystemDefinition:
-    m: int
-    field: FieldSpec
-    mu: tuple[FieldElement, ...]
-    potential: MultiPoly
 
 
 def parse_field_spec(text: str) -> FieldSpec:
@@ -305,65 +297,6 @@ def parse_field_spec(text: str) -> FieldSpec:
         except ValueError as exc:
             raise ParseError(str(exc), 1, 1) from None
     raise ParseError(f"unrecognised field {text!r}; expected Q or Q(i,sqrtD)", 1, 1)
-
-
-def parse_system_definition(text: str) -> SystemDefinition:
-    """Parse the line-based `key = value` system file (# starts a comment)."""
-    entries: dict[str, tuple[str, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError(f"expected 'key = value', got {raw.strip()!r}", lineno, 1)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in entries:
-            raise ParseError(f"duplicate key {key!r}", lineno, 1)
-        entries[key] = (value.strip(), lineno)
-    for required in ("m", "field", "mu", "V"):
-        if required not in entries:
-            raise ParseError(f"missing key {required!r}", 1, 1)
-    unknown = set(entries) - {"m", "field", "mu", "V"}
-    if unknown:
-        key = sorted(unknown)[0]
-        raise ParseError(f"unknown key {key!r}", entries[key][1], 1)
-
-    mtext, mline = entries["m"]
-    try:
-        m = int(mtext)
-    except ValueError:
-        raise ParseError(f"m must be an integer, got {mtext!r}", mline, 1) from None
-    if m < 2:
-        raise ParseError(f"m must be >= 2, got {m}", mline, 1)
-
-    ftext, fline = entries["field"]
-    try:
-        field = parse_field_spec(ftext)
-    except ValueError as exc:
-        raise ParseError(str(exc), fline, 1) from None
-
-    mutext, muline = entries["mu"]
-    parts = [p.strip() for p in mutext.split(",")]
-    if len(parts) != m:
-        raise ParseError(f"mu must list {m} rationals, got {len(parts)}", muline, 1)
-    mu = []
-    for part in parts:
-        try:
-            mu.append(field.from_rational(Fraction(part)))
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad rational {part!r} in mu", muline, 1) from None
-
-    vtext, vline = entries["V"]
-    varset = VarSet(m)
-    ctx = ParseContext(varset, field)
-    try:
-        V = parse_poly(vtext, ctx)
-    except ParseError as exc:
-        raise ParseError(f"in V: {exc}", vline, 1) from None
-    if V.depends_on_p():
-        raise ParseError("V must depend on q-variables only", vline, 1)
-    return SystemDefinition(m=m, field=field, mu=tuple(mu), potential=V)
 
 
 def format_field_spec(field: FieldSpec) -> str:

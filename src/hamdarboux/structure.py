@@ -28,6 +28,7 @@ class TheoremReport:
     verdict: Verdict
     evidence: list = dataclass_field(default_factory=list)
     notes: list[str] = dataclass_field(default_factory=list)
+    residual_conditions: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -67,57 +68,42 @@ def _polynomial_sqrt(P: MultiPoly) -> MultiPoly | None:
         W = W + MultiPoly(P.varset, P.field, {diff: t_coef})
 
 
-def factor_ansatz_search(sys: NaturalHamiltonian) -> FactorWitness | None:
-    """Exhaustive solve of the degree-1-in-p factorisation conditions for 2H.
+def is_irreducible_natural_H(sys: NaturalHamiltonian) -> tuple[bool, FactorWitness | str]:
+    """Irreducibility of H over its field, with an explicit factorisation of
+    2H as the negative witness.  Every factorisation of 2H is degree 1 in p
+    when some mu_i is nonzero, which decides it for every m.
 
-    Matching the p_i p_j coefficients pins the linear parts up to one scalar;
-    the remaining freedom reduces to a polynomial square root.  Returns the
-    factors when 2H splits, None when it provably does not.
-    """
+    Write 2H = (alpha.p + W1)(beta.p + W2).  For two indices i, j with
+    nonzero mu: alpha_i beta_i = mu_i, the p_i p_j terms give
+    alpha_i beta_j + alpha_j beta_i = 0 and the p-linear terms give
+    alpha_i W2 + beta_i W1 = 0 for each i; together they force W1 = W2 = 0,
+    so 2V = W1 W2 = 0, impossible for V != 0.  So H is irreducible with two
+    or more nonzero mu_i, and with one nonzero mu_k reducible exactly when
+    -2V/mu_k is a polynomial square."""
+    if sys.m < 2:
+        raise ValueError("need m >= 2")
+    if sys.V.is_zero():
+        raise ValueError("need V != 0")
     m = sys.m
     spec = sys.field
     nz = [i for i in range(m) if not sys.mu[i].is_zero()]
     if not nz:
         raise ValueError("all mu_i are zero: H has no kinetic part to factor against")
-    # write 2H = (alpha.p + W1)(beta.p + W2).  For two indices i, j with
-    # nonzero mu: alpha_i beta_i = mu_i, the p_i p_j terms give
-    # alpha_i beta_j + alpha_j beta_i = 0 and the p-linear terms give
-    # alpha_i W2 + beta_i W1 = 0 for each i; together they force
-    # W1 = W2 = 0, so 2V = W1 W2 = 0, impossible for V != 0.
     if len(nz) >= 2:
-        return None
+        return True, "at least two mu_i nonzero: H is irreducible"
     k = nz[0]
     # single nonzero mu_k: 2H = (p_k + W1)(mu_k p_k + W2), W2 = -mu_k W1,
     # so W1^2 = -2V/mu_k must be a polynomial square.
     target = sys.V.scale(spec.from_rational(-2) * sys.mu[k].inverse())
     W1 = _polynomial_sqrt(target)
     if W1 is None:
-        return None
+        return True, "no degree-1-in-p factorisation of 2H exists"
     p_k = MultiPoly.variable(sys.varset, spec, m + k + 1)
     G1 = p_k + W1
     G2 = p_k.scale(sys.mu[k]) - W1.scale(sys.mu[k])
-    two_h = sys.H.scale(spec.from_rational(2))
-    if not (G1 * G2 - two_h).is_zero():
+    if not (G1 * G2 - sys.H.scale(spec.from_rational(2))).is_zero():
         raise InternalInvariantError("factor witness does not multiply back to 2H")
-    return FactorWitness(G1=G1, G2=G2)
-
-
-def is_irreducible_natural_H(sys: NaturalHamiltonian) -> tuple[bool, FactorWitness | str]:
-    """Irreducibility of H over its field, with an explicit factorisation of
-    2H as the negative witness.  Every factorisation of 2H is degree 1 in p
-    when some mu_i is nonzero, so `factor_ansatz_search` decides it for every
-    m: never reducible with two or more nonzero mu_i, and with one nonzero
-    mu_k reducible exactly when -2V/mu_k is a polynomial square."""
-    if sys.m < 2:
-        raise ValueError("need m >= 2")
-    if sys.V.is_zero():
-        raise ValueError("need V != 0")
-    witness = factor_ansatz_search(sys)
-    if witness is not None:
-        return False, witness
-    if sum(1 for x in sys.mu if not x.is_zero()) >= 2:
-        return True, "at least two mu_i nonzero: H is irreducible"
-    return True, "no degree-1-in-p factorisation of 2H exists"
+    return False, FactorWitness(G1=G1, G2=G2)
 
 
 def jacobian_independent(sys: NaturalHamiltonian, F: MultiPoly, G: MultiPoly) -> bool:
@@ -161,19 +147,26 @@ def check_theorem1(
     report = search_darboux(
         sys, max_gamma_degree, homogeneous_only=False, branch_cap=branch_cap
     )
+    residuals = report.residual_conditions
     proper = [c for c in report.certificates if c.proper]
     if proper:
         return TheoremReport(
             verdict=Verdict.COUNTEREXAMPLE,
             evidence=proper,
             notes=notes + ["a proper Darboux certificate was found and re-verified"],
+            residual_conditions=residuals,
         )
     notes.append(
         f"no proper certificate up to weighted degree {max_gamma_degree} "
         f"({report.branches_explored} branches)"
     )
+    if residuals:
+        notes.append(f"the search left {len(residuals)} residual condition(s) undecided")
     return TheoremReport(
-        verdict=Verdict.CONSISTENT, evidence=list(report.certificates), notes=notes
+        verdict=Verdict.CONSISTENT,
+        evidence=list(report.certificates),
+        notes=notes,
+        residual_conditions=residuals,
     )
 
 

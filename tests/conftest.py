@@ -197,6 +197,16 @@ def fe_to_sympy(x: FieldElement):
     return expr
 
 
+def sympy_factor_list(P: MultiPoly):
+    """(generators, factors) of sympy's `factor_list` of P, with the
+    generators named as P's variables."""
+    import sympy as sp
+
+    gens = sp.symbols(P.varset.names())
+    expr = sp.Add(*(fe_to_sympy(c) * sp.Mul(*(g**a for g, a in zip(gens, e))) for e, c in P.terms.items()))
+    return gens, sp.factor_list(expr, *gens)[1]
+
+
 def sympy_to_fe(expr, spec: FieldSpec) -> FieldElement:
     """The element of `spec` equal to a sympy number; ValueError when the
     number lies outside the field."""

@@ -32,12 +32,11 @@ from hamdarboux.structure import (
     FactorWitness,
     Verdict,
     check_theorem1,
-    factor_ansatz_search,
     is_irreducible_natural_H,
     jacobian_independent,
 )
 
-from conftest import evaluate_exact, poly_of, rand_poly, record_acceptance
+from conftest import evaluate_exact, poly_of, rand_poly, random_small_system, record_acceptance, sympy_factor_list
 
 
 class _Criterion:
@@ -280,7 +279,7 @@ def test_criterion_6_property_suites(sys_s3, sys_s1_ext):
 
 
 def test_criterion_7_irreducibility(sys_s2, sys_s3, sys_s5):
-    crit = _Criterion(7, "irreducibility lemma with factor-search agreement", 30.0)
+    crit = _Criterion(7, "irreducibility lemma against sympy's factorisation of 2H", 30.0)
     ok = all(
         is_irreducible_natural_H(system)[0] for system in (sys_s2, sys_s3, sys_s5)
     )
@@ -290,19 +289,16 @@ def test_criterion_7_irreducibility(sys_s2, sys_s3, sys_s5):
     if isinstance(witness, FactorWitness):
         two_h = reducible.H.scale(reducible.field.from_rational(2))
         ok = ok and witness.G1 * witness.G2 == two_h
-    from conftest import random_small_system
-
     rng = random.Random(1009)
     for _ in range(100):
         system = random_small_system(rng)
-        nonzero = sum(1 for x in system.mu if not x.is_zero())
-        witness = factor_ansatz_search(system)
-        lemma_verdict, _ = is_irreducible_natural_H(system)
-        # the lemma and the brute-force ansatz must never disagree
-        if witness is not None:
-            ok = ok and not lemma_verdict
-        if nonzero >= 2:
-            ok = ok and lemma_verdict and witness is None
+        two_h = system.H.scale(system.field.from_rational(2))
+        _, factors = sympy_factor_list(two_h)
+        verdict, witness = is_irreducible_natural_H(system)
+        # irreducible over Q exactly when sympy finds one factor to the power 1
+        ok = ok and verdict == (sum(mult for _, mult in factors) == 1)
+        if not verdict:
+            ok = ok and witness.G1 * witness.G2 == two_h
     crit.finish(ok)
 
 

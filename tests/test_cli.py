@@ -225,8 +225,8 @@ def test_numcheck(capsys, s2):
 
 @pytest.mark.parametrize(
     "options",
-    [["--samples", "0"], ["--samples", "-3"], ["--h", "0.3", "--T", "0.1"]],
-    ids=["no-samples", "negative-samples", "partial-step"],
+    [["--samples", "0"], ["--samples", "-3"], ["--h", "0.3", "--T", "0.1"], ["--T", "inf"], ["--h", "nan"]],
+    ids=["no-samples", "negative-samples", "partial-step", "infinite-horizon", "nan-step"],
 )
 def test_numcheck_usage_errors(capsys, s2, options):
     # p1 is not a first integral here: an empty or stepless run must not
@@ -248,8 +248,8 @@ def test_examples_all_green(capsys):
 
 # sha256 of the whole `--output json` stdout; a change to any certificate,
 # residual, count or ordering in these reports changes the bytes.  A search
-# also checks its summary (the last value) and its residuals against its
-# leaves.  The anchor's 14 certificates are the four linear Darboux
+# also checks its summary (the last value), and every report checks its
+# residuals against the leaves of the searches it ran.  The anchor's 14 certificates are the four linear Darboux
 # polynomials p1 +- i*sqrt2*q1 and p2 +- i*sqrt2*q2^2 and the ten products of
 # two of them, which weight 8 admits (test_search.py checks their closure).
 GOLDEN_JSON = [
@@ -264,7 +264,7 @@ GOLDEN_JSON = [
         "m = 2\nfield = Q\nmu = 1, 1\n"
         "V = 2*q1^3 - 3*q1^2*q2 + 3*q1*q2^2 + 3*q1^2 + q1*q2 + 3*q2^2 - 3*q2\n",
         ["theorem1", "--max-gamma-degree", "10"],
-        "4cf921ec2b3c5b771799e0b8b5d53ace33672774e104532b593ddbec5e2ca297",
+        "2c920e2db9378c1a45d27501a4bab2c1d5b8bba528566f55b5abb715fb9b113a",
         None,
         id="theorem1-residual",
     ),
@@ -294,11 +294,11 @@ def test_golden_json_bytes(capsys, tmp_path, leaf_log, system, argv, digest, sum
     assert main(argv + ["--output", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    report = json.loads(out)
     if summary is not None:
-        report = json.loads(out)
         result = next(r for r in report["results"] if r["kind"] == "search_summary")
         assert result["evidence"] == summary
-        check_residuals_against_leaves(report["residual_conditions"], leaf_log)
+    check_residuals_against_leaves(report["residual_conditions"], leaf_log)
 
 
 def test_json_byte_identical(capsys, s1_q):

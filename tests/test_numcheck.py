@@ -77,6 +77,11 @@ def test_argument_validation(sys_s2):
         integrate_rk4(sys_s2, [0.0] * 4, 1e-3, 0.0)
     with pytest.raises(ValueError):
         integrate_rk4(sys_s2, [0.0] * 3, 1e-3, 1.0)
+    for h, T in [(math.inf, 1.0), (math.nan, 1.0), (1e-3, math.inf), (1e-3, math.nan), (math.inf, math.inf)]:
+        with pytest.raises(ValueError, match="positive and finite"):
+            integrate_rk4(sys_s2, [0.0] * 4, h, T)
+        with pytest.raises(ValueError, match="positive and finite"):
+            drift(sys_s2, poly_of(sys_s2, "p1"), [0.0] * 4, h, T)
 
 
 def test_batch_drift_equals_single_drifts(sys_s1, sys_s2, sys_s3, sys_s4):

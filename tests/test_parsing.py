@@ -11,8 +11,8 @@ from hamdarboux.parsing import (
     format_poly,
     parse_field_spec,
     parse_poly,
-    parse_system_definition,
 )
+from hamdarboux.hamsys import load_system
 from hamdarboux.poly import VarSet
 
 from conftest import rand_poly
@@ -140,21 +140,23 @@ def test_field_spec_parsing():
 
 def test_system_definition():
     text = "# comment\nm = 2\nfield = Q(i,sqrt2)\nmu = 1, 1/2\nV = q1^2 + q2^4\n"
-    sd = parse_system_definition(text)
-    assert sd.m == 2
-    assert sd.field.d == 2
-    assert len(sd.mu) == 2
-    assert format_poly(sd.potential) == "q1^2 + q2^4"
+    system = load_system(text)
+    assert system.m == 2
+    assert system.field.d == 2
+    assert len(system.mu) == 2
+    assert format_poly(system.V) == "q1^2 + q2^4"
 
 
 def test_system_definition_rejections():
-    with pytest.raises(ParseError):
-        parse_system_definition("m = 1\nfield = Q\nmu = 1\nV = q1^2\n")
-    with pytest.raises(ParseError):
-        parse_system_definition("m = 2\nfield = Q\nmu = 1\nV = q1^2\n")
-    with pytest.raises(ParseError):
-        parse_system_definition("m = 2\nfield = Q\nmu = 1, 1\nV = p1^2\n")
-    with pytest.raises(ParseError):
-        parse_system_definition("m = 2\nfield = Q\nmu = 1, 1\n")
-    with pytest.raises(ParseError):
-        parse_system_definition("m = 2\nbogus = 3\nfield = Q\nmu = 1, 1\nV = q1^2\n")
+    cases = [
+        ("m = 1\nfield = Q\nmu = 1\nV = q1^2\n", "m must be >= 2, got 1", 1),
+        ("m = 2\nfield = Q\nmu = 1\nV = q1^2\n", "mu must list 2 rationals, got 1", 3),
+        ("m = 2\nfield = Q\nmu = 1, 1\nV = p1^2\n", "V must depend on q-variables only", 4),
+        ("m = 2\nfield = Q\nmu = 1, 1\n", "missing key 'V'", 1),
+        ("m = 2\nbogus = 3\nfield = Q\nmu = 1, 1\nV = q1^2\n", "unknown key 'bogus'", 2),
+    ]
+    for text, message, line in cases:
+        with pytest.raises(ParseError) as info:
+            load_system(text)
+        assert str(info.value) == f"{message} (line {line}, column 1)"
+        assert info.value.line == line

@@ -13,12 +13,11 @@ from hamdarboux.structure import (
     Verdict,
     check_theorem1,
     check_theorem2_pipeline,
-    factor_ansatz_search,
     is_irreducible_natural_H,
     jacobian_independent,
 )
 
-from conftest import fe_to_sympy, poly_of, random_small_system
+from conftest import poly_of, random_small_system, sympy_factor_list
 
 
 def test_irreducible_examples(sys_s2, sys_s3, sys_s5):
@@ -62,10 +61,10 @@ def test_factor_search_agrees_with_lemma_on_random_systems():
     for _ in range(100):
         system = random_small_system(rng)
         nonzero = sum(1 for x in system.mu if not x.is_zero())
-        witness = factor_ansatz_search(system)
+        verdict, witness = is_irreducible_natural_H(system)
         if nonzero >= 2:
-            assert witness is None
-        if witness is not None:
+            assert verdict
+        if not verdict:
             two_h = system.H.scale(system.field.from_rational(2))
             assert witness.G1 * witness.G2 == two_h
 
@@ -91,11 +90,7 @@ def test_irreducibility_matches_sympy_factoring(m):
                 warnings.simplefilter("ignore")
                 system = make_system(mu, V)
         two_h = system.H.scale(system.field.from_rational(2))
-        gens = sp.symbols(system.varset.names())
-        expr = sp.Add(
-            *(fe_to_sympy(c) * sp.Mul(*(g**a for g, a in zip(gens, e))) for e, c in two_h.terms.items())
-        )
-        _, factors = sp.factor_list(expr, *gens)
+        gens, factors = sympy_factor_list(two_h)
         # every factorisation of 2H is degree 1 in p when some mu_i is nonzero
         if len(factors) > 1 or factors[0][1] > 1:
             assert all(sp.Poly(f, *gens[m:]).total_degree() == 1 for f, _ in factors)
@@ -157,7 +152,9 @@ def test_theorem1_residuals_decide_over_their_splitting_field(V, residual, field
     # proper certificate
     for spec, residuals in (("Q", (residual,)), (field, ())):
         system = load_system(f"m = 2\nfield = {spec}\nmu = 1, 1\nV = {V}\n")
-        assert check_theorem1(system, 10).verdict is Verdict.CONSISTENT
+        report = check_theorem1(system, 10)
+        assert report.verdict is Verdict.CONSISTENT
+        assert report.residual_conditions == residuals
         assert search_darboux(system, 10).residual_conditions == residuals
 
 
