@@ -147,6 +147,8 @@ def integrate_rk4(sys: NaturalHamiltonian, x0, h: float, T: float) -> Trajectory
     if not 0 < T < math.inf:
         raise ValueError(f"horizon T must be positive and finite, got {T}")
     ratio = T / h
+    if ratio == math.inf:
+        raise ValueError(f"horizon T = {T} takes too many steps h = {h} to count")
     steps = round(ratio)
     if steps < 1 or abs(ratio - steps) > 1e-9 * ratio:
         raise ValueError(f"horizon T = {T} is not a whole number of steps h = {h}")

@@ -225,12 +225,20 @@ def test_numcheck(capsys, s2):
 
 @pytest.mark.parametrize(
     "options",
-    [["--samples", "0"], ["--samples", "-3"], ["--h", "0.3", "--T", "0.1"], ["--T", "inf"], ["--h", "nan"]],
-    ids=["no-samples", "negative-samples", "partial-step", "infinite-horizon", "nan-step"],
+    [
+        ["--samples", "0"],
+        ["--samples", "-3"],
+        ["--h", "0.3", "--T", "0.1"],
+        ["--T", "inf"],
+        ["--h", "nan"],
+        ["--h", "1e-320"],
+    ],
+    ids=["no-samples", "negative-samples", "partial-step", "infinite-horizon", "nan-step", "overflowing-steps"],
 )
 def test_numcheck_usage_errors(capsys, s2, options):
     # p1 is not a first integral here: an empty or stepless run must not
-    # report verdict 0.0 ("no drift")
+    # report verdict 0.0 ("no drift"), and a step count T/h that cannot be
+    # counted must not end in a traceback
     code = main(["numcheck", "--system", s2, "--poly", "p1", "--output", "json"] + options)
     captured = capsys.readouterr()
     assert code == 1

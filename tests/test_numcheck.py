@@ -82,6 +82,9 @@ def test_argument_validation(sys_s2):
             integrate_rk4(sys_s2, [0.0] * 4, h, T)
         with pytest.raises(ValueError, match="positive and finite"):
             drift(sys_s2, poly_of(sys_s2, "p1"), [0.0] * 4, h, T)
+    # finite h and T whose ratio overflows
+    with pytest.raises(ValueError, match="too many steps"):
+        integrate_rk4(sys_s2, [0.0] * 4, 1e-320, 1.0)
 
 
 def test_batch_drift_equals_single_drifts(sys_s1, sys_s2, sys_s3, sys_s4):

@@ -41,7 +41,7 @@ def test_reducible_example():
 
 
 def test_reducible_with_four_degrees_of_freedom():
-    # the factor search runs for every m: 2H = (p1 - q1^2 - q2^2)(p1 + q1^2 + q2^2)
+    # the factorisation is decided for every m: 2H = (p1 - q1^2 - q2^2)(p1 + q1^2 + q2^2)
     system = load_system("m = 4\nfield = Q\nmu = 1, 0, 0, 0\nV = -1/2*(q1^2 + q2^2)^2\n")
     verdict, witness = is_irreducible_natural_H(system)
     assert not verdict
