@@ -257,9 +257,10 @@ def test_examples_all_green(capsys):
 # sha256 of the whole `--output json` stdout; a change to any certificate,
 # residual, count or ordering in these reports changes the bytes.  A search
 # also checks its summary (the last value), and every report checks its
-# residuals against the leaves of the searches it ran.  The anchor's 14 certificates are the four linear Darboux
-# polynomials p1 +- i*sqrt2*q1 and p2 +- i*sqrt2*q2^2 and the ten products of
-# two of them, which weight 8 admits (test_search.py checks their closure).
+# residuals against the leaves of the searches it ran.  The anchor's 14
+# certificates are the four linear Darboux polynomials p1 +- i*sqrt2*q1 and
+# p2 +- i*sqrt2*q2^2 and the ten products of two of them, which weight 8
+# admits (test_search.py checks their closure).
 GOLDEN_JSON = [
     pytest.param(
         "m = 2\nfield = Q(i,sqrt2)\nmu = 1, 1\nV = q1^2 + q2^4\n",

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from hamdarboux.field import RATIONALS, quad_gauss
+from hamdarboux.hamsys import load_system
 from hamdarboux.parsing import (
     ParseContext,
     ParseError,
@@ -12,7 +13,6 @@ from hamdarboux.parsing import (
     parse_field_spec,
     parse_poly,
 )
-from hamdarboux.hamsys import load_system
 from hamdarboux.poly import VarSet
 
 from conftest import rand_poly
