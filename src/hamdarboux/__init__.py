@@ -68,7 +68,9 @@ from .structure import (
     jacobian_independent,
 )
 
-# numcheck needs numpy, so its names are loaded on first access (PEP 562)
+# numcheck's names are loaded on first access (PEP 562), off the import path of
+# the exact commands; numcheck itself loads numpy only for integrate_rk4 and a
+# batch's drift
 _NUMCHECK_NAMES = (
     "NotRealEvaluableError",
     "Trajectory",

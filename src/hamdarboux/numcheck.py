@@ -1,26 +1,31 @@
 """Floating-point cross-validation: integrate the canonical equations with
 classical RK4 and measure drift of claimed first integrals.
 
-A state is a float array of shape (2m,) ordered (q1..qm, p1..pm), or a batch
-of S such states of shape (S, 2m) that one RK4 loop advances together. Each
-polynomial runs as generated straight-line source, free of user text, on a
-state's floats or a batch's coordinate columns in one order of operations,
-so a state's floats are the same alone and inside a batch. The RK4 loop is
-generated too: one function per integration holds every step, with the
-vector field's source inlined in each of the four stages and the same float
-operations, in the same order, as four calls of the compiled vector field."""
+A state is 2m floats ordered (q1..qm, p1..pm), or a batch of S such states of
+shape (S, 2m) that one RK4 loop advances together. Each polynomial runs as
+generated straight-line source, free of user text, on a state's floats or a
+batch's coordinate columns in one order of operations, so a state's floats
+are the same alone and inside a batch. The RK4 loop is generated too: one
+function per integration holds every step, with the vector field's source
+inlined in each of the four stages and the same float operations, in the
+same order, as four calls of the compiled vector field. One state's drift
+runs that loop on Python floats with F folded in after each step, so it
+keeps no trajectory and never imports numpy; numpy loads for
+`integrate_rk4`, whose `Trajectory` holds an array, and for a batch's
+drift."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .hamsys import NaturalHamiltonian
 from .poly import MultiPoly
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class NotRealEvaluableError(ValueError):
@@ -110,15 +115,13 @@ def _vector_field(sys: NaturalHamiltonian) -> Callable[..., tuple]:
     return _compile(_field_polys(sys), 2 * sys.m)
 
 
-def _rk4_loop(sys: NaturalHamiltonian) -> Callable[..., None]:
-    """run(out, h, x0, ..., x{2m-1}) writes RK4 step s from the start x into
-    out[s] for s = 1 .. len(out) - 1. The stages k1..k4 are the vector
-    field's source inlined at x, x + hh*k1, x + hh*k2 and x + h*k3 with
-    hh = 0.5*h, and the step is x + h6*(k1 + 2*k2 + 2*k3 + k4) with
-    h6 = h/6.0."""
-    n = 2 * sys.m
-    plan, coefs = _terms(_field_polys(sys), n)
-    xs = [f"x{i}" for i in range(n)]
+def _rk4_source(plan: list, xs: Sequence[str], steps: str, tail: str) -> str:
+    """A function body taking RK4 steps over `range(steps)` from the
+    coordinates named by `xs`, with `tail` (statements at the loop's indent)
+    after each step. The stages k1..k4 are the vector field `plan`'s source
+    inlined at x, x + hh*k1, x + hh*k2 and x + h*k3 with hh = 0.5*h, and the
+    step is x + h6*(k1 + 2*k2 + 2*k3 + k4) with h6 = h/6.0."""
+    n = len(xs)
     us = [f"u{i}" for i in range(n)]
     ks = [[f"k{r}_{i}" for i in range(n)] for r in range(1, 5)]
     pad = " " * 8
@@ -127,21 +130,42 @@ def _rk4_loop(sys: NaturalHamiltonian) -> Callable[..., None]:
         body += "".join(f"{pad}{u} = {x} + {scale}*{a}\n" for u, x, a in zip(us, xs, k))
         body += _render(plan, us, k_next, pad)
     body += "".join(f"{pad}{x} = {x} + h6*({a} + 2*{b} + 2*{c} + {d})\n" for x, a, b, c, d in zip(xs, *ks))
-    body += f"{pad}out[s] = ({', '.join(xs)},)\n"
-    head = "    hh = 0.5*h\n    h6 = h/6.0\n    for s in range(1, len(out)):\n"
-    return _define("run", ["out", "h"] + xs, coefs, head + body)
+    return f"    hh = 0.5*h\n    h6 = h/6.0\n    for s in range({steps}):\n{body}{tail}"
 
 
-def evaluate_float(poly: MultiPoly, state: np.ndarray) -> float:
-    (value,) = _compile([poly], poly.varset.n)(*np.asarray(state, dtype=float).tolist())
-    return float(value)
+def _rk4_loop(sys: NaturalHamiltonian) -> Callable[..., None]:
+    """run(out, h, x0, ..., x{2m-1}) writes RK4 step s from the start x into
+    out[s] for s = 1 .. len(out) - 1."""
+    xs = [f"x{i}" for i in range(2 * sys.m)]
+    plan, coefs = _terms(_field_polys(sys), len(xs))
+    store = f"        out[s] = ({', '.join(xs)},)\n"
+    return _define("run", ["out", "h"] + xs, coefs, _rk4_source(plan, xs, "1, len(out)", store))
 
 
-def integrate_rk4(sys: NaturalHamiltonian, x0, h: float, T: float) -> Trajectory:
-    """Fixed-step classical RK4 for qdot_i = mu_i p_i, pdot_i = -dV/dq_i, from
-    one state (2m,) or a batch (S, 2m), ending at T: T/h must be a positive
-    whole number of steps, to a relative 1e-9. One generated loop runs every
-    step and writes each state into the preallocated `states` array."""
+def _drift_loop(sys: NaturalHamiltonian, F: MultiPoly) -> Callable[..., float]:
+    """run(h, steps, x0, ..., x{2m-1}) takes `steps` RK4 steps from x, the
+    float operations of `_rk4_loop`, evaluates F after each one and returns
+    the largest d = |F(x_s) - F(x_0)| / max(1, |F(x_0)|). Like numpy's max,
+    the running maximum turns NaN at the first NaN d and stays NaN; a NaN
+    F(x_0), which Python's max drops from the scale, makes every d NaN."""
+    xs = [f"x{i}" for i in range(2 * sys.m)]
+    (*plan, f_plan), coefs = _terms(_field_polys(sys) + [F], len(xs))
+    start = _render([f_plan], xs, ["y"], " " * 4) + (
+        "    f0 = y\n"
+        "    scale = max(1.0, abs(f0))\n"
+        "    worst = 0.0\n"
+    )
+    fold = _render([f_plan], xs, ["y"], " " * 8) + (
+        "        d = abs(y - f0)/scale\n"
+        "        if d > worst or d != d:\n"
+        "            worst = d\n"
+    )
+    return _define("run", ["h", "steps"] + xs, coefs, start + _rk4_source(plan, xs, "steps", fold) + "    return worst\n")
+
+
+def _step_count(h: float, T: float) -> int:
+    """T/h as a whole number of steps: h and T must be positive and finite
+    and T/h a positive whole number, to a relative 1e-9."""
     if not 0 < h < math.inf:
         raise ValueError(f"step size h must be positive and finite, got {h}")
     if not 0 < T < math.inf:
@@ -152,6 +176,36 @@ def integrate_rk4(sys: NaturalHamiltonian, x0, h: float, T: float) -> Trajectory
     steps = round(ratio)
     if steps < 1 or abs(ratio - steps) > 1e-9 * ratio:
         raise ValueError(f"horizon T = {T} is not a whole number of steps h = {h}")
+    return steps
+
+
+def _one_state(x0, n: int) -> list[float] | None:
+    """x0's n coordinates as floats when x0 is one state; None for a batch:
+    an array of another dimension, or rows that do not convert to floats."""
+    if getattr(x0, "ndim", 1) != 1:
+        return None
+    try:
+        state = [float(v) for v in x0]
+    except TypeError:
+        return None
+    if len(state) != n:
+        raise ValueError(f"initial state must have {n} coordinates")
+    return state
+
+
+def evaluate_float(poly: MultiPoly, state: Sequence[float]) -> float:
+    (value,) = _compile([poly], poly.varset.n)(*[float(v) for v in state])
+    return float(value)
+
+
+def integrate_rk4(sys: NaturalHamiltonian, x0, h: float, T: float) -> Trajectory:
+    """Fixed-step classical RK4 for qdot_i = mu_i p_i, pdot_i = -dV/dq_i, from
+    one state (2m,) or a batch (S, 2m), ending at T: T/h must be a positive
+    whole number of steps, to a relative 1e-9. One generated loop runs every
+    step and writes each state into the preallocated `states` array."""
+    import numpy as np
+
+    steps = _step_count(h, T)
     m = sys.m
     x = np.array(x0, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != 2 * m:
@@ -165,9 +219,15 @@ def integrate_rk4(sys: NaturalHamiltonian, x0, h: float, T: float) -> Trajectory
 
 def drift(sys: NaturalHamiltonian, F: MultiPoly, x0, h: float, T: float):
     """max_t |F(x(t)) - F(x0)| / max(1, |F(x0)|) along the RK4 trajectory: a
-    float for one state, an array of S drifts for a batch (S, 2m)."""
+    float for one state, computed step by step without storing the
+    trajectory; an array of S drifts for a batch (S, 2m)."""
+    steps = _step_count(h, T)
+    state = _one_state(x0, 2 * sys.m)
+    if state is not None:
+        return _drift_loop(sys, F)(h, steps, *state)
+    import numpy as np
+
     f = _compile([F], 2 * sys.m)
     (values,) = f(*integrate_rk4(sys, x0, h, T).states.swapaxes(0, 1))
     scale = np.maximum(1.0, np.abs(values[0]))
-    worst = np.max(np.abs(values[1:] - values[0]) / scale, axis=0)
-    return float(worst) if worst.ndim == 0 else worst
+    return np.max(np.abs(values[1:] - values[0]) / scale, axis=0)

@@ -433,15 +433,23 @@ def test_numcheck_trajectory_too_large_to_allocate(capsys, s2):
 
 
 def test_numcheck_names_load_numpy_on_first_use():
+    # one state's drift runs on Python floats and needs no numpy; numpy
+    # loads for integrate_rk4, whose Trajectory holds an array, and for a
+    # batch's drift, each checked in its own fresh interpreter
     script = """
 import sys
 import hamdarboux
+from hamdarboux import ParseContext, drift, integrate_rk4, load_system, parse_poly
+system = load_system("m = 2\\nfield = Q\\nmu = 1, 1\\nV = (q1^2 + q2^2)^2\\n")
+F = parse_poly("q1*p2 - q2*p1", ParseContext(system.varset, system.field))
+x0 = [0.1, 0.2, 0.3, 0.4]
+assert drift(system, F, x0, 1e-2, 0.5) <= 1e-6
 assert "numpy" not in sys.modules
-from hamdarboux import drift
-assert "numpy" in sys.modules
-assert drift is sys.modules["hamdarboux.numcheck"].drift
+numcheck = sys.modules["hamdarboux.numcheck"]
 names = {"NotRealEvaluableError", "Trajectory", "drift", "evaluate_float", "integrate_rk4"}
+assert all(getattr(hamdarboux, name) is getattr(numcheck, name) for name in names)
 assert names <= set(hamdarboux.__all__)
 """
-    proc = _run_fresh(script)
-    assert proc.returncode == 0, proc.stderr
+    for load in ("integrate_rk4(system, x0, 1e-2, 0.5)", "drift(system, F, [x0, x0], 1e-2, 0.5)"):
+        proc = _run_fresh(f"{script}{load}\nassert 'numpy' in sys.modules\n")
+        assert proc.returncode == 0, proc.stderr

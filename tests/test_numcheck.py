@@ -18,7 +18,7 @@ from hamdarboux.numcheck import (
 )
 from hamdarboux.poly import MultiPoly, VarSet
 
-from conftest import evaluate_exact, poly_of, random_small_system
+from conftest import evaluate_exact, poly_of, rand_poly, random_small_system
 
 
 def test_free_motion_trajectory():
@@ -250,3 +250,57 @@ def test_gradient_longer_than_one_expression_allows():
     traj = integrate_rk4(system, x0, 1e-3, 2e-3)
     assert traj.states.shape == (3, 6) and np.isfinite(traj.states).all()
     assert drift(system, system.H, x0, 1e-3, 2e-3) <= 1e-12
+
+
+def trajectory_drift(system, F, x0, h, T):
+    """The drift's definition over a stored trajectory: numpy's maximum of
+    |F - F0| / max(1, |F0|) over `integrate_rk4(...).states`."""
+    values = np.array([evaluate_float(F, state) for state in integrate_rk4(system, x0, h, T).states])
+    return float(np.max(np.abs(values[1:] - values[0]) / np.maximum(1.0, np.abs(values[0]))))
+
+
+def test_single_drift_equals_the_trajectory_maximum(sys_s1, sys_s2, sys_s3, sys_s4):
+    # one state's drift folds F into the RK4 loop without storing the
+    # trajectory; it is the same float as the maximum over the stored states
+    rng = random.Random(2024)
+    cases = [
+        (sys_s1, poly_of(sys_s1, "p2")),
+        (sys_s2, poly_of(sys_s2, "q1*p2 - q2*p1")),
+        (sys_s3, poly_of(sys_s3, "p2^2 + 2*q2^4")),
+        (sys_s4, poly_of(sys_s4, "p2*(p1*q2 - p2*q1) + q2^2*(2*q1^3 + q1*q2^2)*1/3")),
+        (sys_s2, poly_of(sys_s2, "p1")),
+    ]
+    for m in (2, 3):
+        system = random_small_system(rng, m=m)
+        cases += [(system, system.H), (system, rand_poly(rng, system.varset, RATIONALS, nonzero=True))]
+    for system, F in cases:
+        # starts in [-2, 2] give |F(x0)| > 1, so the ratios are divided by
+        # a scale other than 1
+        for bound in (1.0, 1.0, 2.0):
+            x0 = [rng.uniform(-bound, bound) for _ in range(2 * system.m)]
+            for h, T in [(1e-3, 0.2), (0.05, 1.0)]:
+                want = trajectory_drift(system, F, x0, h, T)
+                got = drift(system, F, x0, h, T)
+                assert type(got) is float
+                assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def test_non_finite_drift_alone_and_in_a_batch():
+    # from (3, 0.1, 0, 0.2) the force 6*q1^5 of V = -q1^6 + q2^4 sends q1 and
+    # p1 to inf within T = 1: H turns inf - inf = NaN and p1 turns inf, alone,
+    # inside a batch and over the stored trajectory; the finite steps before
+    # them do not hide them
+    system = load_system("m = 2\nfield = Q\nmu = 1, 1\nV = -q1^6 + q2^4\n")
+    x0, calm = [3.0, 0.1, 0.0, 0.2], [0.1, 0.2, 0.3, 0.4]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for F, non_finite in [(system.H, math.isnan), (poly_of(system, "p1"), math.isinf)]:
+            alone = drift(system, F, x0, 0.1, 1.0)
+            batch = drift(system, F, [calm, x0, calm], 0.1, 1.0)
+            assert non_finite(alone) and non_finite(batch[1])
+            assert non_finite(trajectory_drift(system, F, x0, 0.1, 1.0))
+            assert math.isfinite(batch[0]) and batch[0] == batch[2] == drift(system, F, calm, 0.1, 1.0)
+        # a start of NaN is NaN throughout; an infinite start scales by
+        # |F(x0)| = inf, and inf - inf is NaN
+        for start in ([math.nan, 0.1, 0.0, 0.2], [math.inf, 0.1, 0.0, 0.2]):
+            (in_batch,) = drift(system, system.H, [start], 0.1, 1.0)
+            assert math.isnan(drift(system, system.H, start, 0.1, 1.0)) and math.isnan(in_batch)
