@@ -69,8 +69,7 @@ from .structure import (
 )
 
 # numcheck's names are loaded on first access (PEP 562), off the import path of
-# the exact commands; numcheck itself loads numpy only for integrate_rk4 and a
-# batch's drift
+# the exact commands; numcheck itself loads numpy only inside integrate_rk4
 _NUMCHECK_NAMES = (
     "NotRealEvaluableError",
     "Trajectory",

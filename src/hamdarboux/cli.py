@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys as _sys
 import time
@@ -258,12 +259,16 @@ def _run(args, system: NaturalHamiltonian | None) -> tuple[int, dict]:
         if args.samples < 1:
             # no states would report verdict 0.0, which reads as "no drift"
             raise ValueError(f"--samples must be a positive count, got {args.samples}")
-        from .numcheck import drift  # numpy loads only for this command
+        from .numcheck import drift
 
         F = _parse_arg_poly(system, args.poly)
         rng = random.Random(0)
-        states = [[rng.uniform(-1.0, 1.0) for _ in range(2 * system.m)] for _ in range(args.samples)]
-        worst = float(drift(system, F, states, args.h, args.T).max())
+        drifts = [
+            drift(system, F, [rng.uniform(-1.0, 1.0) for _ in range(2 * system.m)], args.h, args.T)
+            for _ in range(args.samples)
+        ]
+        # Python's max drops a NaN that is not first; a NaN drift is the verdict
+        worst = math.nan if any(math.isnan(d) for d in drifts) else max(drifts)
         results.append(
             {
                 "kind": "drift",
@@ -312,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit(report, args.output, int((time.monotonic() - start) * 1000))
         return 1
     except (ValueError, OSError, MemoryError) as exc:
-        # MemoryError: a numcheck trajectory too large to allocate
+        # MemoryError: an exact search that exhausts the machine's memory
         print(f"error: {exc}", file=_sys.stderr)
         return 1
     except InternalInvariantError as exc:

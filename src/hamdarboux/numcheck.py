@@ -1,18 +1,14 @@
 """Floating-point cross-validation: integrate the canonical equations with
 classical RK4 and measure drift of claimed first integrals.
 
-A state is 2m floats ordered (q1..qm, p1..pm), or a batch of S such states of
-shape (S, 2m) that one RK4 loop advances together. Each polynomial runs as
-generated straight-line source, free of user text, on a state's floats or a
-batch's coordinate columns in one order of operations, so a state's floats
-are the same alone and inside a batch. The RK4 loop is generated too: one
-function per integration holds every step, with the vector field's source
-inlined in each of the four stages and the same float operations, in the
-same order, as four calls of the compiled vector field. One state's drift
-runs that loop on Python floats with F folded in after each step, so it
-keeps no trajectory and never imports numpy; numpy loads for
-`integrate_rk4`, whose `Trajectory` holds an array, and for a batch's
-drift."""
+A state is 2m numbers ordered (q1..qm, p1..pm), read as Python floats. Each
+polynomial runs as generated straight-line source, free of user text, on a
+state's floats. The RK4 loop is generated too: one function per integration
+holds every step, with the vector field's source inlined in each of the four
+stages and the same float operations, in the same order, as four calls of the
+compiled vector field. `drift` runs that loop with F folded in after each
+step, so it keeps no trajectory and never imports numpy; numpy loads only in
+`integrate_rk4`, whose `Trajectory` holds the states in an array."""
 
 from __future__ import annotations
 
@@ -39,22 +35,21 @@ class Trajectory:
     `samples` is derived from these on read."""
 
     h: float
-    # (steps + 1, 2m[, S]): step s holds the 2m coordinates, each a float or
-    # a column of S floats
+    # (steps + 1, 2m): row s holds step s's 2m coordinates
     states: np.ndarray
 
     @property
     def samples(self) -> list[tuple[float, np.ndarray]]:
         """(t, state) per step, built on read: t accumulates h from 0.0 and
-        each state is a view into `states` with the start's shape."""
+        each state is a row of `states`."""
         times = accumulate(repeat(self.h, len(self.states) - 1), initial=0.0)
-        return list(zip(times, (state.T for state in self.states)))
+        return list(zip(times, self.states))
 
 
 def _terms(polys: Sequence[MultiPoly], n: int) -> tuple[list, list[float]]:
     """Each polynomial's terms as (coefficient index, exponents) in
-    `sorted_terms()` order, a zero polynomial as one zero constant term, with
-    a flag for constant polynomials; and the coefficients as floats."""
+    `sorted_terms()` order, a zero polynomial as one zero constant term; and
+    the coefficients as floats."""
     coefs: list[float] = []
     plan = []
     for poly in polys:
@@ -64,7 +59,7 @@ def _terms(polys: Sequence[MultiPoly], n: int) -> tuple[list, list[float]]:
                 raise NotRealEvaluableError(f"{poly} has non-real coefficients")
             terms.append((len(coefs), e))
             coefs.append(c.to_float())
-        plan.append((terms, poly.is_constant()))
+        plan.append(terms)
     return plan, coefs
 
 
@@ -72,15 +67,12 @@ def _render(plan: list, inputs: Sequence[str], outputs: Sequence[str], indent: s
     """Statements setting outputs[j] to polynomial j of `plan` at the
     coordinates named by `inputs`. Each term c{k}*x0*x0*x1 is added by its
     own statement, which keeps long sums within the compiler's recursion
-    limit; a constant is multiplied by inputs[0]**0 (1.0 even at inf or nan)
-    to take the coordinates' shape."""
+    limit."""
     body = ""
-    for (terms, constant), y in zip(plan, outputs):
+    for terms, y in zip(plan, outputs):
         for t, (k, e) in enumerate(terms):
             variables = "".join(f"*{inputs[i]}" for i, a in enumerate(e) for _ in range(a))
             body += f"{indent}{y} = {f'{y} + ' if t else ''}c{k}{variables}\n"
-        if constant:
-            body += f"{indent}{y} = {y}*{inputs[0]}**0\n"
     return body
 
 
@@ -95,8 +87,8 @@ def _define(name: str, args: Sequence[str], coefs: list[float], body: str) -> Ca
 
 
 def _compile(polys: Sequence[MultiPoly], n: int) -> Callable[..., tuple]:
-    """A function of the coordinates x0..x{n-1} (floats, or arrays of one
-    shape) returning the polynomials' values."""
+    """A function of the coordinates x0..x{n-1} returning the polynomials'
+    values."""
     plan, coefs = _terms(polys, n)
     xs = [f"x{i}" for i in range(n)]
     ys = [f"y{j}" for j in range(len(polys))]
@@ -179,55 +171,41 @@ def _step_count(h: float, T: float) -> int:
     return steps
 
 
-def _one_state(x0, n: int) -> list[float] | None:
-    """x0's n coordinates as floats when x0 is one state; None for a batch:
-    an array of another dimension, or rows that do not convert to floats."""
-    if getattr(x0, "ndim", 1) != 1:
-        return None
+def _state(x0, n: int) -> list[float]:
+    """x0 as one state of n floats; ValueError unless it is n numbers."""
     try:
         state = [float(v) for v in x0]
+        if len(state) == n:
+            return state
     except TypeError:
-        return None
-    if len(state) != n:
-        raise ValueError(f"initial state must have {n} coordinates")
-    return state
+        pass
+    raise ValueError(f"a state must have {n} coordinates")
 
 
 def evaluate_float(poly: MultiPoly, state: Sequence[float]) -> float:
-    (value,) = _compile([poly], poly.varset.n)(*[float(v) for v in state])
-    return float(value)
+    (value,) = _compile([poly], poly.varset.n)(*_state(state, poly.varset.n))
+    return value
 
 
-def integrate_rk4(sys: NaturalHamiltonian, x0, h: float, T: float) -> Trajectory:
+def integrate_rk4(sys: NaturalHamiltonian, x0: Sequence[float], h: float, T: float) -> Trajectory:
     """Fixed-step classical RK4 for qdot_i = mu_i p_i, pdot_i = -dV/dq_i, from
-    one state (2m,) or a batch (S, 2m), ending at T: T/h must be a positive
-    whole number of steps, to a relative 1e-9. One generated loop runs every
-    step and writes each state into the preallocated `states` array."""
+    one state of 2m numbers, ending at T: T/h must be a positive whole number
+    of steps, to a relative 1e-9. One generated loop runs every step and
+    writes each state into the preallocated `states` array."""
     import numpy as np
 
     steps = _step_count(h, T)
-    m = sys.m
-    x = np.array(x0, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != 2 * m:
-        raise ValueError(f"initial state must have {2 * m} coordinates")
-    run = _rk4_loop(sys)
-    states = np.empty((steps + 1, 2 * m) + x.shape[:-1])
-    states[0] = x.T
-    run(states, h, *(x.tolist() if x.ndim == 1 else x.T))
+    state = _state(x0, 2 * sys.m)
+    states = np.empty((steps + 1, 2 * sys.m))
+    states[0] = state
+    _rk4_loop(sys)(states, h, *state)
     return Trajectory(h=h, states=states)
 
 
-def drift(sys: NaturalHamiltonian, F: MultiPoly, x0, h: float, T: float):
-    """max_t |F(x(t)) - F(x0)| / max(1, |F(x0)|) along the RK4 trajectory: a
-    float for one state, computed step by step without storing the
-    trajectory; an array of S drifts for a batch (S, 2m)."""
+def drift(sys: NaturalHamiltonian, F: MultiPoly, x0: Sequence[float], h: float, T: float) -> float:
+    """max_t |F(x(t)) - F(x0)| / max(1, |F(x0)|) along the RK4 trajectory
+    from one state of 2m numbers, computed step by step without storing the
+    trajectory."""
     steps = _step_count(h, T)
-    state = _one_state(x0, 2 * sys.m)
-    if state is not None:
-        return _drift_loop(sys, F)(h, steps, *state)
-    import numpy as np
-
-    f = _compile([F], 2 * sys.m)
-    (values,) = f(*integrate_rk4(sys, x0, h, T).states.swapaxes(0, 1))
-    scale = np.maximum(1.0, np.abs(values[0]))
-    return np.max(np.abs(values[1:] - values[0]) / scale, axis=0)
+    state = _state(x0, 2 * sys.m)
+    return _drift_loop(sys, F)(h, steps, *state)

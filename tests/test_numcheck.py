@@ -75,8 +75,18 @@ def test_argument_validation(sys_s2):
         integrate_rk4(sys_s2, [0.0] * 4, -1e-3, 1.0)
     with pytest.raises(ValueError):
         integrate_rk4(sys_s2, [0.0] * 4, 1e-3, 0.0)
-    with pytest.raises(ValueError):
-        integrate_rk4(sys_s2, [0.0] * 3, 1e-3, 1.0)
+    # a short, long, nested or batch state is one ValueError from each of
+    # the three functions, never the generated code's TypeError
+    p1 = poly_of(sys_s2, "p1")
+    wrong = [[0.0] * 3, [1, 2, 3], [0.0] * 5, [[0.0] * 4], [[0.0] * 4] * 3, [[0.0]] * 4]
+    for x0 in wrong + [np.zeros((3, 4)), np.zeros((4, 1)), 0.0]:
+        for call in (
+            lambda: evaluate_float(p1, x0),
+            lambda: drift(sys_s2, p1, x0, 1e-3, 1.0),
+            lambda: integrate_rk4(sys_s2, x0, 1e-3, 1.0),
+        ):
+            with pytest.raises(ValueError, match="^a state must have 4 coordinates$"):
+                call()
     for h, T in [(math.inf, 1.0), (math.nan, 1.0), (1e-3, math.inf), (1e-3, math.nan), (math.inf, math.inf)]:
         with pytest.raises(ValueError, match="positive and finite"):
             integrate_rk4(sys_s2, [0.0] * 4, h, T)
@@ -85,25 +95,6 @@ def test_argument_validation(sys_s2):
     # finite h and T whose ratio overflows
     with pytest.raises(ValueError, match="too many steps"):
         integrate_rk4(sys_s2, [0.0] * 4, 1e-320, 1.0)
-
-
-def test_batch_drift_equals_single_drifts(sys_s1, sys_s2, sys_s3, sys_s4):
-    # the criterion-8 integrals and the p1 control: a state's drift is the
-    # same float alone and inside a batch of 16
-    cases = [
-        (sys_s1, "p2"),
-        (sys_s2, "q1*p2 - q2*p1"),
-        (sys_s3, "p2^2 + 2*q2^4"),
-        (sys_s4, "p2*(p1*q2 - p2*q1) + q2^2*(2*q1^3 + q1*q2^2)*1/3"),
-        (sys_s2, "p1"),
-    ]
-    rng = random.Random(4242)
-    for system, text in cases:
-        F = poly_of(system, text)
-        states = [[rng.uniform(-1.0, 1.0) for _ in range(4)] for _ in range(16)]
-        batch = drift(system, F, states, 1e-3, 0.2)
-        assert batch.shape == (16,)
-        assert list(batch) == [drift(system, F, x0, 1e-3, 0.2) for x0 in states]
 
 
 def test_vector_field_matches_exact(sys_s3):
@@ -134,14 +125,6 @@ def test_non_real_potential_rejected():
         drift(system, poly_of(system, "p2"), [0.1, 0.2, 0.3, 0.4], 1e-3, 0.1)
 
 
-def test_batch_trajectory_shape(sys_s2):
-    start = np.array([[0.1, 0.2, 0.3, 0.4], [-0.5, 0.6, 0.0, 0.2], [0.3, -0.1, 0.9, -0.7]])
-    traj = integrate_rk4(sys_s2, start, 1e-2, 0.5)
-    assert len(traj.samples) == 50 + 1
-    assert all(state.shape == (3, 4) for _, state in traj.samples)
-    assert np.array_equal(traj.samples[0][1], start)
-
-
 def test_horizon_must_be_whole_steps(sys_s2):
     x0 = [0.1, 0.2, 0.3, 0.4]
     # h = 0.3 would take no step towards T = 0.1 and stop short of T = 1.0
@@ -158,42 +141,24 @@ def test_horizon_must_be_whole_steps(sys_s2):
 
 def test_constant_outputs_keep_the_batch_shape():
     # dV/dq2 = 0 for V = q1^4 and dV/dq1 = 1 for V = q1 + q2^2 come out as
-    # columns of the batch's length, and F = 1 drifts by exactly 0
-    columns = [np.array([0.1, -0.2, 0.3]), np.array([0.5, 0.6, -0.7]), np.zeros(3), np.ones(3)]
-    states = np.array(columns).T
-    for text, pdot in [("q1^4", [-4 * columns[0] ** 3, np.zeros(3)]), ("q1 + q2^2", [-np.ones(3), -2 * columns[1]])]:
+    # their constant float values at one state, and F = 1 drifts by exactly 0
+    state = [0.1, 0.5, 0.0, 1.0]
+    for text, pdot in [("q1^4", (-4 * 0.1**3, 0.0)), ("q1 + q2^2", (-1.0, -2 * 0.5))]:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # deg V = 2 is fine for numerics
             system = load_system(f"m = 2\nfield = Q\nmu = 1, 1\nV = {text}\n")
-        got = _vector_field(system)(*columns)
-        assert all(value.shape == (3,) for value in got)
-        assert np.allclose(got[2:], pdot, rtol=1e-15, atol=0.0)
-        one = poly_of(system, "1")
-        assert drift(system, one, states[0], 1e-2, 0.5) == 0.0
-        batch = drift(system, one, states, 1e-2, 0.5)
-        assert batch.shape == (3,) and not batch.any()
-        F = poly_of(system, "p2" if text == "q1^4" else "p1")
-        assert list(drift(system, F, states, 1e-2, 0.5)) == [drift(system, F, x0, 1e-2, 0.5) for x0 in states]
-
-
-def test_batch_drift_equals_single_drifts_m3():
-    system = load_system("m = 3\nfield = Q\nmu = 1, 2, -1/2\nV = q1^2*q2 + 1/4*q3^4 - 1/3*q1*q3\n")
-    rng = random.Random(77)
-    states = [[rng.uniform(-1.0, 1.0) for _ in range(6)] for _ in range(8)]
-    for F in (system.H, poly_of(system, "q1*p3 - p2^2")):
-        batch = drift(system, F, states, 1e-3, 0.2)
-        assert batch.shape == (8,)
-        assert list(batch) == [drift(system, F, x0, 1e-3, 0.2) for x0 in states]
+        got = _vector_field(system)(*state)
+        assert all(type(value) is float for value in got)
+        assert got[2:] == pdot
+        assert drift(system, poly_of(system, "1"), state, 1e-2, 0.5) == 0.0
 
 
 def reference_rk4(system, x0, h, T):
     """The stage-by-stage RK4 loop: four calls of the compiled vector field
-    per step on lists of coordinates, one state or a batch's columns."""
+    per step on one state's list of coordinates."""
     f = _vector_field(system)
-    x = np.array(x0, dtype=float)
-    states = np.empty((round(T / h) + 1, 2 * system.m) + x.shape[:-1])
-    states[0] = x.T
-    y = x.tolist() if x.ndim == 1 else list(x.T)
+    states = np.empty((round(T / h) + 1, 2 * system.m))
+    states[0] = y = [float(a) for a in x0]
     for s in range(1, len(states)):
         k1 = f(*y)
         k2 = f(*[a + 0.5 * h * k for a, k in zip(y, k1)])
@@ -218,21 +183,18 @@ def test_states_equal_the_reference_stepper(sys_s4):
     assert any(0 in system.mu for system in randoms)
     h, T = 1e-2, 0.2
     for system in [linear, custom, sys_s4] + randoms:
-        n = 2 * system.m
-        single = [rng.uniform(-0.5, 0.5) for _ in range(n)]
-        batch = [[rng.uniform(-0.5, 0.5) for _ in range(n)] for _ in range(5)]
-        for x0 in (single, batch):
-            want = reference_rk4(system, x0, h, T)
-            assert np.isfinite(want).all()
-            traj = integrate_rk4(system, x0, h, T)
-            assert np.array_equal(traj.states, want)
-            t = 0.0
-            for s, (time, state) in enumerate(traj.samples):
-                assert time == t
-                assert np.shares_memory(state, traj.states)
-                assert np.array_equal(state, want[s].T)
-                t += h
-            assert s == round(T / h)
+        x0 = [rng.uniform(-0.5, 0.5) for _ in range(2 * system.m)]
+        want = reference_rk4(system, x0, h, T)
+        assert np.isfinite(want).all()
+        traj = integrate_rk4(system, x0, h, T)
+        assert np.array_equal(traj.states, want)
+        t = 0.0
+        for s, (time, state) in enumerate(traj.samples):
+            assert time == t
+            assert np.shares_memory(state, traj.states)
+            assert np.array_equal(state, want[s])
+            t += h
+        assert s == round(T / h)
 
 
 def test_gradient_longer_than_one_expression_allows():
@@ -287,20 +249,15 @@ def test_single_drift_equals_the_trajectory_maximum(sys_s1, sys_s2, sys_s3, sys_
 
 def test_non_finite_drift_alone_and_in_a_batch():
     # from (3, 0.1, 0, 0.2) the force 6*q1^5 of V = -q1^6 + q2^4 sends q1 and
-    # p1 to inf within T = 1: H turns inf - inf = NaN and p1 turns inf, alone,
-    # inside a batch and over the stored trajectory; the finite steps before
-    # them do not hide them
+    # p1 to inf within T = 1: H turns inf - inf = NaN and p1 turns inf, in
+    # the drift and over the stored trajectory; the finite steps before them
+    # do not hide them
     system = load_system("m = 2\nfield = Q\nmu = 1, 1\nV = -q1^6 + q2^4\n")
-    x0, calm = [3.0, 0.1, 0.0, 0.2], [0.1, 0.2, 0.3, 0.4]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for F, non_finite in [(system.H, math.isnan), (poly_of(system, "p1"), math.isinf)]:
-            alone = drift(system, F, x0, 0.1, 1.0)
-            batch = drift(system, F, [calm, x0, calm], 0.1, 1.0)
-            assert non_finite(alone) and non_finite(batch[1])
-            assert non_finite(trajectory_drift(system, F, x0, 0.1, 1.0))
-            assert math.isfinite(batch[0]) and batch[0] == batch[2] == drift(system, F, calm, 0.1, 1.0)
-        # a start of NaN is NaN throughout; an infinite start scales by
-        # |F(x0)| = inf, and inf - inf is NaN
-        for start in ([math.nan, 0.1, 0.0, 0.2], [math.inf, 0.1, 0.0, 0.2]):
-            (in_batch,) = drift(system, system.H, [start], 0.1, 1.0)
-            assert math.isnan(drift(system, system.H, start, 0.1, 1.0)) and math.isnan(in_batch)
+    x0 = [3.0, 0.1, 0.0, 0.2]
+    for F, non_finite in [(system.H, math.isnan), (poly_of(system, "p1"), math.isinf)]:
+        assert non_finite(drift(system, F, x0, 0.1, 1.0))
+        assert non_finite(trajectory_drift(system, F, x0, 0.1, 1.0))
+    # a start of NaN is NaN throughout; an infinite start scales by
+    # |F(x0)| = inf, and inf - inf is NaN
+    for start in ([math.nan, 0.1, 0.0, 0.2], [math.inf, 0.1, 0.0, 0.2]):
+        assert math.isnan(drift(system, system.H, start, 0.1, 1.0))
