@@ -259,7 +259,7 @@ def _run(args, system: NaturalHamiltonian | None) -> tuple[int, dict]:
         if args.samples < 1:
             # no states would report verdict 0.0, which reads as "no drift"
             raise ValueError(f"--samples must be a positive count, got {args.samples}")
-        from .numcheck import drift
+        from .numcheck import drift  # off the import path of the exact commands
 
         F = _parse_arg_poly(system, args.poly)
         rng = random.Random(0)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -235,12 +236,12 @@ def test_numcheck_verdict_is_nan_when_any_drift_is(capsys, tmp_path):
     F = parse_poly(H, ParseContext(system.varset, system.field))
     rng = random.Random(0)
     drifts = [drift(system, F, [rng.uniform(-1.0, 1.0) for _ in range(4)], 0.1, 1.1) for _ in range(8)]
-    assert 0.08 < drifts[0] < 0.081 and drifts[4] != drifts[4]
+    assert 0.08 < drifts[0] < 0.081 and math.isnan(drifts[4])
     assert max(drifts) == drifts[0]
     argv = ["numcheck", "--system", str(path), "--poly", H, "--h", "0.1", "--T", "1.1", "--samples", "8"]
-    assert main(argv + ["--output", "json"]) == 0
-    out = capsys.readouterr().out
-    assert '"verdict": NaN,' in out
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    assert math.isnan(report["results"][0]["verdict"])
 
 
 @pytest.mark.parametrize(
