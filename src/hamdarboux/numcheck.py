@@ -1,7 +1,7 @@
 """Floating-point cross-validation: integrate the canonical equations with
 classical RK4 and measure drift of claimed first integrals.
 
-A state is 2m numbers ordered (q1..qm, p1..pm), read as Python floats. Each
+A state is 2m real numbers ordered (q1..qm, p1..pm), read as Python floats. Each
 polynomial runs as generated straight-line source, free of user text, on a
 state's floats. The RK4 loop is generated too: one function per integration
 holds every step, with the vector field's source inlined in each of the four
@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate, repeat
+from numbers import Real
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .hamsys import NaturalHamiltonian
@@ -172,14 +173,16 @@ def _step_count(h: float, T: float) -> int:
 
 
 def _state(x0, n: int) -> list[float]:
-    """x0 as one state of n floats; ValueError unless it is n numbers."""
+    """x0 as one state of n floats; ValueError unless it is n real numbers.
+    The Real check, not float(), rejects a length-1 array as a coordinate:
+    numpy before 2.4 converts one to a float."""
     try:
-        state = [float(v) for v in x0]
-        if len(state) == n:
-            return state
+        coords = list(x0)
     except TypeError:
-        pass
-    raise ValueError(f"a state must have {n} coordinates")
+        coords = []
+    if len(coords) != n or not all(isinstance(v, Real) for v in coords):
+        raise ValueError(f"a state must have {n} coordinates")
+    return [float(v) for v in coords]
 
 
 def evaluate_float(poly: MultiPoly, state: Sequence[float]) -> float:

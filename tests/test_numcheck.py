@@ -76,9 +76,11 @@ def test_argument_validation(sys_s2):
     with pytest.raises(ValueError):
         integrate_rk4(sys_s2, [0.0] * 4, 1e-3, 0.0)
     # a short, long, nested or batch state is one ValueError from each of
-    # the three functions, never the generated code's TypeError
+    # the three functions, never the generated code's TypeError; ["0"] * 4
+    # stands for a (4, 1) column on numpy before 2.4, whose length-1 rows
+    # float() converts as a string of one digit is converted
     p1 = poly_of(sys_s2, "p1")
-    wrong = [[0.0] * 3, [1, 2, 3], [0.0] * 5, [[0.0] * 4], [[0.0] * 4] * 3, [[0.0]] * 4]
+    wrong = [[0.0] * 3, [1, 2, 3], [0.0] * 5, [[0.0] * 4], [[0.0] * 4] * 3, [[0.0]] * 4, ["0"] * 4]
     for x0 in wrong + [np.zeros((3, 4)), np.zeros((4, 1)), 0.0]:
         for call in (
             lambda: evaluate_float(p1, x0),
