@@ -68,8 +68,8 @@ from .structure import (
     jacobian_independent,
 )
 
-# numcheck's names are loaded on first access (PEP 562), off the import path of
-# the exact commands; numcheck itself loads numpy only inside integrate_rk4
+# numcheck's names are loaded on first access (PEP 562), so the exact commands
+# do not pay for compiling numcheck
 _NUMCHECK_NAMES = (
     "NotRealEvaluableError",
     "Trajectory",

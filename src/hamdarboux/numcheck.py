@@ -3,26 +3,23 @@ classical RK4 and measure drift of claimed first integrals.
 
 A state is 2m real numbers ordered (q1..qm, p1..pm), read as Python floats. Each
 polynomial runs as generated straight-line source, free of user text, on a
-state's floats. The RK4 loop is generated too: one function per integration
-holds every step, with the vector field's source inlined in each of the four
-stages and the same float operations, in the same order, as four calls of the
-compiled vector field. `drift` runs that loop with F folded in after each
-step, so it keeps no trajectory and never imports numpy; numpy loads only in
-`integrate_rk4`, whose `Trajectory` holds the states in an array."""
+state's floats. `integrate_rk4` is the reference stepper: four calls of the
+compiled vector field per step, each state kept as a tuple. `drift` runs one
+generated loop, compiled once per (system, F), with the vector field's source
+inlined in each of the four stages and F folded in after each step: the same
+float operations, in the same order, as the stepper, and no trajectory kept."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, repeat
 from numbers import Real
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from .hamsys import NaturalHamiltonian
 from .poly import MultiPoly
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class NotRealEvaluableError(ValueError):
@@ -36,13 +33,13 @@ class Trajectory:
     `samples` is derived from these on read."""
 
     h: float
-    # (steps + 1, 2m): row s holds step s's 2m coordinates
-    states: np.ndarray
+    # steps + 1 states: entry s holds step s's 2m coordinates
+    states: tuple[tuple[float, ...], ...]
 
     @property
-    def samples(self) -> list[tuple[float, np.ndarray]]:
+    def samples(self) -> list[tuple[float, tuple[float, ...]]]:
         """(t, state) per step, built on read: t accumulates h from 0.0 and
-        each state is a row of `states`."""
+        each state is an entry of `states`."""
         times = accumulate(repeat(self.h, len(self.states) - 1), initial=0.0)
         return list(zip(times, self.states))
 
@@ -108,52 +105,43 @@ def _vector_field(sys: NaturalHamiltonian) -> Callable[..., tuple]:
     return _compile(_field_polys(sys), 2 * sys.m)
 
 
-def _rk4_source(plan: list, xs: Sequence[str], steps: str, tail: str) -> str:
-    """A function body taking RK4 steps over `range(steps)` from the
-    coordinates named by `xs`, with `tail` (statements at the loop's indent)
-    after each step. The stages k1..k4 are the vector field `plan`'s source
-    inlined at x, x + hh*k1, x + hh*k2 and x + h*k3 with hh = 0.5*h, and the
-    step is x + h6*(k1 + 2*k2 + 2*k3 + k4) with h6 = h/6.0."""
-    n = len(xs)
+@lru_cache(maxsize=1)
+def _drift_loop(sys: NaturalHamiltonian, F: MultiPoly) -> Callable[..., float]:
+    """run(h, steps, x0, ..., x{2m-1}) takes `steps` RK4 steps from x, the
+    float operations of `integrate_rk4`, evaluates F after each one and
+    returns the largest d = |F(x_s) - F(x_0)| / max(1, |F(x_0)|). The stages
+    k1..k4 are the vector field's source inlined at x, x + hh*k1, x + hh*k2
+    and x + h*k3 with hh = 0.5*h, and the step is x + h6*(k1 + 2*k2 + 2*k3 +
+    k4) with h6 = h/6.0. The running maximum turns NaN at the first NaN d
+    and stays NaN; a NaN F(x_0), which Python's max drops from the scale,
+    makes every d NaN. The last (system, F) is cached, so drifts from many
+    states of one pair compile once."""
+    n = 2 * sys.m
+    xs = [f"x{i}" for i in range(n)]
     us = [f"u{i}" for i in range(n)]
     ks = [[f"k{r}_{i}" for i in range(n)] for r in range(1, 5)]
+    (*plan, f_plan), coefs = _terms(_field_polys(sys) + [F], n)
     pad = " " * 8
-    body = _render(plan, xs, ks[0], pad)
+    body = _render([f_plan], xs, ["y"], " " * 4) + (
+        "    f0 = y\n"
+        "    scale = max(1.0, abs(f0))\n"
+        "    worst = 0.0\n"
+        "    hh = 0.5*h\n"
+        "    h6 = h/6.0\n"
+        "    for s in range(steps):\n"
+    )
+    body += _render(plan, xs, ks[0], pad)
     for scale, k, k_next in zip(("hh", "hh", "h"), ks, ks[1:]):
         body += "".join(f"{pad}{u} = {x} + {scale}*{a}\n" for u, x, a in zip(us, xs, k))
         body += _render(plan, us, k_next, pad)
     body += "".join(f"{pad}{x} = {x} + h6*({a} + 2*{b} + 2*{c} + {d})\n" for x, a, b, c, d in zip(xs, *ks))
-    return f"    hh = 0.5*h\n    h6 = h/6.0\n    for s in range({steps}):\n{body}{tail}"
-
-
-def _rk4_loop(sys: NaturalHamiltonian) -> Callable[..., None]:
-    """run(out, h, x0, ..., x{2m-1}) writes RK4 step s from the start x into
-    out[s] for s = 1 .. len(out) - 1."""
-    xs = [f"x{i}" for i in range(2 * sys.m)]
-    plan, coefs = _terms(_field_polys(sys), len(xs))
-    store = f"        out[s] = ({', '.join(xs)},)\n"
-    return _define("run", ["out", "h"] + xs, coefs, _rk4_source(plan, xs, "1, len(out)", store))
-
-
-def _drift_loop(sys: NaturalHamiltonian, F: MultiPoly) -> Callable[..., float]:
-    """run(h, steps, x0, ..., x{2m-1}) takes `steps` RK4 steps from x, the
-    float operations of `_rk4_loop`, evaluates F after each one and returns
-    the largest d = |F(x_s) - F(x_0)| / max(1, |F(x_0)|). Like numpy's max,
-    the running maximum turns NaN at the first NaN d and stays NaN; a NaN
-    F(x_0), which Python's max drops from the scale, makes every d NaN."""
-    xs = [f"x{i}" for i in range(2 * sys.m)]
-    (*plan, f_plan), coefs = _terms(_field_polys(sys) + [F], len(xs))
-    start = _render([f_plan], xs, ["y"], " " * 4) + (
-        "    f0 = y\n"
-        "    scale = max(1.0, abs(f0))\n"
-        "    worst = 0.0\n"
-    )
-    fold = _render([f_plan], xs, ["y"], " " * 8) + (
+    body += _render([f_plan], xs, ["y"], pad) + (
         "        d = abs(y - f0)/scale\n"
         "        if d > worst or d != d:\n"
         "            worst = d\n"
+        "    return worst\n"
     )
-    return _define("run", ["h", "steps"] + xs, coefs, start + _rk4_source(plan, xs, "steps", fold) + "    return worst\n")
+    return _define("run", ["h", "steps"] + xs, coefs, body)
 
 
 def _step_count(h: float, T: float) -> int:
@@ -193,16 +181,20 @@ def evaluate_float(poly: MultiPoly, state: Sequence[float]) -> float:
 def integrate_rk4(sys: NaturalHamiltonian, x0: Sequence[float], h: float, T: float) -> Trajectory:
     """Fixed-step classical RK4 for qdot_i = mu_i p_i, pdot_i = -dV/dq_i, from
     one state of 2m numbers, ending at T: T/h must be a positive whole number
-    of steps, to a relative 1e-9. One generated loop runs every step and
-    writes each state into the preallocated `states` array."""
-    import numpy as np
-
+    of steps, to a relative 1e-9. Each step calls the compiled vector field
+    four times and keeps the new state as a tuple of floats."""
     steps = _step_count(h, T)
-    state = _state(x0, 2 * sys.m)
-    states = np.empty((steps + 1, 2 * sys.m))
-    states[0] = state
-    _rk4_loop(sys)(states, h, *state)
-    return Trajectory(h=h, states=states)
+    f = _vector_field(sys)
+    y = tuple(_state(x0, 2 * sys.m))
+    states = [y]
+    for _ in range(steps):
+        k1 = f(*y)
+        k2 = f(*[a + 0.5 * h * k for a, k in zip(y, k1)])
+        k3 = f(*[a + 0.5 * h * k for a, k in zip(y, k2)])
+        k4 = f(*[a + h * k for a, k in zip(y, k3)])
+        y = tuple(a + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+        states.append(y)
+    return Trajectory(h=h, states=tuple(states))
 
 
 def drift(sys: NaturalHamiltonian, F: MultiPoly, x0: Sequence[float], h: float, T: float) -> float:

@@ -408,7 +408,8 @@ def _run_fresh(script: str) -> subprocess.CompletedProcess:
 def test_exact_commands_load_neither_sympy_nor_numpy(tmp_path):
     # the exact checks need no factoring and no floating point, and numcheck's
     # drift runs on Python floats: a CLI process that runs them must not pay
-    # for importing sympy or numpy
+    # for importing sympy or numpy, and the exact commands run before numcheck
+    # must not pay for compiling numcheck either
     script = f"""
 import contextlib, io, sys
 from pathlib import Path
@@ -435,6 +436,9 @@ runs = [
     ["examples"],
 ]
 for argv in runs:
+    if argv[0] == "numcheck":
+        # every exact command before it ran without compiling numcheck
+        assert "hamdarboux.numcheck" not in sys.modules
     with contextlib.redirect_stdout(io.StringIO()):
         status = main(argv + ["--output", "json"])
     assert status == 0, (argv, status)
@@ -445,9 +449,9 @@ print(sorted(name for name in ("sympy", "numpy") if name in sys.modules))
     assert proc.stdout.strip() == "[]"
 
 
-def test_numcheck_names_load_numpy_on_first_use():
-    # drift and evaluate_float run on Python floats and need no numpy; numpy
-    # loads for integrate_rk4, whose Trajectory holds an array
+def test_numcheck_names_never_load_numpy():
+    # drift, evaluate_float and integrate_rk4 run on Python floats and need
+    # no numpy
     script = """
 import sys
 import hamdarboux
@@ -457,13 +461,12 @@ F = parse_poly("q1*p2 - q2*p1", ParseContext(system.varset, system.field))
 x0 = [0.1, 0.2, 0.3, 0.4]
 assert drift(system, F, x0, 1e-2, 0.5) <= 1e-6
 assert evaluate_float(F, x0) == 0.1*0.4 - 0.2*0.3
+assert len(integrate_rk4(system, x0, 1e-2, 0.5).states) == 50 + 1
 assert "numpy" not in sys.modules
 numcheck = sys.modules["hamdarboux.numcheck"]
 names = {"NotRealEvaluableError", "Trajectory", "drift", "evaluate_float", "integrate_rk4"}
 assert all(getattr(hamdarboux, name) is getattr(numcheck, name) for name in names)
 assert names <= set(hamdarboux.__all__)
-integrate_rk4(system, x0, 1e-2, 0.5)
-assert "numpy" in sys.modules
 """
     proc = _run_fresh(script)
     assert proc.returncode == 0, proc.stderr

@@ -155,50 +155,6 @@ def test_constant_outputs_keep_the_batch_shape():
         assert drift(system, poly_of(system, "1"), state, 1e-2, 0.5) == 0.0
 
 
-def reference_rk4(system, x0, h, T):
-    """The stage-by-stage RK4 loop: four calls of the compiled vector field
-    per step on one state's list of coordinates."""
-    f = _vector_field(system)
-    states = np.empty((round(T / h) + 1, 2 * system.m))
-    states[0] = y = [float(a) for a in x0]
-    for s in range(1, len(states)):
-        k1 = f(*y)
-        k2 = f(*[a + 0.5 * h * k for a, k in zip(y, k1)])
-        k3 = f(*[a + 0.5 * h * k for a, k in zip(y, k2)])
-        k4 = f(*[a + h * k for a, k in zip(y, k3)])
-        y = [a + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-        states[s] = y
-    return states
-
-
-def test_states_equal_the_reference_stepper(sys_s4):
-    # the generated loop does the reference's float operations in its order,
-    # so every state is the same float; the drift bounds would not notice a
-    # reordering. V = q1 + q2^2 has a constant gradient component, and
-    # sys_s4 and the custom system have more coefficients than coordinates
-    rng = random.Random(17)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # deg V = 2 is fine for numerics
-        linear = load_system("m = 2\nfield = Q\nmu = 0, 1\nV = q1 + q2^2\n")
-    custom = load_system("m = 2\nfield = Q\nmu = 2, -1/3\nV = q1^4 - 5/2*q1^2*q2^2 + 1/7*q2^3*q1 + q2^4 - q1^3\n")
-    randoms = [random_small_system(rng, m=m) for m in (2, 2, 2, 3, 3, 3)]
-    assert any(0 in system.mu for system in randoms)
-    h, T = 1e-2, 0.2
-    for system in [linear, custom, sys_s4] + randoms:
-        x0 = [rng.uniform(-0.5, 0.5) for _ in range(2 * system.m)]
-        want = reference_rk4(system, x0, h, T)
-        assert np.isfinite(want).all()
-        traj = integrate_rk4(system, x0, h, T)
-        assert np.array_equal(traj.states, want)
-        t = 0.0
-        for s, (time, state) in enumerate(traj.samples):
-            assert time == t
-            assert np.shares_memory(state, traj.states)
-            assert np.array_equal(state, want[s])
-            t += h
-        assert s == round(T / h)
-
-
 def test_gradient_longer_than_one_expression_allows():
     # a dense degree-28 potential in q1, q2, q3 has 4,059 terms in each
     # gradient component; a sum of over 3,000 terms written as one expression
@@ -212,7 +168,7 @@ def test_gradient_longer_than_one_expression_allows():
     assert all(len(g.sorted_terms()) > 3000 for g in system.grad_V)
     x0 = [0.1, -0.2, 0.1, 0.3, 0.0, -0.1]
     traj = integrate_rk4(system, x0, 1e-3, 2e-3)
-    assert traj.states.shape == (3, 6) and np.isfinite(traj.states).all()
+    assert len(traj.states) == 3 and all(math.isfinite(v) for state in traj.states for v in state)
     assert drift(system, system.H, x0, 1e-3, 2e-3) <= 1e-12
 
 
@@ -224,8 +180,12 @@ def trajectory_drift(system, F, x0, h, T):
 
 
 def test_single_drift_equals_the_trajectory_maximum(sys_s1, sys_s2, sys_s3, sys_s4):
-    # one state's drift folds F into the RK4 loop without storing the
-    # trajectory; it is the same float as the maximum over the stored states
+    # one state's drift folds F into the generated RK4 loop without storing
+    # the trajectory; it is the same float as the maximum over the stepper's
+    # states. F set to each coordinate in turn compares every coordinate of
+    # the two, where a bound on the drift would not notice a reordering of the
+    # float operations. V = q1 + q2^2 has a constant gradient component, the
+    # custom system and sys_s4 have more coefficients than coordinates
     rng = random.Random(2024)
     cases = [
         (sys_s1, poly_of(sys_s1, "p2")),
@@ -237,6 +197,21 @@ def test_single_drift_equals_the_trajectory_maximum(sys_s1, sys_s2, sys_s3, sys_
     for m in (2, 3):
         system = random_small_system(rng, m=m)
         cases += [(system, system.H), (system, rand_poly(rng, system.varset, RATIONALS, nonzero=True))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # deg V = 2 is fine for numerics
+        linear = load_system("m = 2\nfield = Q\nmu = 0, 1\nV = q1 + q2^2\n")
+    custom = load_system("m = 2\nfield = Q\nmu = 2, -1/3\nV = q1^4 - 5/2*q1^2*q2^2 + 1/7*q2^3*q1 + q2^4 - q1^3\n")
+    randoms = [random_small_system(rng, m=3) for _ in range(3)]
+    assert any(0 in system.mu for system in randoms)
+    for system in [linear, custom] + randoms:
+        cases += [(system, MultiPoly.variable(system.varset, system.field, i)) for i in range(1, 2 * system.m + 1)]
+        # each sample is t, accumulated by h from 0.0, and the stored state
+        traj = integrate_rk4(system, [rng.uniform(-0.5, 0.5) for _ in range(2 * system.m)], 1e-2, 0.2)
+        assert len(traj.samples) == 20 + 1
+        t = 0.0
+        for (time, state), stored in zip(traj.samples, traj.states):
+            assert time == t and state is stored
+            t += 1e-2
     for system, F in cases:
         # starts in [-2, 2] give |F(x0)| > 1, so the ratios are divided by
         # a scale other than 1
@@ -247,6 +222,17 @@ def test_single_drift_equals_the_trajectory_maximum(sys_s1, sys_s2, sys_s3, sys_
                 got = drift(system, F, x0, h, T)
                 assert type(got) is float
                 assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def test_drift_never_serves_another_pairs_loop(sys_s1, sys_s2):
+    # drift keeps the loop of the last (system, F) it compiled; alternating
+    # F on one system, and the system under one F, must recompile each time
+    x0 = [0.3, -0.4, 0.5, 0.2]
+    s2_H, s2_p1, s1_p1 = (sys_s2, sys_s2.H), (sys_s2, poly_of(sys_s2, "p1")), (sys_s1, poly_of(sys_s1, "p1"))
+    want = {pair: trajectory_drift(*pair, x0, 1e-2, 0.5) for pair in (s2_H, s2_p1, s1_p1)}
+    assert len(set(want.values())) == 3
+    for pair in (s2_H, s2_p1, s2_H, s1_p1, s2_p1, s1_p1, s1_p1, s2_H):
+        assert drift(*pair, x0, 1e-2, 0.5) == want[pair]
 
 
 def test_non_finite_drift_alone_and_in_a_batch():
