@@ -7,6 +7,7 @@ tau, and the weighted grading with q-weight 2 and p-weight r = deg V.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -147,7 +148,7 @@ def lie_image(sys: NaturalHamiltonian, alpha: Exponents) -> dict[Exponents, Fiel
             lowered = list(alpha)
             lowered[m + i] -= 1
             for g_exps, g_coef in sys.grad_V[i].terms.items():
-                image[tuple(x + y for x, y in zip(lowered, g_exps))] = g_coef * -b
+                image[tuple(map(operator.add, lowered, g_exps))] = g_coef * -b
     return image
 
 

@@ -153,6 +153,10 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        """False exactly for the zero polynomial, as for a number."""
+        return bool(self.terms)
+
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and not any(next(iter(self.terms))))
 

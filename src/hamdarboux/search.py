@@ -22,11 +22,16 @@ Each branch keeps its pivot rows, with their pivot columns, in echelon
 form.  At a leaf every remaining row is empty and every pivot is nonzero at
 the leaf's lam-values, so the kernel has one dimension per non-pivot column.
 A fully assigned leaf with a kernel back-substitutes through those rows,
-with no further elimination, evaluating there only the entries it reads."""
+with no further elimination, evaluating there only the entries it reads.
+
+On a search over Q with the one unknown l1 a constant entry is a plain int,
+so most elimination steps of a cubic potential's search run on Python
+integers."""
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
@@ -154,10 +159,12 @@ def _factor_with_sympy(
 
 # -- polynomials in the cofactor unknowns ---------------------------------------
 # Ansatz entries are MultiPolys over VarSet.cofactor_unknowns(k), except on a
-# search over Q with a single unknown l1, where every entry is an `_IntPoly`
-# from the ansatz to the leaf.  Both forms answer the same operations, so one
-# elimination, substitution and leaf serve both.  Residual strings list their
-# terms highest total degree first, and candidate pivots break ties on
+# search over Q with a single unknown l1, the integer form, where a constant
+# entry is a number and every other entry an `_IntPoly`, from the ansatz to
+# the leaf.  One elimination, substitution and leaf serve both forms: they
+# read numbers directly, and otherwise use the arithmetic, truth value and
+# `divide_exact` that `_IntPoly` and MultiPoly share.  Residual strings list
+# their terms highest total degree first, and candidate pivots break ties on
 # `sort_key`; both orders are part of the report.
 
 
@@ -167,25 +174,24 @@ def _render(p: MultiPoly, names: list[str]) -> str:
 
 
 class _IntPoly(list):
-    """A polynomial in l1 over Q as its dense coefficient list, lowest degree
-    first, without trailing zeros.
+    """A polynomial in l1 of degree >= 1 over Z as its dense coefficient list,
+    lowest degree first, with a nonzero leading coefficient.
 
-    The search keeps each row only up to a positive rational factor, which
-    the row-content strip removes, so the coefficients are integers: only a
-    substitution leaves an exact rational constant, a `Fraction` when it is
-    not integral, until its row is next rewritten.  `total_degree` and
-    `sort_key` order entries exactly as on the MultiPoly with the same
-    coefficients."""
+    In the integer entry form a constant entry is a bare number: an `int`,
+    or, only after a substitution, a `Fraction` when its exact value is not
+    integral.  The search keeps each row only up to a positive rational
+    factor, which the row-content strip removes, so an `_IntPoly`'s
+    coefficients are integers; with the one unknown l1 a substitution turns
+    every entry into a number, so a `Fraction` never meets an `_IntPoly`.
+    The arithmetic takes numbers on either side and returns a number when the
+    result has degree 0.  `total_degree` and `sort_key` order entries exactly
+    as on the MultiPoly with the same coefficients."""
 
     __slots__ = ()
 
-    def __mul__(self, other: "_IntPoly") -> "_IntPoly":
-        if len(self) == 1:
-            k = self[0]
-            return _IntPoly([k * y for y in other])
-        if len(other) == 1:
-            k = other[0]
-            return _IntPoly([x * k for x in self])
+    def __mul__(self, other: "_IntPoly | int") -> "_IntPoly | int":
+        if type(other) is not _IntPoly:
+            return _IntPoly([x * other for x in self]) if other else 0
         out = [0] * (len(self) + len(other) - 1)
         for i, x in enumerate(self):
             if x:
@@ -194,23 +200,27 @@ class _IntPoly(list):
                         out[i + j] += x * y
         return _IntPoly(out)
 
-    def __sub__(self, other: "_IntPoly") -> "_IntPoly":
+    __rmul__ = __mul__
+
+    def __sub__(self, other: "_IntPoly | int") -> "_IntPoly | int":
         out = _IntPoly(self)
+        if type(other) is not _IntPoly:
+            out[0] -= other
+            return out
         out.extend([0] * (len(other) - len(self)))
         for i, y in enumerate(other):
             out[i] -= y
         while out and not out[-1]:
             out.pop()
+        return out if len(out) > 1 else out[0] if out else 0
+
+    def __rsub__(self, other: int) -> "_IntPoly":
+        out = -self
+        out[0] += other
         return out
 
     def __neg__(self) -> "_IntPoly":
         return _IntPoly([-x for x in self])
-
-    def is_zero(self) -> bool:
-        return not self
-
-    def is_constant(self) -> bool:
-        return len(self) <= 1
 
     def total_degree(self) -> int:
         return len(self) - 1
@@ -218,36 +228,38 @@ class _IntPoly(list):
     def sort_key(self):
         return tuple((d, x) for d, x in enumerate(self) if x)
 
-    def scale(self, factor: Fraction) -> "_IntPoly":
-        """The polynomial times a rational that keeps its coefficients integral."""
-        num, den = factor.numerator, factor.denominator
-        return _IntPoly([x * num // den for x in self])
-
-    def rational_content(self) -> tuple[int, int]:
-        if len(self) == 1:  # only a constant can be a Fraction
-            return self[0].numerator, self[0].denominator
-        return math.gcd(*self), 1
-
-    def divide_exact(self, other: "_IntPoly") -> "_IntPoly | None":
-        """self/other times the positive content of other, or None when other
-        does not divide self over Q, from `MultiPoly.divide_exact`.  The
-        factor depends on other alone, so a row divided entry by entry keeps
-        its direction; by Gauss's lemma the quotient by other's primitive
-        part has integer coefficients."""
-        lam = VarSet.cofactor_unknowns(1)
-        q = self.as_multipoly(lam).divide_exact(other.as_multipoly(lam))
-        if q is None:
+    @staticmethod
+    def divide_exact(a: "_IntPoly | int", b: "_IntPoly | int") -> "_IntPoly | int | None":
+        """a/b times the positive content of b, for a nonzero dividend a, or
+        None when b does not divide a over Q.  The factor depends on b alone,
+        so a row divided entry by entry keeps its direction.  Long division
+        by b's primitive part: by Gauss's lemma the quotient of an integral
+        dividend is integral whenever it exists over Q, so the first
+        coefficient that does not divide exactly, or a nonzero remainder,
+        means no quotient."""
+        if type(b) is not _IntPoly:
+            return a if b > 0 else -a
+        if type(a) is not _IntPoly or len(a) < len(b):
             return None
-        g = math.gcd(*other)
-        coeffs = [c.a * g for c in q.univariate_coeffs(1)]
-        if any(x.denominator != 1 for x in coeffs):
-            raise InternalInvariantError("a quotient by a primitive integer divisor is not integral")
-        return _IntPoly([x.numerator for x in coeffs])
+        g = math.gcd(*b)
+        b = [y // g for y in b]
+        n, lead = len(b) - 1, b[-1]
+        rem = list(a)
+        quotient = [0] * (len(a) - n)
+        for i in range(len(quotient) - 1, -1, -1):
+            q, r = divmod(rem[i + n], lead)
+            if r:
+                return None
+            if q:
+                quotient[i] = q
+                for j in range(n):
+                    rem[i + j] -= q * b[j]
+        if any(rem[:n]):
+            return None
+        return _IntPoly(quotient) if len(quotient) > 1 else quotient[0]
 
-    def substitute(self, assign: dict[int, FieldElement]) -> "_IntPoly":
-        """The exact value at l1 = assign[1], as a constant."""
-        if len(self) <= 1:
-            return self
+    def substitute(self, assign: dict[int, FieldElement]) -> "int | Fraction":
+        """The exact value at l1 = assign[1], a number."""
         x = assign[1].a
         num, den = x.numerator, x.denominator
         # den^deg * value, by Horner on the homogenised polynomial
@@ -256,18 +268,29 @@ class _IntPoly(list):
             acc = acc * num + coef * pw
             pw *= den
         scale = den ** (len(self) - 1)
-        value = acc // scale if acc % scale == 0 else Fraction(acc, scale)
-        return _IntPoly([value] if value else [])
-
-    def constant_value(self) -> FieldElement:
-        return RATIONALS.from_rational(self[0] if self else 0)
+        return acc // scale if acc % scale == 0 else Fraction(acc, scale)
 
     def as_multipoly(self, varset: VarSet) -> MultiPoly:
         terms = {(d,): RATIONALS.from_rational(x) for d, x in enumerate(self) if x}
         return MultiPoly(varset, RATIONALS, terms)
 
 
-Entry = MultiPoly | _IntPoly
+# the constant entries of the integer form
+_NUMBERS = (int, Fraction)
+
+
+def _is_constant(p: "Entry") -> bool:
+    """Whether an entry is free of the cofactor unknowns: a number, or a
+    constant MultiPoly."""
+    return type(p) is not _IntPoly and (type(p) is not MultiPoly or p.is_constant())
+
+
+def _substituted(p: "Entry", assign: dict[int, FieldElement]) -> "Entry":
+    """An entry at the assigned lam-values; a number is its own value."""
+    return p if type(p) in _NUMBERS else p.substitute(assign)
+
+
+Entry = MultiPoly | _IntPoly | int | Fraction
 
 
 # -- ansatz enumeration ----------------------------------------------------------
@@ -355,16 +378,16 @@ def _substitute_state(ctx: _Context, state: _State, var: int, value: FieldElemen
     assign = state.assign
     assign[var] = value
     if state.prev_pivot is not None:
-        state.prev_pivot = state.prev_pivot.substitute(assign)
-        if state.prev_pivot.is_zero():
+        state.prev_pivot = _substituted(state.prev_pivot, assign)
+        if not state.prev_pivot:
             return []
     rows = state.rows
     for ri, row in enumerate(rows):
         if row:
             new: dict[int, Entry] = {}
             for col, p in row.items():
-                p = p.substitute(assign)
-                if not p.is_zero():
+                p = _substituted(p, assign)
+                if p:
                     new[col] = p
             rows[ri] = new
     new_nonzero = []
@@ -430,16 +453,33 @@ def _apply_constraint(ctx: _Context, state: _State, p: MultiPoly) -> list[_State
 
 
 def _strip_row_content(row: dict[int, Entry]) -> dict[int, Entry]:
-    """Scale a row to primitive form: common rational content removed."""
+    """Scale a row to primitive form: common rational content removed.  A row
+    of ints and `_IntPoly`s needs one integer gcd; a `Fraction` is left only
+    by a substitution, which leaves every entry a number."""
+    ints: list[int] = []
+    for p in row.values():
+        if type(p) is int:
+            ints.append(p)
+        elif type(p) is _IntPoly:
+            ints += p
+        else:
+            break
+    else:
+        g = math.gcd(*ints)
+        if g <= 1:
+            return row
+        return {
+            c: p // g if type(p) is int else _IntPoly([x // g for x in p]) for c, p in row.items()
+        }
     num_gcd, den_lcm = 0, 1
     for p in row.values():
-        num, den = p.rational_content()
+        num, den = (p.numerator, p.denominator) if type(p) in _NUMBERS else p.rational_content()
         num_gcd = math.gcd(num_gcd, num)
         den_lcm = math.lcm(den_lcm, den)
     if num_gcd in (0, den_lcm):
         return row
     factor = Fraction(den_lcm, num_gcd)
-    return {c: p.scale(factor) for c, p in row.items()}
+    return {c: int(p * factor) if type(p) in _NUMBERS else p.scale(factor) for c, p in row.items()}
 
 
 def _eliminate_with_pivot(state: _State, col: int, pivot_ri: int) -> None:
@@ -468,7 +508,7 @@ def _eliminate_with_pivot(state: _State, col: int, pivot_ri: int) -> None:
         raise InternalInvariantError(f"pivot row {pivot_ri} was already eliminated")
     rows[pivot_ri] = None
     state.pivots.append((col, pivot_row))
-    if len(pivot_row) == 1 and not pivot_row[col].is_constant():
+    if len(pivot_row) == 1 and not _is_constant(pivot_row[col]):
         for row in rows:
             if row:
                 row.pop(col, None)
@@ -478,18 +518,25 @@ def _eliminate_with_pivot(state: _State, col: int, pivot_ri: int) -> None:
     prev = state.prev_pivot
     # rows without a pivot-column entry only need the pv/prev rescaling, which
     # is a constant when both are, so then they are skipped unread
-    skip_untouched = pv.is_constant() and (prev is None or prev.is_constant())
-    if prev is not None and prev.is_constant():
+    skip_untouched = _is_constant(pv) and (prev is None or _is_constant(prev))
+    if prev is not None and _is_constant(prev):
         # the content strip removes any positive rational factor, so of a
         # constant previous pivot only a sign or an irrational part is left to
         # divide out; every new entry is linear in the pivot row, which takes it
-        value = prev.constant_value()
-        if not value.is_rational():
-            inv = value.inverse()
-            upv, pr = pv.scale(inv), {c: b.scale(inv) for c, b in pr.items()}
-        elif value.a < 0:
+        if type(prev) is MultiPoly:
+            value = prev.constant_value()
+            if not value.is_rational():
+                inv = value.inverse()
+                upv, pr = pv.scale(inv), {c: b.scale(inv) for c, b in pr.items()}
+            negative = value.is_rational() and value.a < 0
+        else:
+            negative = prev < 0
+        if negative:
             upv, pr = -pv, {c: -b for c, b in pr.items()}
         prev = None
+    # built once: equal sets from one dict iterate alike, so the union's
+    # order, which decides the constant pivot a row offers, is kept
+    pr_cols = set(pr)
     for rj, row in enumerate(rows):
         if not row or (skip_untouched and col not in row):
             continue
@@ -501,8 +548,7 @@ def _eliminate_with_pivot(state: _State, col: int, pivot_ri: int) -> None:
         else:
             rest = dict(row)
             del rest[col]
-            # the order of a row decides which constant pivot it offers
-            for c in set(rest) | set(pr):
+            for c in set(rest) | pr_cols:
                 a = rest.get(c)
                 b = pr.get(c)
                 if a is None:
@@ -511,12 +557,13 @@ def _eliminate_with_pivot(state: _State, col: int, pivot_ri: int) -> None:
                     new[c] = upv * a
                 else:
                     val = upv * a - e * b
-                    if not val.is_zero():
+                    if val:
                         new[c] = val
         if prev is not None:
             quotients: dict[int, Entry] = {}
+            divide = type(prev).divide_exact  # its dividend may be a number
             for c, p in new.items():
-                q = p.divide_exact(prev)
+                q = divide(p, prev)
                 if q is None:
                     break
                 quotients[c] = q
@@ -541,7 +588,8 @@ def _explore(ctx: _Context, state: _State) -> None:
                 if best is not None and size >= best[0]:
                     continue
                 for col, p in row.items():
-                    if p.is_constant():
+                    # `_is_constant`, inlined in the search's hottest loop
+                    if type(p) is not _IntPoly and (type(p) is not MultiPoly or p.is_constant()):
                         cand = (size, col, ri)
                         if best is None or cand < best:
                             best = cand
@@ -585,11 +633,14 @@ def _explore(ctx: _Context, state: _State) -> None:
                 ctx.tick()
                 # the one place an integer entry leaves the elimination
                 poly = p.as_multipoly(ctx.lam_vars) if type(p) is _IntPoly else p
+                constant = _is_constant(poly)
                 s_nz = s.clone()
-                if not poly.is_constant():
+                if not constant:
                     s_nz.nonzero.append(poly)
                 _eliminate_with_pivot(s_nz, col, ri)
                 _explore(ctx, s_nz)
+                if constant:
+                    continue
                 # branch B: pivot vanishes, which a nonzero constant cannot;
                 # drop the entry so the column is not revisited (the pending
                 # constraint keeps it at zero)
@@ -710,7 +761,9 @@ def _kernel_basis(
 
 def _at_leaf(entry: Entry, assign: dict[int, FieldElement]) -> FieldElement:
     """A kept pivot row's entry at the leaf's lam-values."""
-    value = entry.substitute(assign)
+    value = _substituted(entry, assign)
+    if type(value) in _NUMBERS:
+        return RATIONALS.from_rational(value)
     if not value.is_constant():
         raise InternalInvariantError("leaf pivot row still depends on a cofactor unknown")
     return value.constant_value()
@@ -735,8 +788,8 @@ def _choose_entry_form(rows: list[dict], lam_vars: VarSet, spec: FieldSpec) -> N
     """The one place that picks the entry form.  Each ansatz entry arrives as
     its map from lam-exponent to coefficient and is built once, in place so
     that each row of maps is freed as it is converted: over Q with a single
-    unknown as a row of `_IntPoly`s, otherwise as the MultiPolys over
-    `lam_vars` with those terms.
+    unknown as a row of ints for the constant entries and `_IntPoly`s for the
+    others, otherwise as the MultiPolys over `lam_vars` with those terms.
 
     An integer row is the row of maps times the lcm of its denominators.
     That positive factor moves nothing the search reports.  Every rewritten
@@ -755,7 +808,7 @@ def _choose_entry_form(rows: list[dict], lam_vars: VarSet, spec: FieldSpec) -> N
             vec = [0] * (max(terms)[0] + 1)
             for (d,), c in terms.items():
                 vec[d] = c.a.numerator * (den // c.a.denominator)
-            int_row[col] = _IntPoly(vec)
+            int_row[col] = _IntPoly(vec) if len(vec) > 1 else vec[0]
         rows[ri] = int_row
 
 
@@ -814,7 +867,7 @@ def search_darboux(
         for exps, coef in lie_image(sys, alpha).items():
             rows_by_monomial.setdefault(exps, {})[col] = {zero_key: coef}
         for beta, unit in zip(lam_monomials, unit_keys):
-            prod = tuple(a + b for a, b in zip(alpha, beta))
+            prod = tuple(map(operator.add, alpha, beta))
             rows_by_monomial.setdefault(prod, {}).setdefault(col, {})[unit] = minus_one
 
     ordered = sorted(rows_by_monomial, key=key, reverse=True)

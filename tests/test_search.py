@@ -783,7 +783,7 @@ def test_ansatz_rows_are_the_darboux_relation(definition, degree, monkeypatch):
     # ansatz is L_H(x^alpha) - Lambda*x^alpha read at each monomial, one
     # column per alpha: the coefficient maps, and the entries built from
     # them, as MultiPolys or, on the integer form, as that row times the lcm
-    # of its denominators
+    # of its denominators, with each constant entry an int
     import math
 
     import hamdarboux.search as search_module
@@ -823,9 +823,9 @@ def test_ansatz_rows_are_the_darboux_relation(definition, degree, monkeypatch):
     assert len(built["rows"]) == len(expected)
     for row, want in zip(built["rows"], expected):
         if integer:
-            assert {type(p) for p in row.values()} == {_IntPoly}
+            assert {type(p) for p in row.values()} <= {int, _IntPoly}
             den = math.lcm(*(c.a.denominator for p in want.values() for c in p.terms.values()))
-            row = {col: p.as_multipoly(lam) for col, p in row.items()}
+            row = {col: _integer_entry_as_poly(p, lam) for col, p in row.items()}
             want = {col: p.scale(den) for col, p in want.items()}
         else:
             assert {type(p) for p in row.values()} == {MultiPoly}
@@ -1181,6 +1181,19 @@ def test_integer_and_generic_elimination_agree_on_cubics():
         assert over_q == over_ext, V
 
 
+def _integer_path_cases():
+    """Searches over Q that run the integer form: the oracle cubics at degree
+    8; one at degree 10 that divides rows by a non-constant previous pivot
+    and has a sextic residual; one whose branch at l1 = 0 leaves constant
+    candidates in the column being branched on; and one whose roots l1 =
+    +-1/2 leave fractional entries."""
+    cases = [(V, 8) for V in _cubic_oracle_cases()]
+    cases.append(("-2*q1^3 + 2*q1^2*q2 + q1*q2^2 - q2^3 + 2*q1^2 - 2*q1*q2 - 2*q2^2 - q1 + 3*q2", 10))
+    cases.append(("1/3*q1^3 + q1^2*q2 - 1/3*q1*q2^2 + 2*q2^3 - 1/2*q1^2 - q1*q2 - q2^2 + q2", 8))
+    cases.append(("q1^3 - 1/8*q2^2", 6))
+    return [(load_system(f"m = 2\nfield = Q\nmu = 1, 1\nV = {V}\n"), degree) for V, degree in cases]
+
+
 def _generic_entries(rows, lam_vars, spec):
     """`_choose_entry_form` with the integer form switched off."""
     for ri, row in enumerate(rows):
@@ -1190,15 +1203,10 @@ def _generic_entries(rows, lam_vars, spec):
 def test_integer_path_reports_like_the_generic_path(monkeypatch):
     # the same searches over Q with the integer entries switched off at the
     # one place that picks the form: the whole ordered report, branch counts
-    # and residuals included, must not move.  The last cubic divides rows by
-    # a non-constant previous pivot and has a sextic residual.
+    # and residuals included, must not move
     import hamdarboux.search as search_module
 
-    cases = [(V, 8) for V in _cubic_oracle_cases()]
-    cases.append(("-2*q1^3 + 2*q1^2*q2 + q1*q2^2 - q2^3 + 2*q1^2 - 2*q1*q2 - 2*q2^2 - q1 + 3*q2", 10))
-    systems = [
-        (load_system(f"m = 2\nfield = Q\nmu = 1, 1\nV = {V}\n"), degree) for V, degree in cases
-    ]
+    systems = _integer_path_cases()
     pivot_forms = []
     eliminate = search_module._eliminate_with_pivot
 
@@ -1208,7 +1216,7 @@ def test_integer_path_reports_like_the_generic_path(monkeypatch):
 
     monkeypatch.setattr(search_module, "_eliminate_with_pivot", counted)
     dense = [search_darboux(system, degree) for system, degree in systems]
-    assert pivot_forms and set(pivot_forms) == {search_module._IntPoly}
+    assert set(pivot_forms) == {int, Fraction, search_module._IntPoly}
 
     monkeypatch.setattr(search_module, "_choose_entry_form", _generic_entries)
     pivot_forms.clear()
@@ -1222,13 +1230,70 @@ def test_integer_path_reports_like_the_generic_path(monkeypatch):
         assert a.residual_conditions == b.residual_conditions
 
 
-def _random_int_row(rng, ncols):
+def test_integer_entries_keep_their_form(monkeypatch):
+    # in the integer form a constant entry is a nonzero number and an
+    # `_IntPoly` has degree >= 1 and int coefficients: after every Bareiss
+    # step and every substitution of the integer-path searches, no row, kept
+    # pivot row or previous pivot holds a constant `_IntPoly` or one whose
+    # leading coefficient is zero
+    import hamdarboux.search as search_module
+
+    lam = VarSet.cofactor_unknowns(1)
+    eliminate, substitute = search_module._eliminate_with_pivot, search_module._substitute_state
+    forms = set()
+
+    def check(state):
+        entries = [p for row in state.rows if row for p in row.values()]
+        entries += [p for _, row in state.pivots for p in row.values()]
+        entries += [] if state.prev_pivot is None else [state.prev_pivot]
+        for p in entries:
+            _integer_entry_as_poly(p, lam)
+            forms.add(type(p))
+
+    def eliminated(state, col, pivot_ri):
+        eliminate(state, col, pivot_ri)
+        check(state)
+
+    def substituted(ctx, state, var, value):
+        states = substitute(ctx, state, var, value)
+        for s in states:
+            check(s)
+        return states
+
+    monkeypatch.setattr(search_module, "_eliminate_with_pivot", eliminated)
+    monkeypatch.setattr(search_module, "_substitute_state", substituted)
+    for system, degree in _integer_path_cases():
+        search_darboux(system, degree)
+    assert forms == {int, Fraction, _IntPoly}
+
+
+def _integer_entry(vec):
+    """The integer-form entry with coefficients `vec`, lowest degree first
+    and the last nonzero: a number when it is constant."""
+    return _IntPoly(vec) if len(vec) > 1 else vec[0]
+
+
+def _integer_entry_as_poly(p, lam):
+    """An integer-form entry as a MultiPoly: a nonzero number, or an
+    `_IntPoly` of degree >= 1 with int coefficients and a nonzero leading one."""
+    if type(p) is _IntPoly:
+        assert len(p) > 1 and p[-1] and all(type(x) is int for x in p), p
+        return p.as_multipoly(lam)
+    assert type(p) in (int, Fraction) and p, p
+    return MultiPoly.constant(lam, RATIONALS, p)
+
+
+def _random_int_vectors(rng, ncols):
     row = {}
     for col in rng.sample(range(ncols), rng.randint(1, ncols)):
         vec = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
         vec[-1] = vec[-1] or 1
-        row[col] = _IntPoly(vec)
+        row[col] = vec
     return row
+
+
+def _random_int_row(rng, ncols):
+    return {col: _integer_entry(vec) for col, vec in _random_int_vectors(rng, ncols).items()}
 
 
 def test_one_bareiss_step_on_both_entry_forms():
@@ -1241,7 +1306,7 @@ def test_one_bareiss_step_on_both_entry_forms():
     lam = VarSet.cofactor_unknowns(1)
 
     def as_poly(p):
-        return p.as_multipoly(lam) if type(p) is _IntPoly else p
+        return p if type(p) is MultiPoly else _integer_entry_as_poly(p, lam)
 
     def view(state):
         def row_view(row):
@@ -1261,7 +1326,7 @@ def test_one_bareiss_step_on_both_entry_forms():
         rows = [_random_int_row(rng, ncols) for _ in range(rng.randint(2, 6))]
         # a run may start mid-elimination, after a previous pivot that every
         # row is a multiple of, so that dividing by it is exact
-        prev = rng.choice([None, _IntPoly([-2]), _IntPoly([1, 2]), _IntPoly([-3, 0, 2])])
+        prev = rng.choice([None, -2, _IntPoly([1, 2]), _IntPoly([-3, 0, 2])])
         if prev is not None and rng.random() < 0.5:
             rows = [{c: p * prev for c, p in r.items()} for r in rows]
         states = [
@@ -1290,15 +1355,15 @@ def test_one_bareiss_step_on_both_entry_forms():
                 ri, col = rng.choice(live)
                 pv, prev = states[0].rows[ri][col], states[0].prev_pivot
                 seen.add((
-                    "constant pivot" if pv.is_constant() else "lam pivot",
+                    "constant pivot" if type(pv) is not _IntPoly else "lam pivot",
                     "first" if prev is None else
-                    "constant previous" if prev.is_constant() else "lam previous",
+                    "constant previous" if type(prev) is not _IntPoly else "lam previous",
                 ))
                 for s in states:
                     search_module._eliminate_with_pivot(s, col, ri)
             assert view(states[0]) == view(states[1])
             assert all(
-                type(x) is int for row in states[0].rows if row for p in row.values() for x in p
+                type(p) is int or type(p) is _IntPoly for row in states[0].rows if row for p in row.values()
             ) or substituted
     assert seen == {
         (pivot, previous)
@@ -1318,7 +1383,7 @@ def test_lone_lam_pivot_deletes_its_column(form):
     lam = VarSet.cofactor_unknowns(1)
 
     def convert(p):
-        return p if form == "integer" else p.as_multipoly(lam)
+        return p if form == "integer" else _integer_entry_as_poly(p, lam)
 
     rng = random.Random(8)
     steps = set()
@@ -1330,7 +1395,7 @@ def test_lone_lam_pivot_deletes_its_column(form):
         pivot_ri = rng.randrange(len(rows) + 1)
         rows.insert(pivot_ri, {col: pv})
         rows = [{c: convert(p) for c, p in r.items()} for r in rows] + [None]
-        prev = rng.choice([None, _IntPoly([-2]), _IntPoly([1, 2])])
+        prev = rng.choice([None, -2, _IntPoly([1, 2])])
         prev = None if prev is None else convert(prev)
         state = search_module._State(
             rows=[None if r is None else dict(r) for r in rows],
@@ -1345,15 +1410,15 @@ def test_lone_lam_pivot_deletes_its_column(form):
         for ri, (before, after) in enumerate(zip(rows, state.rows)):
             if ri != pivot_ri:
                 assert after == (None if before is None else {c: p for c, p in before.items() if c != col})
-        steps.add((prev is None or prev.is_constant(), any(col in r for r in rows if r and r is not rows[pivot_ri])))
+        steps.add((prev is None or search_module._is_constant(prev), any(col in r for r in rows if r and r is not rows[pivot_ri])))
     assert steps == {(a, b) for a in (True, False) for b in (True, False)}
     constant = search_module._State(
-        rows=[{0: convert(_IntPoly([3]))}, {0: convert(_IntPoly([1, 1])), 1: convert(_IntPoly([2]))}],
+        rows=[{0: convert(3)}, {0: convert(_IntPoly([1, 1])), 1: convert(2)}],
         assign={}, nonzero=[], pending=[], pivots=[], prev_pivot=None,
     )
     search_module._eliminate_with_pivot(constant, 0, 0)
-    assert constant.prev_pivot == convert(_IntPoly([3]))
-    assert constant.rows[1] == {1: convert(_IntPoly([1]))}
+    assert constant.prev_pivot == convert(3)
+    assert constant.rows[1] == {1: convert(1)}
 
 
 def test_dense_entries_sort_like_their_multipolys():
@@ -1383,31 +1448,33 @@ def test_dense_row_at_a_rational_point():
     # one positive factor times those values, zeros dropped, order kept
     import math
 
-    from hamdarboux.search import _strip_row_content
+    from hamdarboux.search import _strip_row_content, _substituted
 
     rng = random.Random(8)
     for _ in range(200):
         x = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        row = _random_int_row(rng, 20)
+        row = _random_int_vectors(rng, 20)
         exact = {c: sum(coef * x**d for d, coef in enumerate(vec)) for c, vec in row.items()}
         values = {}
         for c, vec in row.items():
-            value = vec.substitute({1: RATIONALS.from_rational(x)})
-            assert value.is_constant() and value.constant_value() == exact[c]
-            if not value.is_zero():
+            value = _substituted(_integer_entry(vec), {1: RATIONALS.from_rational(x)})
+            assert type(value) is (int if exact[c].denominator == 1 else Fraction)
+            assert value == exact[c]
+            if value:
                 values[c] = value
         got = _strip_row_content(values)
         assert list(got) == [c for c in row if exact[c]]
         if got:
-            assert all(len(p) == 1 and type(p[0]) is int for p in got.values())
-            factor = {Fraction(got[c][0]) / exact[c] for c in got}
+            assert all(type(p) is int for p in got.values())
+            factor = {Fraction(got[c]) / exact[c] for c in got}
             assert len(factor) == 1 and factor.pop() > 0
-            assert math.gcd(*(p[0] for p in got.values())) == 1
+            assert math.gcd(*got.values()) == 1
 
 
 def test_dense_exact_division_against_division_over_q():
-    # a nonzero integer dividend a and divisor b: None exactly when b does not
-    # divide a over Q, else the quotient by b's primitive part
+    # a nonzero integer dividend a and divisor b, numbers when constant: None
+    # exactly when b does not divide a over Q, else the quotient by b's
+    # primitive part, a number when constant
     import math
 
     x = sp.Symbol("x")
@@ -1436,10 +1503,12 @@ def test_dense_exact_division_against_division_over_q():
             a = times(nonzero_vec(rng, rng.randint(1, 4)), primitive)
         else:
             a = nonzero_vec(rng, rng.randint(1, 6))
-        r = _IntPoly(a).divide_exact(_IntPoly(b))
+        r = _IntPoly.divide_exact(_integer_entry(a), _integer_entry(b))
         if as_poly(a).rem(as_poly(b)).is_zero:
-            assert r is not None and all(type(c) is int for c in r), (a, b)
-            assert times(list(r), primitive) == a, (a, b, r)
+            assert type(r) is int or type(r) is _IntPoly, (a, b, r)
+            vec = list(r) if type(r) is _IntPoly else [r]
+            assert _integer_entry(vec) == r and all(type(c) is int for c in vec) and vec[-1], (a, b, r)
+            assert times(vec, primitive) == a, (a, b, r)
             quotients += 1
         else:
             assert r is None, (a, b, r)
