@@ -3,15 +3,11 @@ polynomial Hamiltonian systems H = 1/2 sum mu_i p_i^2 + V(q)."""
 
 from .corpus import CORPUS, CorpusEntry, run_corpus
 from .darboux import (
-    CofactorMismatchError,
     DarbouxCertificate,
     InternalInvariantError,
-    NonCoprimeError,
-    RationalIntegral,
     ReversalVacuousError,
     certificate_holds,
     cofactor_of,
-    rational_integral_from_pair,
     reversal_integral,
     verify_first_integral,
 )
@@ -50,7 +46,6 @@ from .poly import (
     VarSet,
     VarSetMismatchError,
     monomial_key,
-    multivariate_gcd,
 )
 from .search import (
     BranchCapExceededError,
@@ -74,7 +69,6 @@ _NUMCHECK_NAMES = (
     "NotRealEvaluableError",
     "Trajectory",
     "drift",
-    "evaluate_float",
     "integrate_rk4",
 )
 

@@ -6,21 +6,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hamsys import NaturalHamiltonian, gamma_direction, lie_derivative, tau
-from .poly import InternalInvariantError, MultiPoly, multivariate_gcd
+from .poly import InternalInvariantError, MultiPoly
 
 
 class ReversalVacuousError(ValueError):
     """deg V odd: every Darboux polynomial is already a first integral."""
-
-
-class CofactorMismatchError(ValueError):
-    pass
-
-
-class NonCoprimeError(ValueError):
-    def __init__(self, common_factor: MultiPoly):
-        super().__init__(f"inputs share the common factor {common_factor}")
-        self.common_factor = common_factor
 
 
 @dataclass(frozen=True)
@@ -33,15 +23,6 @@ class DarbouxCertificate:
     @property
     def proper(self) -> bool:
         return not self.Lambda.is_zero()
-
-
-@dataclass(frozen=True)
-class RationalIntegral:
-    """A pair of coprime Darboux polynomials sharing one cofactor: F/G is
-    a rational first integral."""
-
-    numerator: DarbouxCertificate
-    denominator: DarbouxCertificate
 
 
 def _validate_cofactor(sys: NaturalHamiltonian, Lambda: MultiPoly) -> None:
@@ -108,22 +89,3 @@ def reversal_integral(sys: NaturalHamiltonian, cert: DarbouxCertificate) -> Darb
     if not certificate_holds(sys, integral):
         raise InternalInvariantError("tau(F)*F failed the first-integral check")
     return integral
-
-
-def rational_integral_from_pair(
-    sys: NaturalHamiltonian,
-    cert_num: DarbouxCertificate,
-    cert_den: DarbouxCertificate,
-) -> RationalIntegral:
-    """Tag two coprime Darboux polynomials with equal cofactors as F/G."""
-    for cert in (cert_num, cert_den):
-        if not certificate_holds(sys, cert):
-            raise ValueError(f"invalid certificate for {cert.F}")
-    if not (cert_num.Lambda - cert_den.Lambda).is_zero():
-        raise CofactorMismatchError(
-            f"cofactors differ: {cert_num.Lambda} vs {cert_den.Lambda}"
-        )
-    g = multivariate_gcd(cert_num.F, cert_den.F)
-    if not g.is_constant():
-        raise NonCoprimeError(g)
-    return RationalIntegral(numerator=cert_num, denominator=cert_den)

@@ -13,8 +13,9 @@ it equals, and `components()` still returns Fractions.  For the
 plain-rational field the i/sqrt components are pinned to 0.  The exact
 square roots are here: `sqrt_in_field`, which `roots_in_field`, the
 factorisation of H and `sqrt(n)` literals read.  The library's one bridge to
-sympy is here too: `sympy_domain` is a field as a sympy domain, and
-`to_domain`/`from_domain` carry elements across it.
+sympy is here too, for the search's factoring over Q(i, sqrt d):
+`sympy_domain` is a field as a sympy domain, and `to_domain`/`from_domain`
+carry elements across it.
 """
 
 from __future__ import annotations
@@ -393,8 +394,8 @@ def sqrt_in_field(x: FieldElement) -> FieldElement | None:
 # powers of theta are 1, i + sqrt(d), (d - 1) + 2i*sqrt(d) and
 # (3d - 1)i + (d - 3)sqrt(d), so an element and its coefficients on them are
 # one rational change of basis apart.  sympy is imported inside
-# `sympy_domain`, so only factoring and `multivariate_gcd` load it, and each
-# domain is built once.
+# `sympy_domain`, so only the search's factoring over Q(i, sqrt d) loads it
+# through here, and each domain is built once.
 
 
 @functools.cache

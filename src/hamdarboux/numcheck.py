@@ -173,11 +173,6 @@ def _state(x0, n: int) -> list[float]:
     return [float(v) for v in coords]
 
 
-def evaluate_float(poly: MultiPoly, state: Sequence[float]) -> float:
-    (value,) = _compile([poly], poly.varset.n)(*_state(state, poly.varset.n))
-    return value
-
-
 def integrate_rk4(sys: NaturalHamiltonian, x0: Sequence[float], h: float, T: float) -> Trajectory:
     """Fixed-step classical RK4 for qdot_i = mu_i p_i, pdot_i = -dV/dq_i, from
     one state of 2m numbers, ending at T: T/h must be a positive whole number

@@ -16,7 +16,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .field import FieldElement, FieldSpec, from_domain, sympy_domain, to_domain
+from .field import FieldElement, FieldSpec
 
 MAX_TERMS = 10**6
 
@@ -433,20 +433,3 @@ class MultiPoly:
                 else:
                     rem[t] = cur - qc * coef
         return MultiPoly(self.varset, self.field, quotient)
-
-
-# -- multivariate gcd --------------------------------------------------------------
-
-
-def multivariate_gcd(A: MultiPoly, B: MultiPoly) -> MultiPoly:
-    """The greatest common divisor over the field, monic-normalised in the
-    canonical order, by sympy's `Poly.gcd` over `sympy_domain`; zero only
-    when both inputs are zero."""
-    import sympy as sp
-
-    A._check(B)
-    gens, dom = sp.symbols(A.varset.names()), sympy_domain(A.field)
-    F, G = (sp.Poly.from_dict({e: to_domain(c) for e, c in P.terms.items()}, *gens, domain=dom)
-            for P in (A, B))
-    terms = {e: from_domain(c, A.field) for e, c in F.gcd(G).rep.terms() if c}
-    return MultiPoly(A.varset, A.field, terms).monic()

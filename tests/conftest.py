@@ -68,6 +68,15 @@ def evaluate_exact(A: MultiPoly, point) -> FieldElement:
     return total
 
 
+def evaluate_float(A: MultiPoly, state) -> float:
+    """A at one state of floats through numcheck's compiled straight-line
+    code: the float operations, in the same order, that `drift` folds in
+    after each RK4 step."""
+    from hamdarboux.numcheck import _compile
+
+    return _compile([A], A.varset.n)(*map(float, state))[0]
+
+
 def poly_of(system: NaturalHamiltonian, text: str) -> MultiPoly:
     return parse_poly(text, ParseContext(system.varset, system.field))
 

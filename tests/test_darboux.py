@@ -3,12 +3,9 @@ import random
 import pytest
 
 from hamdarboux.darboux import (
-    CofactorMismatchError,
-    NonCoprimeError,
     ReversalVacuousError,
     certificate_holds,
     cofactor_of,
-    rational_integral_from_pair,
     reversal_integral,
     verify_first_integral,
 )
@@ -104,21 +101,3 @@ def test_reversal_requires_even_degree():
     cert = cofactor_of(system, poly_of(system, "p2"))
     with pytest.raises(ReversalVacuousError):
         reversal_integral(system, cert)
-
-
-def test_rational_integral_from_pair(sys_s1_ext):
-    F = poly_of(sys_s1_ext, "p1 + i*sqrt(2)*q1^2")
-    G = poly_of(sys_s1_ext, "p1 - i*sqrt(2)*q1^2")
-    cf = cofactor_of(sys_s1_ext, F)
-    cg = cofactor_of(sys_s1_ext, G)
-    with pytest.raises(CofactorMismatchError):
-        rational_integral_from_pair(sys_s1_ext, cf, cg)
-    # equal cofactors but a shared factor: rejected as non-coprime
-    with pytest.raises(NonCoprimeError):
-        rational_integral_from_pair(sys_s1_ext, cf, cf)
-    # two coprime first integrals (cofactor 0) form a rational first integral
-    c1 = cofactor_of(sys_s1_ext, poly_of(sys_s1_ext, "p2"))
-    c2 = cofactor_of(sys_s1_ext, poly_of(sys_s1_ext, "p2^2 + 1"))
-    ratio = rational_integral_from_pair(sys_s1_ext, c1, c2)
-    assert ratio.numerator.F == c1.F
-    assert ratio.denominator.F == c2.F

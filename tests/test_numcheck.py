@@ -13,12 +13,11 @@ from hamdarboux.numcheck import (
     NotRealEvaluableError,
     _vector_field,
     drift,
-    evaluate_float,
     integrate_rk4,
 )
 from hamdarboux.poly import MultiPoly, VarSet
 
-from conftest import evaluate_exact, poly_of, rand_poly, random_small_system
+from conftest import evaluate_exact, evaluate_float, poly_of, rand_poly, random_small_system
 
 
 def test_free_motion_trajectory():
@@ -76,14 +75,13 @@ def test_argument_validation(sys_s2):
     with pytest.raises(ValueError):
         integrate_rk4(sys_s2, [0.0] * 4, 1e-3, 0.0)
     # a short, long, nested or batch state is one ValueError from each of
-    # the three functions, never the generated code's TypeError; ["0"] * 4
+    # the two functions, never the generated code's TypeError; ["0"] * 4
     # stands for a (4, 1) column on numpy before 2.4, whose length-1 rows
     # float() converts as a string of one digit is converted
     p1 = poly_of(sys_s2, "p1")
     wrong = [[0.0] * 3, [1, 2, 3], [0.0] * 5, [[0.0] * 4], [[0.0] * 4] * 3, [[0.0]] * 4, ["0"] * 4]
     for x0 in wrong + [np.zeros((3, 4)), np.zeros((4, 1)), 0.0]:
         for call in (
-            lambda: evaluate_float(p1, x0),
             lambda: drift(sys_s2, p1, x0, 1e-3, 1.0),
             lambda: integrate_rk4(sys_s2, x0, 1e-3, 1.0),
         ):

@@ -10,7 +10,6 @@ from hamdarboux.poly import (
     VarSet,
     VarSetMismatchError,
     monomial_key,
-    multivariate_gcd,
 )
 
 from conftest import assert_ring_form, evaluate_exact, rand_element, rand_poly, rand_rational_poly
@@ -265,35 +264,34 @@ def test_divide_exact_random():
         assert product.divide_exact(A) == B and product.divide_exact(B) == A
 
 
-def test_gcd_examples_and_random():
+def test_divide_exact_random_products():
+    # a product divides back into each factor, and one more than it into
+    # neither non-constant factor; over an extension the factor C has an
+    # irrational coefficient
     q1, q2 = V(1), V(2)
-    A = q1 * q1 - q2 * q2
-    B = q1 * q1 - q1 * q2
-    G = multivariate_gcd(A, B)
-    assert G == q1 - q2  # monic normal form
+    assert (q1 * q1 - q2 * q2).divide_exact(q1 - q2) == q1 + q2
     rng = random.Random(13)
     for spec, cases in ((RATIONALS, 60), (Q2, 12), (quad_gauss(3), 12), (quad_gauss(6), 12)):
+        one = MultiPoly.constant(VS, spec, 1)
         for _ in range(cases):
             A = rand_poly(rng, VS, spec, max_degree=2, max_terms=3, nonzero=True)
             B = rand_poly(rng, VS, spec, max_degree=2, max_terms=3, nonzero=True)
             C = rand_poly(rng, VS, spec, max_degree=1, max_terms=2, nonzero=True)
-            # over an extension the common factor has an irrational coefficient
             while spec is not RATIONALS and all(c.is_rational() for c in C.terms.values()):
                 C = rand_poly(rng, VS, spec, max_degree=1, max_terms=2, nonzero=True)
-            G = multivariate_gcd(A * C, B * C)
-            assert (A * C).divide_exact(G) is not None
-            assert (B * C).divide_exact(G) is not None
-            assert G.divide_exact(C) is not None  # gcd is a multiple of the common factor
+            for P in (A, B):
+                assert (P * C).divide_exact(C) == P
+                assert (P * C).divide_exact(P) == C
+                if not C.is_constant():
+                    assert (P * C + one).divide_exact(C) is None
     # over Q(i,sqrt2), q1^2 + 2*q2^2 = (q1 - i*sqrt2*q2)(q1 + i*sqrt2*q2) splits
     x, y = (MultiPoly.variable(VS, Q2, i) for i in (1, 2))
     F = x - y.scale(Q2.i() * Q2.sqrt_d())
     A = x * x + (y * y).scale(2)
+    assert A.divide_exact(F) == x + y.scale(Q2.i() * Q2.sqrt_d())
     B = (F * (x + y)).scale(Q2.i() + 3)
-    assert multivariate_gcd(A, B) == F
-    zero = MultiPoly.zero(VS, Q2)
-    assert multivariate_gcd(zero, B) == multivariate_gcd(B, zero) == B.monic()
-    assert multivariate_gcd(zero, zero).is_zero()
-    assert multivariate_gcd(A, MultiPoly.constant(VS, Q2, Q2.sqrt_d())) == MultiPoly.constant(VS, Q2, 1)
+    assert B.divide_exact(F) == (x + y).scale(Q2.i() + 3)
+    assert B.divide_exact(x + y.scale(Q2.i() * Q2.sqrt_d())) is None
 
 
 def test_varset_mismatch():

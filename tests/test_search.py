@@ -1,4 +1,5 @@
 import functools
+import itertools
 import os
 import random
 import subprocess
@@ -703,6 +704,45 @@ def test_certificates_close_under_products_and_reversal(field, V, degree):
     span = _spans_by_cofactor(system, report)
     for cert in report.certificates:
         assert _in_span(tau(cert.F), span(-cert.Lambda), system.field), format_poly(cert.F)
+
+
+def _kernel_dimension(system, Lambda, bound):
+    """The dimension of the kernel of F -> L_H F - Lambda*F on the monomials
+    of gamma-degree <= bound, from sympy's `DomainMatrix` rank over the
+    field, with L_H taken by `_lie_derivative_by_diff`."""
+    from sympy.polys.matrices import DomainMatrix
+
+    from hamdarboux.field import sympy_domain, to_domain
+
+    gamma = gamma_direction(system).gamma
+    spec = system.field
+    columns = []
+    for alpha in itertools.product(*(range(bound // w + 1) for w in gamma)):
+        if sum(a * w for a, w in zip(alpha, gamma)) <= bound:
+            mono = MultiPoly(system.varset, spec, {alpha: spec.one()})
+            columns.append(_lie_derivative_by_diff(system, mono) - Lambda * mono)
+    K = sympy_domain(spec)
+    rows = [
+        [to_domain(P.terms[e]) if e in P.terms else K.zero for P in columns]
+        for e in sorted({e for P in columns for e in P.terms})
+    ]
+    return len(columns) - DomainMatrix(rows, (len(rows), len(columns)), K).rank()
+
+
+@pytest.mark.parametrize("field, V, degree", CLOSURE_SYSTEMS)
+def test_kernel_dimension_at_each_cofactor_matches_the_report(field, V, degree):
+    # a report lists, per cofactor, a basis of the Darboux polynomials with
+    # it up to the degree bound, the constant left out: at each reported
+    # cofactor, and at 0, the kernel has exactly that many dimensions, plus
+    # the constant's at 0
+    system = load_system(f"m = 2\nfield = {field}\nmu = 1, 1\nV = {V}\n")
+    report = search_darboux(system, degree)
+    counts = {MultiPoly.zero(system.varset, system.field): 0}
+    for cert in report.certificates:
+        counts[cert.Lambda] = counts.get(cert.Lambda, 0) + 1
+    for Lambda, count in counts.items():
+        expected = count + (1 if Lambda.is_zero() else 0)
+        assert _kernel_dimension(system, Lambda, degree) == expected, format_poly(Lambda)
 
 
 def test_constant_cofactor_needs_two_unknowns():
