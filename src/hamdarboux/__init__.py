@@ -40,7 +40,6 @@ from .parsing import (
     parse_poly,
 )
 from .poly import (
-    Direction,
     MultiPoly,
     TooDenseError,
     VarSet,

@@ -12,10 +12,9 @@ all-Fraction components, a rational element hashes as the int or Fraction
 it equals, and `components()` still returns Fractions.  For the
 plain-rational field the i/sqrt components are pinned to 0.  The exact
 square roots are here: `sqrt_in_field`, which `roots_in_field`, the
-factorisation of H and `sqrt(n)` literals read.  The library's one bridge to
-sympy is here too, for the search's factoring over Q(i, sqrt d):
-`sympy_domain` is a field as a sympy domain, and `to_domain`/`from_domain`
-carry elements across it.
+factorisation of H and `sqrt(n)` literals read.  So is the library's only use
+of sympy: `factor_in_field` factors a univariate polynomial over the field,
+for `roots_in_field` to read.
 """
 
 from __future__ import annotations
@@ -387,19 +386,54 @@ def sqrt_in_field(x: FieldElement) -> FieldElement | None:
     return min(y, -y, key=lambda z: z.sort_key())
 
 
-# -- bridge to sympy -------------------------------------------------------------
-# The one place that says what a field is to sympy: Q is QQ, and Q(i, sqrt d)
-# is QQ<theta> for theta = i + sqrt(d), with minimal polynomial
-# x^4 - 2(d - 1)x^2 + (d + 1)^2.  On the basis {1, i, sqrt(d), i*sqrt(d)} the
-# powers of theta are 1, i + sqrt(d), (d - 1) + 2i*sqrt(d) and
-# (3d - 1)i + (d - 3)sqrt(d), so an element and its coefficients on them are
-# one rational change of basis apart.  sympy is imported inside
-# `sympy_domain`, so only the search's factoring over Q(i, sqrt d) loads it
-# through here, and each domain is built once.
+# -- factoring over the field, the library's one bridge to sympy -----------------
+# Q is QQ to sympy, and Q(i, sqrt d) is QQ<theta> for theta = i + sqrt(d),
+# with minimal polynomial x^4 - 2(d - 1)x^2 + (d + 1)^2.  On the basis
+# {1, i, sqrt(d), i*sqrt(d)} the powers of theta are 1, i + sqrt(d),
+# (d - 1) + 2i*sqrt(d) and (3d - 1)i + (d - 3)sqrt(d), so an element and its
+# coefficients on them are one rational change of basis apart.  sympy is
+# imported inside these functions, so only a search that factors a cofactor
+# constraint loads it, and each domain is built once.
+
+
+def factor_in_field(coeffs: list[FieldElement], spec: FieldSpec) -> list[list[FieldElement]]:
+    """The distinct irreducible factors of sum coeffs[k] x^k over `spec`, as
+    coefficient lists lowest degree first.  A rational polynomial is factored
+    over Z with its denominators cleared, which over Q is the answer; on
+    Q(i, sqrt d) each Q-irreducible factor of degree >= 3 is then factored
+    alone over the extension, as is a polynomial with an irrational
+    coefficient.  Distinct Q-irreducible factors are coprime, so their
+    factors over the field are those of the whole polynomial."""
+    if not all(c.is_rational() for c in coeffs):
+        return _factor_over_extension(coeffs, spec)
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_factor_list
+
+    den = math.lcm(*(c.a.denominator for c in coeffs))
+    _, factors = dup_factor_list([ZZ(int(c.a * den)) for c in reversed(coeffs)], ZZ)
+    out: list[list[FieldElement]] = []
+    for fac, _mult in factors:
+        f = [spec.from_rational(int(c)) for c in reversed(fac)]
+        if len(f) <= 3 or spec.kind is FieldKind.RATIONALS:
+            out.append(f)
+        else:
+            out += _factor_over_extension(f, spec)
+    return out
+
+
+def _factor_over_extension(
+    coeffs: list[FieldElement], spec: FieldSpec
+) -> list[list[FieldElement]]:
+    """The distinct irreducible factors of sum coeffs[k] x^k over
+    Q(i, sqrt d), from sympy's dense factorisation over `_sympy_domain(spec)`."""
+    from sympy.polys.factortools import dup_factor_list
+
+    _, factors = dup_factor_list([_to_domain(c) for c in reversed(coeffs)], _sympy_domain(spec))
+    return [[_from_domain(c, spec) for c in reversed(fac)] for fac, _mult in factors]
 
 
 @functools.cache
-def sympy_domain(spec: FieldSpec):
+def _sympy_domain(spec: FieldSpec):
     """The sympy domain of `spec`: `QQ`, or `QQ.algebraic_field(I + sqrt(d))`."""
     import sympy as sp
 
@@ -408,9 +442,9 @@ def sympy_domain(spec: FieldSpec):
     return sp.QQ.algebraic_field(sp.I + sp.sqrt(spec.d))
 
 
-def to_domain(x: FieldElement):
-    """x as an element of `sympy_domain(x.spec)`."""
-    K = sympy_domain(x.spec)
+def _to_domain(x: FieldElement):
+    """x as an element of `_sympy_domain(x.spec)`."""
+    K = _sympy_domain(x.spec)
     if x.spec.kind is FieldKind.RATIONALS:
         return K(x.a.numerator, x.a.denominator)
     d = x.spec.d
@@ -419,8 +453,8 @@ def to_domain(x: FieldElement):
     return K([K.dom(t.numerator, t.denominator) for t in coeffs])
 
 
-def from_domain(v, spec: FieldSpec) -> FieldElement:
-    """The element of `spec` that `sympy_domain(spec)` holds as v."""
+def _from_domain(v, spec: FieldSpec) -> FieldElement:
+    """The element of `spec` that `_sympy_domain(spec)` holds as v."""
     if spec.kind is FieldKind.RATIONALS:
         return spec.from_rational(Fraction(int(v.numerator), int(v.denominator)))
     coeffs = [Fraction(int(t.numerator), int(t.denominator)) for t in v.to_list()]  # theta^3 first

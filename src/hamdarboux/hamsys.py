@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .field import FieldElement, FieldSpec
 from .parsing import ParseContext, ParseError, parse_field_spec, parse_poly
-from .poly import Direction, Exponents, MultiPoly, VarSet
+from .poly import Exponents, MultiPoly, VarSet
 
 
 class GradingUnavailableError(ValueError):
@@ -177,14 +177,15 @@ def tau(F: MultiPoly) -> MultiPoly:
     return MultiPoly(F.varset, F.field, terms)
 
 
-def gamma_direction(sys: NaturalHamiltonian) -> Direction:
-    """Weights (2,...,2, r,...,r) with r = deg V; requires r >= 3."""
+def gamma_direction(sys: NaturalHamiltonian) -> tuple[int, ...]:
+    """The gamma grading's weights (2,...,2, r,...,r), one per variable q1..qm,
+    p1..pm, with r = deg V; requires r >= 3."""
     if sys.r <= 2:
         raise GradingUnavailableError(
             f"deg V = {sys.r} <= 2: the weighted grading is unavailable"
         )
     m = sys.m
-    return Direction((2,) * m + (sys.r,) * m)
+    return (2,) * m + (sys.r,) * m
 
 
 def top_hamiltonian(sys: NaturalHamiltonian) -> NaturalHamiltonian:

@@ -14,7 +14,7 @@ import heapq
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .field import FieldElement, FieldSpec
 
@@ -79,30 +79,6 @@ class VarSet:
         if not self.m:
             return f"VarSet.cofactor_unknowns({self.n})"
         return f"VarSet(m={self.m})"
-
-
-class Direction:
-    """A positive integer weight per variable, defining the gamma grading."""
-
-    __slots__ = ("gamma",)
-
-    def __init__(self, gamma: Sequence[int]):
-        gamma = tuple(int(g) for g in gamma)
-        if not gamma or any(g < 1 for g in gamma):
-            raise ValueError("direction entries must be positive integers")
-        self.gamma = gamma
-
-    def weight(self, exps: Exponents) -> int:
-        return sum(g * a for g, a in zip(self.gamma, exps))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Direction) and self.gamma == other.gamma
-
-    def __hash__(self) -> int:
-        return hash(self.gamma)
-
-    def __repr__(self) -> str:
-        return f"Direction{self.gamma}"
 
 
 def monomial_key(m: int) -> Callable[[Exponents], tuple[int, ...]]:
@@ -362,17 +338,18 @@ class MultiPoly:
 
     # -- gamma grading ----------------------------------------------------------
 
-    def gamma_degree(self, direction: Direction) -> int | None:
-        """Max weighted degree over terms; None stands for -infinity (zero poly)."""
+    def gamma_degree(self, weights: tuple[int, ...]) -> int | None:
+        """Max weighted degree over terms, for one positive weight per
+        variable; None stands for -infinity (zero poly)."""
         if not self.terms:
             return None
-        return max(direction.weight(e) for e in self.terms)
+        return max(sum(w * a for w, a in zip(weights, e)) for e in self.terms)
 
-    def gamma_decompose(self, direction: Direction) -> list[tuple[int, "MultiPoly"]]:
+    def gamma_decompose(self, weights: tuple[int, ...]) -> list[tuple[int, "MultiPoly"]]:
         """Split into gamma-homogeneous components, degrees strictly increasing."""
         buckets: dict[int, dict[Exponents, FieldElement]] = {}
         for exps, coef in self.terms.items():
-            buckets.setdefault(direction.weight(exps), {})[exps] = coef
+            buckets.setdefault(sum(w * a for w, a in zip(weights, exps)), {})[exps] = coef
         return [
             (s, MultiPoly(self.varset, self.field, buckets[s])) for s in sorted(buckets)
         ]

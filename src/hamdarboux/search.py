@@ -10,13 +10,11 @@ alone in its row that is nonzero on the branch sets its unknown to zero, so
 its column is deleted rather than eliminated, which leaves the other rows
 and the previous pivot as they are.  Univariate lam-constraints are solved
 over the configured field: once their x^k content is removed, one of degree
-at most 2 is its own factor, a rational one of higher degree is factored
-over Q by sympy, and only a Q-irreducible factor of degree >= 3, or a
-constraint with irrational coefficients, is factored over Q(i, sqrt d).
-`roots_in_field` alone reads each factor, in field arithmetic and with the
-square roots of `field.sqrt_in_field`, into roots or a monic residual;
-in-field roots branch the search and out-of-field factors are reported as
-residual conditions.
+at most 2 is its own factor, and one of higher degree is factored by
+`field.factor_in_field`, the library's one use of sympy.  `roots_in_field`
+alone reads each factor, in field arithmetic and with the square roots of
+`field.sqrt_in_field`, into roots or a monic residual; in-field roots branch
+the search and out-of-field factors are reported as residual conditions.
 
 Each branch keeps its pivot rows, with their pivot columns, in echelon
 form.  At a leaf every remaining row is empty and every pivot is nonzero at
@@ -36,16 +34,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .darboux import DarbouxCertificate, InternalInvariantError, cofactor_of
-from .field import (
-    RATIONALS,
-    FieldElement,
-    FieldKind,
-    FieldSpec,
-    from_domain,
-    sqrt_in_field,
-    sympy_domain,
-    to_domain,
-)
+from .field import RATIONALS, FieldElement, FieldKind, FieldSpec, factor_in_field, sqrt_in_field
 from .hamsys import NaturalHamiltonian, gamma_direction, is_homogeneous_potential, lie_image
 from .parsing import format_terms
 from .poly import Exponents, MultiPoly, VarSet, monomial_key
@@ -69,10 +58,6 @@ class SearchReport:
 
 
 # -- exact roots over Q and Q(i, sqrt d) -----------------------------------------
-# sympy is imported inside `_factor_over_q` and `_factor_with_sympy`: only a
-# search that meets a cofactor constraint of degree >= 3 past its x^k content
-# pays for loading it.  Over Q(i, sqrt d) the factoring works on sympy's dense
-# lists over `sympy_domain`, the field module's one bridge to sympy.
 
 
 def roots_in_field(
@@ -83,26 +68,17 @@ def roots_in_field(
     roots fall outside it.
 
     The x^k content gives the root 0.  A remainder of degree at most 2 is its
-    own factor.  A rational remainder of higher degree is factored over Q
-    first, and only a factor of degree >= 3 on Q(i, sqrt d) is factored over
-    the extension, as is a remainder with irrational coefficients.  Distinct
-    Q-irreducible factors are coprime, so their factors over the field are
-    those of the whole remainder.  Every factor is read here, in field
-    arithmetic: a linear one gives its root, a quadratic its roots through
-    the discriminant and the exact `sqrt_in_field`, and one with no root to
-    read is a monic residual."""
+    own factor, and one of higher degree is factored by `factor_in_field`.
+    Every factor is read here, in field arithmetic: a linear one gives its
+    root, a quadratic its roots through the discriminant and the exact
+    `sqrt_in_field`, and one with no root to read is a monic residual."""
     k = next((i for i, c in enumerate(coeffs) if not c.is_zero()), None)
     if k is None:
         return [], []
     g = list(coeffs[k:])
     while g[-1].is_zero():
         g.pop()
-    if len(g) <= 3:
-        factors = [g]
-    elif all(c.is_rational() for c in g):
-        factors = _factor_over_q(g, spec)
-    else:
-        factors = _factor_with_sympy(g, spec)
+    factors = [g] if len(g) <= 3 else factor_in_field(g, spec)
     roots = [spec.zero()] if k else []
     residuals: list[list[FieldElement]] = []
     for f in factors:
@@ -123,38 +99,6 @@ def roots_in_field(
         if not uniq or uniq[-1] != r:
             uniq.append(r)
     return uniq, residuals
-
-
-def _factor_over_q(g: list[FieldElement], spec: FieldSpec) -> list[list[FieldElement]]:
-    """The distinct Q-irreducible factors of a rational g, as coefficient
-    lists lowest degree first, from sympy's factorisation over Z of g with
-    its denominators cleared.  Over Q(i, sqrt d) a factor of degree >= 3 is
-    factored alone over the extension."""
-    from sympy.polys.domains import ZZ
-    from sympy.polys.factortools import dup_factor_list
-
-    den = math.lcm(*(c.a.denominator for c in g))
-    _, factors = dup_factor_list([ZZ(int(c.a * den)) for c in reversed(g)], ZZ)
-    out: list[list[FieldElement]] = []
-    for fac, _mult in factors:
-        f = [spec.from_rational(int(c)) for c in reversed(fac)]
-        if len(f) <= 3 or spec.kind is FieldKind.RATIONALS:
-            out.append(f)
-        else:
-            out += _factor_with_sympy(f, spec)
-    return out
-
-
-def _factor_with_sympy(
-    coeffs: list[FieldElement], spec: FieldSpec
-) -> list[list[FieldElement]]:
-    """The distinct irreducible factors of sum coeffs[k] x^k over
-    Q(i, sqrt d), as coefficient lists lowest degree first, from sympy's
-    dense factorisation over `sympy_domain(spec)`."""
-    from sympy.polys.factortools import dup_factor_list
-
-    _, factors = dup_factor_list([to_domain(c) for c in reversed(coeffs)], sympy_domain(spec))
-    return [[from_domain(c, spec) for c in reversed(fac)] for fac, _mult in factors]
 
 
 # -- polynomials in the cofactor unknowns ---------------------------------------
@@ -840,7 +784,7 @@ def search_darboux(
     or a branch cap below 1.
     """
     check_search_bounds(max_gamma_degree, branch_cap)
-    gamma = gamma_direction(sys).gamma
+    gamma = gamma_direction(sys)
     spec = sys.field
     m = sys.m
 

@@ -190,8 +190,8 @@ def rand_rational_poly(
 
 
 # -- the expression-level oracle for sympy numbers --------------------------------
-# The library reaches sympy only through `hamdarboux.field.sympy_domain`; the
-# factoring oracles build sympy expressions instead, so they check the
+# The library reaches sympy only through `hamdarboux.field.factor_in_field`;
+# the factoring oracles build sympy expressions instead, so they check the
 # library along a path that does not go through it.
 
 

@@ -13,7 +13,7 @@ from hamdarboux.hamsys import (
     tau,
     top_hamiltonian,
 )
-from hamdarboux.poly import Direction, MultiPoly, VarSet
+from hamdarboux.poly import MultiPoly, VarSet
 
 from conftest import poly_of, rand_poly
 
@@ -92,7 +92,7 @@ def test_tau_involution_and_anticommutation(sys_s2):
 
 
 def test_gamma_direction(sys_s1):
-    assert gamma_direction(sys_s1) == Direction((2, 2, 4, 4))
+    assert gamma_direction(sys_s1) == (2, 2, 4, 4)
     with pytest.warns(UserWarning):
         low = load_system("m = 2\nfield = Q\nmu = 1, 1\nV = q1\n")
     with pytest.raises(GradingUnavailableError):

@@ -5,7 +5,6 @@ import pytest
 
 from hamdarboux.field import RATIONALS, quad_gauss
 from hamdarboux.poly import (
-    Direction,
     MultiPoly,
     VarSet,
     VarSetMismatchError,
@@ -144,14 +143,14 @@ def test_diff_product_rule_random():
 
 def test_gamma_decompose_round_trip():
     rng = random.Random(41)
-    direction = Direction((2, 2, 4, 4))
+    weights = (2, 2, 4, 4)
     for _ in range(300):
         A = rand_poly(rng, VS, Q2)
-        parts = A.gamma_decompose(direction)
+        parts = A.gamma_decompose(weights)
         total = MultiPoly.zero(VS, Q2)
         last = None
         for s, comp in parts:
-            assert [d for d, _ in comp.gamma_decompose(direction)] == [s]
+            assert [d for d, _ in comp.gamma_decompose(weights)] == [s]
             assert last is None or s > last
             last = s
             total = total + comp
@@ -161,15 +160,15 @@ def test_gamma_decompose_round_trip():
 def test_euler_identity_on_homogeneous_parts():
     # sum gamma_i x_i dF/dx_i == s*F for a gamma-form of weight s
     rng = random.Random(4)
-    direction = Direction((2, 2, 4, 4))
+    weights = (2, 2, 4, 4)
     for _ in range(200):
         A = rand_poly(rng, VS, RATIONALS)
-        for s, comp in A.gamma_decompose(direction):
+        for s, comp in A.gamma_decompose(weights):
             euler = MultiPoly.zero(VS, RATIONALS)
             for idx in range(1, 5):
                 term = MultiPoly.variable(VS, RATIONALS, idx) * comp.diff(idx)
                 euler = euler + term.scale(
-                    RATIONALS.from_rational(direction.gamma[idx - 1])
+                    RATIONALS.from_rational(weights[idx - 1])
                 )
             assert euler == comp.scale(RATIONALS.from_rational(s))
 
@@ -177,16 +176,16 @@ def test_euler_identity_on_homogeneous_parts():
 def test_scaling_identity_on_homogeneous_parts():
     # F(t^gamma_i x_i) == t^s F(x) for a gamma-form of weight s, tested at t=3
     rng = random.Random(9)
-    direction = Direction((2, 2, 4, 4))
+    weights = (2, 2, 4, 4)
     t = Fraction(3)
     for _ in range(200):
         A = rand_poly(rng, VS, RATIONALS, max_degree=2)
         pt = [RATIONALS.from_rational(rand_element(rng, RATIONALS).components()[0]) for _ in range(4)]
         scaled = [
-            x * RATIONALS.from_rational(t ** direction.gamma[i])
+            x * RATIONALS.from_rational(t ** weights[i])
             for i, x in enumerate(pt)
         ]
-        for s, comp in A.gamma_decompose(direction):
+        for s, comp in A.gamma_decompose(weights):
             lhs = evaluate_exact(comp, scaled)
             rhs = evaluate_exact(comp, pt) * RATIONALS.from_rational(t**s)
             assert lhs == rhs

@@ -97,7 +97,7 @@ def _sparse_element(rng, spec):
 
 @functools.cache
 def _oracle_domain(spec):
-    """sympy's own domain of the field, built apart from `field.sympy_domain`,
+    """sympy's own domain of the field, built apart from the library's,
     and the basis {1, i, sqrt(d), i*sqrt(d)} in it: QQ, or QQ<2i + sqrt(d)>
     with i and sqrt(d) embedded by sympy."""
     if spec is RATIONALS:
@@ -107,14 +107,17 @@ def _oracle_domain(spec):
     return K, (K.one, i, s, i * s)
 
 
+def _oracle_element(x, spec):
+    """x as an element of `_oracle_domain(spec)`, summed on its basis."""
+    K, basis = _oracle_domain(spec)
+    return sum((K.from_sympy(sp.Rational(t)) * b for t, b in zip(x.components(), basis)), K.zero)
+
+
 def _factor_by_sympy(coeffs, spec):
     """Oracle: sorted distinct in-field roots and monic residual factors of
     sum coeffs[k] x^k, from sympy's dense factorisation over the field."""
-    K, basis = _oracle_domain(spec)
-    dense = [
-        sum((K.from_sympy(sp.Rational(t)) * b for t, b in zip(c.components(), basis)), K.zero)
-        for c in reversed(coeffs)
-    ]
+    K, _ = _oracle_domain(spec)
+    dense = [_oracle_element(c, spec) for c in reversed(coeffs)]
     _, factors = dup_factor_list(dense, K)
     roots, residuals = set(), []
     for fac, _ in factors:
@@ -265,16 +268,16 @@ def test_rational_constraints_factored_over_q_match_factoring(spec, monkeypatch)
     # irreducible factors of a product are those of its pieces, and x^k adds
     # the root 0); only Q-irreducible factors of degree >= 3 reach the
     # extension factoring
-    import hamdarboux.search as search_module
+    import hamdarboux.field as field_module
 
     climbed = []
-    factor_with_sympy = search_module._factor_with_sympy
+    factor_over_extension = field_module._factor_over_extension
 
     def recorded(coeffs, field):
         climbed.append(coeffs)
-        return factor_with_sympy(coeffs, field)
+        return factor_over_extension(coeffs, field)
 
-    monkeypatch.setattr(search_module, "_factor_with_sympy", recorded)
+    monkeypatch.setattr(field_module, "_factor_over_extension", recorded)
     rng = random.Random(53)
     shapes = dict.fromkeys(["linear", "split", "irreducible", "quartic", "unsplit"], 0)
     for _ in range(24):
@@ -314,15 +317,19 @@ def test_rational_constraints_factored_over_q_match_factoring(spec, monkeypatch)
 def test_rational_constraints_skip_extension_factoring(monkeypatch):
     # this degree-8 search on Q(i, sqrt2) meets a rational constraint of
     # degree >= 3, which splits over Q into factors of degree <= 2
+    import hamdarboux.field as field_module
     import hamdarboux.search as search_module
 
     calls = {"over_q": 0, "extension": 0}
-    for name, key in (("_factor_over_q", "over_q"), ("_factor_with_sympy", "extension")):
-        def counted(*args, _fn=getattr(search_module, name), _key=key):
+    for module, name, key in (
+        (search_module, "factor_in_field", "over_q"),
+        (field_module, "_factor_over_extension", "extension"),
+    ):
+        def counted(*args, _fn=getattr(module, name), _key=key):
             calls[_key] += 1
             return _fn(*args)
 
-        monkeypatch.setattr(search_module, name, counted)
+        monkeypatch.setattr(module, name, counted)
     search_darboux(load_system("m = 2\nfield = Q(i,sqrt2)\nmu = 1, 1\nV = q1^2 + 2*q2^2 + q2^4\n"), 8)
     assert calls["over_q"] > 0 and calls["extension"] == 0, calls
 
@@ -359,16 +366,16 @@ def test_irrational_constraints_read_like_factoring(d, monkeypatch):
     # remainder reaches the extension factoring with irrational coefficients,
     # and its factors are read into roots and residuals in field arithmetic;
     # against sympy factoring of the whole polynomial over the field
-    import hamdarboux.search as search_module
+    import hamdarboux.field as field_module
 
     climbed = []
-    factor_with_sympy = search_module._factor_with_sympy
+    factor_over_extension = field_module._factor_over_extension
 
     def recorded(coeffs, field):
         climbed.append(coeffs)
-        return factor_with_sympy(coeffs, field)
+        return factor_over_extension(coeffs, field)
 
-    monkeypatch.setattr(search_module, "_factor_with_sympy", recorded)
+    monkeypatch.setattr(field_module, "_factor_over_extension", recorded)
     spec = quad_gauss(d)
     rng = random.Random(61)
     shapes = dict.fromkeys(["cubic", "irreducible", "linear", "split"], 0)
@@ -709,21 +716,21 @@ def test_certificates_close_under_products_and_reversal(field, V, degree):
 def _kernel_dimension(system, Lambda, bound):
     """The dimension of the kernel of F -> L_H F - Lambda*F on the monomials
     of gamma-degree <= bound, from sympy's `DomainMatrix` rank over the
-    field, with L_H taken by `_lie_derivative_by_diff`."""
+    field, with L_H taken by `_lie_derivative_by_diff`.  The matrix is built
+    over the tests' own `_oracle_domain`, so the check shares no code with
+    the library's basis change to sympy."""
     from sympy.polys.matrices import DomainMatrix
 
-    from hamdarboux.field import sympy_domain, to_domain
-
-    gamma = gamma_direction(system).gamma
+    gamma = gamma_direction(system)
     spec = system.field
     columns = []
     for alpha in itertools.product(*(range(bound // w + 1) for w in gamma)):
         if sum(a * w for a, w in zip(alpha, gamma)) <= bound:
             mono = MultiPoly(system.varset, spec, {alpha: spec.one()})
             columns.append(_lie_derivative_by_diff(system, mono) - Lambda * mono)
-    K = sympy_domain(spec)
+    K, _ = _oracle_domain(spec)
     rows = [
-        [to_domain(P.terms[e]) if e in P.terms else K.zero for P in columns]
+        [_oracle_element(P.terms[e], spec) if e in P.terms else K.zero for P in columns]
         for e in sorted({e for P in columns for e in P.terms})
     ]
     return len(columns) - DomainMatrix(rows, (len(rows), len(columns)), K).rank()
@@ -806,7 +813,7 @@ def test_ansatz_columns_are_lie_derivative_images(definition, degree):
     from hamdarboux.search import _monomials_up_to_weight
 
     system = load_system(definition)
-    gamma = gamma_direction(system).gamma
+    gamma = gamma_direction(system)
     monomials = _monomials_up_to_weight(gamma, degree, exact=False)
     assert len(monomials) > 20
     for alpha in monomials:
