@@ -2,19 +2,20 @@
 
 The ansatz couples unknown coefficients f of the candidate polynomial with
 unknown cofactor coefficients lam: the relation L_H F - Lambda*F = 0, read
-per monomial, is linear in f with entries affine in lam.  Each entry is
-gathered once as a map from lam-exponent to coefficient and built once in
-its final form.  The f-unknowns are eliminated fraction-free over the
-polynomial ring in lam, branching on whether each pivot vanishes; a pivot
-alone in its row that is nonzero on the branch sets its unknown to zero, so
-its column is deleted rather than eliminated, which leaves the other rows
-and the previous pivot as they are.  Univariate lam-constraints are solved
-over the configured field: once their x^k content is removed, one of degree
-at most 2 is its own factor, and one of higher degree is factored by
-`field.factor_in_field`, the library's one use of sympy.  `roots_in_field`
-alone reads each factor, in field arithmetic and with the square roots of
-`field.sqrt_in_field`, into roots or a monic residual; in-field roots branch
-the search and out-of-field factors are reported as residual conditions.
+per monomial, is linear in f with entries affine in lam.  `_ansatz` alone
+builds that system, each entry as a map from lam-exponent to coefficient,
+and `_choose_entry_form` builds each entry once in its final form.  The
+f-unknowns are eliminated fraction-free over the polynomial ring in lam,
+branching on whether each pivot vanishes; a pivot alone in its row that is
+nonzero on the branch sets its unknown to zero, so its column is deleted
+rather than eliminated, which leaves the other rows and the previous pivot
+as they are.  Univariate lam-constraints are solved over the configured
+field: once their x^k content is removed, one of degree at most 2 is its
+own factor, and one of higher degree is factored by `field.factor_in_field`,
+the library's one use of sympy.  `roots_in_field` alone reads each factor,
+in field arithmetic and with the square roots of `field.sqrt_in_field`,
+into roots or a monic residual; in-field roots branch the search and
+out-of-field factors are reported as residual conditions.
 
 Each branch keeps its pivot rows, with their pivot columns, in echelon
 form.  At a leaf every remaining row is empty and every pivot is nonzero at
@@ -260,19 +261,51 @@ def _monomials_up_to_weight(
     return out
 
 
+def _ansatz(
+    sys: NaturalHamiltonian, max_gamma_degree: int, homogeneous_only: bool
+) -> tuple[list[Exponents], list[Exponents], list[dict[int, dict[Exponents, FieldElement]]]]:
+    """The ansatz in canonical order, highest first: the f-monomials, the
+    lam-monomials, whose weight r - 2 or less leaves out every momentum, and
+    one row per phase-space monomial of L_H F - Lambda*F, each entry a map
+    from lam-exponent to coefficient: the L_H image's scalar under the zero
+    key, -1 under e_t for l_t.  No key is written twice: image exponents are
+    distinct and alpha + beta_t differs per t."""
+    gamma, key = gamma_direction(sys), monomial_key(sys.m)
+    f_monomials, lam_monomials = (
+        sorted(_monomials_up_to_weight(gamma, bound, exact), key=key, reverse=True)
+        for bound, exact in [
+            (max_gamma_degree, homogeneous_only),
+            (sys.r - 2, is_homogeneous_potential(sys)),
+        ]
+    )
+    k = len(lam_monomials)
+    zero_key = (0,) * k
+    unit_keys = [tuple(int(i == t) for i in range(k)) for t in range(k)]
+    minus_one = -sys.field.one()
+    rows_by_monomial: dict[Exponents, dict[int, dict[Exponents, FieldElement]]] = {}
+    for col, alpha in enumerate(f_monomials):
+        for exps, coef in lie_image(sys, alpha).items():
+            rows_by_monomial.setdefault(exps, {})[col] = {zero_key: coef}
+        for beta, unit in zip(lam_monomials, unit_keys):
+            prod = tuple(map(operator.add, alpha, beta))
+            rows_by_monomial.setdefault(prod, {}).setdefault(col, {})[unit] = minus_one
+    ordered = sorted(rows_by_monomial, key=key, reverse=True)
+    return f_monomials, lam_monomials, [rows_by_monomial.pop(mono) for mono in ordered]
+
+
 # -- the branching elimination ----------------------------------------------------
 
 
 @dataclass
 class _State:
     rows: list[dict[int, Entry] | None]
-    assign: dict[int, FieldElement]
-    nonzero: list[MultiPoly]
+    assign: dict[int, FieldElement] = dataclass_field(default_factory=dict)
+    nonzero: list[MultiPoly] = dataclass_field(default_factory=list)
     # multivariate constraints p = 0 waiting for substitution
-    pending: list[MultiPoly]
+    pending: list[MultiPoly] = dataclass_field(default_factory=list)
     # (pivot column, eliminated row) in elimination order, never mutated once
     # kept; no row has an entry in an earlier pivot's column
-    pivots: list[tuple[int, dict[int, Entry]]]
+    pivots: list[tuple[int, dict[int, Entry]]] = dataclass_field(default_factory=list)
     prev_pivot: Entry | None = None
 
     def clone(self) -> "_State":
@@ -587,10 +620,10 @@ def _explore(ctx: _Context, state: _State) -> None:
                     continue
                 # branch B: pivot vanishes, which a nonzero constant cannot;
                 # drop the entry so the column is not revisited (the pending
-                # constraint keeps it at zero)
-                s_eq0 = s.clone()
-                s_eq0.rows[ri].pop(col)
-                next_eq.extend(_apply_constraint(ctx, s_eq0, poly))
+                # constraint keeps it at zero).  Nothing reads s again, so
+                # the branch takes it over rather than a copy
+                s.rows[ri].pop(col)
+                next_eq.extend(_apply_constraint(ctx, s, poly))
             eq_states = next_eq
         # whole column vanished: the corresponding f-unknown stays unconstrained here
         survivors = eq_states
@@ -784,40 +817,9 @@ def search_darboux(
     or a branch cap below 1.
     """
     check_search_bounds(max_gamma_degree, branch_cap)
-    gamma = gamma_direction(sys)
-    spec = sys.field
-    m = sys.m
-
-    f_monomials = _monomials_up_to_weight(gamma, max_gamma_degree, exact=homogeneous_only)
-    key = monomial_key(m)
-    f_monomials.sort(key=key, reverse=True)
-
-    lam_q = _monomials_up_to_weight(gamma[:m], sys.r - 2, exact=is_homogeneous_potential(sys))
-    lam_monomials = [
-        q + (0,) * m
-        for q in sorted(lam_q, key=lambda e: key(e + (0,) * m), reverse=True)
-    ]
+    f_monomials, lam_monomials, rows = _ansatz(sys, max_gamma_degree, homogeneous_only)
     lam_vars = VarSet.cofactor_unknowns(len(lam_monomials))
-
-    # each entry as a map from lam-exponent to coefficient: the L_H image's
-    # scalar under the zero key, -1 under e_t for l_t.  No key is written
-    # twice: image exponents are distinct and alpha + beta_t differs per t.
-    k = lam_vars.n
-    zero_key = (0,) * k
-    unit_keys = [tuple(int(i == t) for i in range(k)) for t in range(k)]
-    minus_one = -spec.one()
-    rows_by_monomial: dict[Exponents, dict[int, dict[Exponents, FieldElement]]] = {}
-    for col, alpha in enumerate(f_monomials):
-        for exps, coef in lie_image(sys, alpha).items():
-            rows_by_monomial.setdefault(exps, {})[col] = {zero_key: coef}
-        for beta, unit in zip(lam_monomials, unit_keys):
-            prod = tuple(map(operator.add, alpha, beta))
-            rows_by_monomial.setdefault(prod, {}).setdefault(col, {})[unit] = minus_one
-
-    ordered = sorted(rows_by_monomial, key=key, reverse=True)
-    rows = [rows_by_monomial.pop(mono) for mono in ordered]
-    _choose_entry_form(rows, lam_vars, spec)
-
+    _choose_entry_form(rows, lam_vars, sys.field)
     ctx = _Context(
         sys=sys,
         f_monomials=f_monomials,
@@ -826,13 +828,6 @@ def search_darboux(
         lam_names=lam_vars.names(),
         cap=branch_cap,
     )
-    state = _State(
-        rows=rows,
-        assign={},
-        nonzero=[],
-        pending=[],
-        pivots=[],
-    )
     ctx.tick()
-    _explore(ctx, state)
+    _explore(ctx, _State(rows))
     return ctx.report()

@@ -824,38 +824,37 @@ def test_ansatz_columns_are_lie_derivative_images(definition, degree):
         assert MultiPoly(system.varset, system.field, image) == oracle == lie_derivative(system, mono)
 
 
-@pytest.mark.parametrize("definition, degree", ANSATZ_SYSTEMS)
-def test_ansatz_rows_are_the_darboux_relation(definition, degree, monkeypatch):
+@pytest.mark.parametrize(
+    "definition, degree, homogeneous_only",
+    [pytest.param(*param.values, False, id=param.id) for param in ANSATZ_SYSTEMS]
+    + [pytest.param(*param.values, True, id=f"{param.id}-exact") for param in ANSATZ_SYSTEMS],
+)
+def test_ansatz_rows_are_the_darboux_relation(definition, degree, homogeneous_only):
     # row by row, in the canonical order of the phase-space monomials, the
     # ansatz is L_H(x^alpha) - Lambda*x^alpha read at each monomial, one
-    # column per alpha: the coefficient maps, and the entries built from
-    # them, as MultiPolys or, on the integer form, as that row times the lcm
-    # of its denominators, with each constant entry an int
+    # column per alpha, for the full ansatz and for the exact-weight slice:
+    # the coefficient maps, and the entries built from them, as MultiPolys
+    # or, on the integer form, as that row times the lcm of its
+    # denominators, with each constant entry an int
     import math
 
-    import hamdarboux.search as search_module
     from hamdarboux.poly import monomial_key
+    from hamdarboux.search import _ansatz, _choose_entry_form
 
     system = load_system(definition)
     spec = system.field
-    built = {}
-    choose = search_module._choose_entry_form
-
-    def capture(rows, lam_vars, field):
-        built["maps"], built["rows"] = list(rows), rows
-        choose(rows, lam_vars, field)
-
-    monkeypatch.setattr(search_module, "_choose_entry_form", capture)
-    monkeypatch.setattr(search_module, "_explore", lambda ctx, state: built.setdefault("ctx", ctx))
-    search_darboux(system, degree)
-    ctx = built["ctx"]
-    lam = ctx.lam_vars
+    f_monomials, lam_monomials, maps = _ansatz(system, degree, homogeneous_only)
+    weights = {sum(g * a for g, a in zip(gamma_direction(system), alpha)) for alpha in f_monomials}
+    assert (weights == {degree}) if homogeneous_only else (max(weights) <= degree)
+    lam = VarSet.cofactor_unknowns(len(lam_monomials))
+    built = list(maps)
+    _choose_entry_form(built, lam, spec)
     relation: dict = {}
-    for col, alpha in enumerate(ctx.f_monomials):
+    for col, alpha in enumerate(f_monomials):
         image = _lie_derivative_by_diff(system, MultiPoly(system.varset, spec, {alpha: spec.one()}))
         for exps, coef in image.terms.items():
             relation.setdefault(exps, {})[col] = MultiPoly.constant(lam, spec, coef)
-        for t, beta in enumerate(ctx.lam_monomials, 1):
+        for t, beta in enumerate(lam_monomials, 1):
             row = relation.setdefault(tuple(a + b for a, b in zip(alpha, beta)), {})
             row[col] = row.get(col, MultiPoly.zero(lam, spec)) - MultiPoly.variable(lam, spec, t)
     expected = [
@@ -863,12 +862,12 @@ def test_ansatz_rows_are_the_darboux_relation(definition, degree, monkeypatch):
         for exps in sorted(relation, key=monomial_key(system.m), reverse=True)
     ]
     expected = [row for row in expected if row]
-    assert len(expected) > 20
-    maps = [{col: MultiPoly(lam, spec, terms) for col, terms in row.items()} for row in built["maps"]]
+    assert len(expected) >= 20
+    maps = [{col: MultiPoly(lam, spec, terms) for col, terms in row.items()} for row in maps]
     assert maps == expected
     integer = spec is RATIONALS and lam.n == 1
-    assert len(built["rows"]) == len(expected)
-    for row, want in zip(built["rows"], expected):
+    assert len(built) == len(expected)
+    for row, want in zip(built, expected):
         if integer:
             assert {type(p) for p in row.values()} <= {int, _IntPoly}
             den = math.lcm(*(c.a.denominator for p in want.values() for c in p.terms.values()))
@@ -923,11 +922,7 @@ def test_free_leaves_have_no_kernel(monkeypatch):
     rng = random.Random(5)
     built = {}
     checked = []
-    choose, handle_leaf = search_module._choose_entry_form, search_module._handle_leaf
-
-    def capture(rows, lam_vars, spec):
-        built["maps"] = list(rows)
-        choose(rows, lam_vars, spec)
+    handle_leaf = search_module._handle_leaf
 
     def point_of(state, free, spec):
         for attempt in range(1000):
@@ -961,9 +956,12 @@ def test_free_leaves_have_no_kernel(monkeypatch):
             checked.append((ctx.sys.m, spec.kind, len(free)))
         handle_leaf(ctx, state)
 
-    monkeypatch.setattr(search_module, "_choose_entry_form", capture)
+    def search(system, degree):
+        built["maps"] = search_module._ansatz(system, degree, False)[2]
+        return search_darboux(system, degree)
+
     monkeypatch.setattr(search_module, "_handle_leaf", leaf)
-    reports = [search_darboux(system, degree) for system, degree in _lemma_systems()]
+    reports = [search(system, degree) for system, degree in _lemma_systems()]
     assert len(checked) >= 30 and max(n for _, _, n in checked) >= 2
     assert {(m, kind) for m, kind, _ in checked} == {(m, kind) for m in (2, 3) for kind in FieldKind}
     # the last system holds no Darboux polynomial at degree 4: its residual
@@ -972,7 +970,7 @@ def test_free_leaves_have_no_kernel(monkeypatch):
     assert reports[-1].branches_explored == 15
     assert reports[-1].certificates == ()
     assert reports[-1].residual_conditions == ("l1^2 + 8",)
-    extended = search_darboux(load_system("m = 2\nfield = Q(i,sqrt2)\nmu = 1, 1\nV = q1^4 + q1*q2\n"), 4)
+    extended = search(load_system("m = 2\nfield = Q(i,sqrt2)\nmu = 1, 1\nV = q1^4 + q1*q2\n"), 4)
     assert (extended.certificates, extended.residual_conditions) == ((), ())
 
 
@@ -1379,7 +1377,6 @@ def test_one_bareiss_step_on_both_entry_forms():
         states = [
             search_module._State(
                 rows=[{c: convert(p) for c, p in r.items()} for r in rows],
-                assign={}, nonzero=[], pending=[], pivots=[],
                 prev_pivot=None if prev is None else convert(prev),
             )
             for convert in (lambda p: p, as_poly)
@@ -1445,8 +1442,7 @@ def test_lone_lam_pivot_deletes_its_column(form):
         prev = rng.choice([None, -2, _IntPoly([1, 2])])
         prev = None if prev is None else convert(prev)
         state = search_module._State(
-            rows=[None if r is None else dict(r) for r in rows],
-            assign={}, nonzero=[], pending=[], pivots=[], prev_pivot=prev,
+            rows=[None if r is None else dict(r) for r in rows], prev_pivot=prev,
         )
         pivot_row = state.rows[pivot_ri]
         search_module._eliminate_with_pivot(state, col, pivot_ri)
@@ -1460,8 +1456,7 @@ def test_lone_lam_pivot_deletes_its_column(form):
         steps.add((prev is None or search_module._is_constant(prev), any(col in r for r in rows if r and r is not rows[pivot_ri])))
     assert steps == {(a, b) for a in (True, False) for b in (True, False)}
     constant = search_module._State(
-        rows=[{0: convert(3)}, {0: convert(_IntPoly([1, 1])), 1: convert(2)}],
-        assign={}, nonzero=[], pending=[], pivots=[], prev_pivot=None,
+        rows=[{0: convert(3)}, {0: convert(_IntPoly([1, 1])), 1: convert(2)}], prev_pivot=None,
     )
     search_module._eliminate_with_pivot(constant, 0, 0)
     assert constant.prev_pivot == convert(3)
