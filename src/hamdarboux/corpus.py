@@ -5,8 +5,7 @@ the CLI's primary acceptance entry point."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .darboux import cofactor_of, reversal_integral, verify_first_integral
 from .hamsys import NaturalHamiltonian, load_system, tau
@@ -15,8 +14,7 @@ from .poly import MultiPoly
 from .structure import jacobian_independent
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     definition: str
     checks: Callable[["CorpusEntry", NaturalHamiltonian], list[tuple[str, bool, str]]]

@@ -3,7 +3,7 @@ time-reversal first-integral construction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .hamsys import NaturalHamiltonian, gamma_direction, lie_derivative, tau
 from .poly import InternalInvariantError, MultiPoly
@@ -13,8 +13,7 @@ class ReversalVacuousError(ValueError):
     """deg V odd: every Darboux polynomial is already a first integral."""
 
 
-@dataclass(frozen=True)
-class DarbouxCertificate:
+class DarbouxCertificate(NamedTuple):
     """A verified pair (F, Lambda) with L_H F = Lambda * F, F monic."""
 
     F: MultiPoly

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .field import FieldElement, FieldSpec
 from .parsing import ParseContext, ParseError, parse_field_spec, parse_poly
@@ -22,8 +21,7 @@ class GradingUnavailableError(ValueError):
     """Grading-based operations require deg V >= 3."""
 
 
-@dataclass(frozen=True)
-class NaturalHamiltonian:
+class NaturalHamiltonian(NamedTuple):
     varset: VarSet
     field: FieldSpec
     mu: tuple[FieldElement, ...]

@@ -12,11 +12,10 @@ float operations, in the same order, as the stepper, and no trajectory kept."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
 from numbers import Real
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .hamsys import NaturalHamiltonian
 from .poly import MultiPoly
@@ -27,8 +26,7 @@ class NotRealEvaluableError(ValueError):
     real trajectories."""
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """The step h and every step's state as `integrate_rk4` wrote them;
     `samples` is derived from these on read."""
 

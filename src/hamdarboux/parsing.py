@@ -16,8 +16,8 @@ the field whose one nonzero component is positive, read off
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .field import RATIONALS, FieldElement, FieldKind, FieldSpec, quad_gauss, sqrt_in_field
 from .poly import MultiPoly, VarSet
@@ -32,8 +32,7 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class ParseContext:
+class ParseContext(NamedTuple):
     varset: VarSet
     field: FieldSpec
 
@@ -52,8 +51,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'number' | 'name' | 'op' | 'end'
     text: str
     line: int
@@ -86,6 +84,7 @@ class _Parser:
     def __init__(self, text: str, ctx: ParseContext):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.ctx = ctx
 
     def peek(self) -> _Token:
@@ -105,6 +104,25 @@ class _Parser:
     def error(self, message: str) -> ParseError:
         tok = self.peek()
         return ParseError(message, tok.line, tok.column)
+
+    def number(self, tok: _Token) -> Fraction:
+        try:
+            return Fraction(re.sub(r"[ \t]+", "", tok.text))
+        except ZeroDivisionError:
+            raise ParseError("division by zero", tok.line, tok.column) from None
+        except ValueError:  # longer than Python's int-string limit
+            raise ParseError("number too long", tok.line, tok.column) from None
+
+    def nest(self, rule: Callable[[], MultiPoly]) -> MultiPoly:
+        """Consume the opening '(' or '-' and parse `rule` one level deeper:
+        100 levels at most, well inside Python's recursion limit."""
+        if self.depth == 100:
+            raise self.error("nesting deeper than 100 levels")
+        self.advance()
+        self.depth += 1
+        value = rule()
+        self.depth -= 1
+        return value
 
     # grammar rules ------------------------------------------------------
 
@@ -141,8 +159,7 @@ class _Parser:
     def unary(self) -> MultiPoly:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return -self.unary()
+            return -self.nest(self.unary)
         return self.power()
 
     def power(self) -> MultiPoly:
@@ -151,9 +168,9 @@ class _Parser:
         if tok.kind == "op" and tok.text == "^":
             self.advance()
             etok = self.peek()
-            if etok.kind != "number" or "/" in etok.text or int(etok.text) < 1:
+            if etok.kind != "number" or "/" in etok.text or self.number(etok) < 1:
                 raise self.error("exponent must be a positive integer")
-            if int(etok.text) > 10_000:
+            if self.number(etok) > 10_000:
                 raise self.error("exponent too large")
             self.advance()
             return base ** int(etok.text)
@@ -164,11 +181,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            try:
-                num = Fraction(re.sub(r"[ \t]+", "", tok.text))
-            except ZeroDivisionError:
-                raise ParseError("division by zero", tok.line, tok.column) from None
-            return MultiPoly.constant(varset, field, num)
+            return MultiPoly.constant(varset, field, self.number(tok))
         if tok.kind == "name":
             name = tok.text
             if name == "i":
@@ -184,7 +197,7 @@ class _Parser:
                     raise self.error("sqrt argument must be an integer")
                 self.advance()
                 self.expect_op(")")
-                return MultiPoly.constant(varset, field, self._sqrt_value(int(ntok.text), tok))
+                return MultiPoly.constant(varset, field, self._sqrt_value(self.number(ntok), tok))
             mvar = re.fullmatch(r"([qp])([0-9]+)", name)
             if mvar:
                 kind, num = mvar.group(1), int(mvar.group(2))
@@ -197,13 +210,12 @@ class _Parser:
                 return MultiPoly.variable(varset, field, index)
             raise ParseError(f"unknown identifier {name!r}", tok.line, tok.column)
         if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            value = self.expr()
+            value = self.nest(self.expr)
             self.expect_op(")")
             return value
         raise self.error(f"expected a value, found {tok.text!r}" if tok.text else "unexpected end of input")
 
-    def _sqrt_value(self, n: int, tok: _Token) -> FieldElement:
+    def _sqrt_value(self, n: Fraction, tok: _Token) -> FieldElement:
         """The root of n >= 0 in the field whose one nonzero component is
         positive: `sqrt_in_field` returns the other."""
         root = sqrt_in_field(self.ctx.field.from_rational(n))

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .darboux import DarbouxCertificate, InternalInvariantError, cofactor_of
 from .field import RATIONALS, FieldElement, FieldKind, FieldSpec, factor_in_field, sqrt_in_field
@@ -51,8 +51,7 @@ class BranchCapExceededError(RuntimeError):
         self.partial = partial
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     certificates: tuple[DarbouxCertificate, ...]
     branches_explored: int
     residual_conditions: tuple[str, ...]
@@ -296,40 +295,42 @@ def _ansatz(
 # -- the branching elimination ----------------------------------------------------
 
 
-@dataclass
 class _State:
-    rows: list[dict[int, Entry] | None]
-    assign: dict[int, FieldElement] = dataclass_field(default_factory=dict)
-    nonzero: list[MultiPoly] = dataclass_field(default_factory=list)
-    # multivariate constraints p = 0 waiting for substitution
-    pending: list[MultiPoly] = dataclass_field(default_factory=list)
-    # (pivot column, eliminated row) in elimination order, never mutated once
-    # kept; no row has an entry in an earlier pivot's column
-    pivots: list[tuple[int, dict[int, Entry]]] = dataclass_field(default_factory=list)
-    prev_pivot: Entry | None = None
+    """One branch of the elimination.  `pending` holds the multivariate
+    constraints p = 0 waiting for substitution, `pivots` the (pivot column,
+    eliminated row) pairs in elimination order, never mutated once kept: no
+    row has an entry in an earlier pivot's column.  The branch owns the rows
+    it is given and copies of the assignment and the lists."""
+
+    __slots__ = ("rows", "assign", "nonzero", "pending", "pivots", "prev_pivot")
+
+    def __init__(self, rows, assign=(), nonzero=(), pending=(), pivots=(), prev_pivot=None) -> None:
+        self.rows: list[dict[int, Entry] | None] = rows
+        self.assign: dict[int, FieldElement] = dict(assign)
+        self.nonzero: list[MultiPoly] = list(nonzero)
+        self.pending: list[MultiPoly] = list(pending)
+        self.pivots: list[tuple[int, dict[int, Entry]]] = list(pivots)
+        self.prev_pivot: Entry | None = prev_pivot
 
     def clone(self) -> "_State":
-        return _State(
-            rows=[dict(r) if r is not None else None for r in self.rows],
-            assign=dict(self.assign),
-            nonzero=list(self.nonzero),
-            pending=list(self.pending),
-            pivots=list(self.pivots),
-            prev_pivot=self.prev_pivot,
-        )
+        rows = [dict(r) if r is not None else None for r in self.rows]
+        return _State(rows, self.assign, self.nonzero, self.pending, self.pivots, self.prev_pivot)
 
 
-@dataclass
 class _Context:
-    sys: NaturalHamiltonian
-    f_monomials: list[Exponents]
-    lam_monomials: list[Exponents]
-    lam_vars: VarSet
-    lam_names: list[str]
-    cap: int
-    branches: int = 0
-    certificates: dict = dataclass_field(default_factory=dict)
-    residuals: set = dataclass_field(default_factory=set)
+    """What one search's branches share: the system, the ansatz's monomials,
+    the branch count against the cap, and the certificates and residuals."""
+
+    def __init__(self, sys, f_monomials, lam_monomials, lam_vars, cap) -> None:
+        self.sys: NaturalHamiltonian = sys
+        self.f_monomials: list[Exponents] = f_monomials
+        self.lam_monomials: list[Exponents] = lam_monomials
+        self.lam_vars: VarSet = lam_vars
+        self.lam_names: list[str] = lam_vars.names()
+        self.cap: int = cap
+        self.branches = 0
+        self.certificates: dict = {}
+        self.residuals: set = set()
 
     def tick(self) -> None:
         self.branches += 1
@@ -820,14 +821,7 @@ def search_darboux(
     f_monomials, lam_monomials, rows = _ansatz(sys, max_gamma_degree, homogeneous_only)
     lam_vars = VarSet.cofactor_unknowns(len(lam_monomials))
     _choose_entry_form(rows, lam_vars, sys.field)
-    ctx = _Context(
-        sys=sys,
-        f_monomials=f_monomials,
-        lam_monomials=lam_monomials,
-        lam_vars=lam_vars,
-        lam_names=lam_vars.names(),
-        cap=branch_cap,
-    )
+    ctx = _Context(sys, f_monomials, lam_monomials, lam_vars, branch_cap)
     ctx.tick()
     _explore(ctx, _State(rows))
     return ctx.report()

@@ -4,8 +4,8 @@ polynomial; a proper Darboux polynomial yields an independent integral)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
+from typing import NamedTuple, Sequence
 
 from .darboux import DarbouxCertificate, InternalInvariantError, reversal_integral
 from .field import sqrt_in_field
@@ -23,16 +23,14 @@ class Verdict(Enum):
     HYPOTHESES_NOT_MET = "hypotheses-not-met"
 
 
-@dataclass
-class TheoremReport:
+class TheoremReport(NamedTuple):
     verdict: Verdict
-    evidence: list = dataclass_field(default_factory=list)
-    notes: list[str] = dataclass_field(default_factory=list)
+    evidence: Sequence[DarbouxCertificate] = ()
+    notes: Sequence[str] = ()
     residual_conditions: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class FactorWitness:
+class FactorWitness(NamedTuple):
     """An explicit degree-1-in-p factorisation 2H = G1 * G2."""
 
     G1: MultiPoly

@@ -344,6 +344,18 @@ def test_parse_error_exit_one(capsys, s1_q):
     assert "error:" in capsys.readouterr().err
 
 
+def test_deep_nesting_exit_one(capsys, s1_q, tmp_path):
+    # a --poly or a V nested past the parser's depth of 100 is a usage error
+    # with its position, not a crash
+    nested = "(" * 200 + "q1" + ")" * 200
+    path = tmp_path / "nested.sys"
+    path.write_text(f"m = 2\nfield = Q\nmu = 1, 1\nV = {nested}^4\n")
+    for argv in (["cofactor", "--system", s1_q, "--poly", nested], ["irreducible", "--system", str(path)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nesting deeper than 100 levels (line 1, column 101)" in err
+
+
 def test_huge_field_parameter_is_a_parse_error(capsys, tmp_path):
     # trial division up to sqrt(d) on a 19-digit d ran for hours; past the
     # fixed bound the field line is rejected at once
@@ -409,7 +421,8 @@ def test_exact_commands_load_neither_sympy_nor_numpy(tmp_path):
     # the exact checks need no factoring and no floating point, and numcheck's
     # drift runs on Python floats: a CLI process that runs them must not pay
     # for importing sympy or numpy, and the exact commands run before numcheck
-    # must not pay for compiling numcheck either
+    # must not pay for compiling numcheck either; the library's records are
+    # named tuples, so no process pays for dataclasses (and inspect) either
     script = f"""
 import contextlib, io, sys
 from pathlib import Path
@@ -442,7 +455,7 @@ for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         status = main(argv + ["--output", "json"])
     assert status == 0, (argv, status)
-print(sorted(name for name in ("sympy", "numpy") if name in sys.modules))
+print(sorted(name for name in ("sympy", "numpy", "dataclasses") if name in sys.modules))
 """
     proc = _run_fresh(script)
     assert proc.returncode == 0, proc.stderr

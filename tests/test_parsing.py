@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -102,6 +103,41 @@ def test_error_positions():
     with pytest.raises(ParseError) as info:
         parse_poly("q1 +\n  $", CTX_Q)
     assert info.value.line == 2
+
+
+def test_deep_nesting_is_a_parse_error():
+    # parentheses and unary minuses nest at most 100 deep: deeper input is a
+    # ParseError at the 101st opening token, never a RecursionError
+    for text in ["(" * 100 + "p1" + ")" * 100, "--" * 50 + "p1", "-(" * 50 + "p1" + ")" * 50]:
+        assert parse_poly(text, CTX_Q) == parse_poly("p1", CTX_Q)
+    cases = [
+        ("(" * 200 + "p1" + ")" * 200, 1, 101),
+        ("-" * 1000 + "p1", 1, 101),
+        ("-(" * 51 + "p1" + ")" * 51, 1, 101),
+        ("q1 +\n" + "(" * 101 + "p1" + ")" * 101, 2, 101),
+    ]
+    for text, line, column in cases:
+        with pytest.raises(ParseError, match="^nesting deeper than 100 levels") as info:
+            parse_poly(text, CTX_Q)
+        assert (info.value.line, info.value.column) == (line, column)
+    with pytest.raises(ParseError) as info:
+        load_system("m = 2\nfield = Q\nmu = 1, 1\nV = " + "(" * 200 + "q1" + ")" * 200 + "^3\n")
+    assert info.value.line == 4 and "nesting deeper than 100 levels" in str(info.value)
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="this interpreter converts int strings of any length",
+)
+def test_overlong_literals_are_parse_errors():
+    # a number, exponent or sqrt argument longer than the interpreter's
+    # int-string limit is a ParseError at its own token
+    digits = "7" * (sys.get_int_max_str_digits() + 1)
+    cases = [(digits, 1), ("q1 + 1/" + digits, 6), ("q1^" + digits, 4), ("sqrt(" + digits + ")", 6)]
+    for text, column in cases:
+        with pytest.raises(ParseError, match="^number too long") as info:
+            parse_poly(text, CTX_E)
+        assert (info.value.line, info.value.column) == (1, column)
 
 
 @pytest.mark.parametrize("ctx", [CTX_Q, CTX_E], ids=["Q", "Q(i,sqrt2)"])
