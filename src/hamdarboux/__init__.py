@@ -66,9 +66,7 @@ from .structure import (
 # do not pay for compiling numcheck
 _NUMCHECK_NAMES = (
     "NotRealEvaluableError",
-    "Trajectory",
     "drift",
-    "integrate_rk4",
 )
 
 

@@ -25,8 +25,8 @@ class DarbouxCertificate(NamedTuple):
 
 
 def _validate_cofactor(sys: NaturalHamiltonian, Lambda: MultiPoly) -> None:
-    if sys.r < 2:
-        return  # the q-only/degree-bound structure is only guaranteed for deg V >= 2
+    # deg V >= 2 here: for deg V <= 1, L_H lowers the weight (2 for q, 1 for p) by
+    # one, so L_H F = Lambda*F forces Lambda = 0 and `cofactor_of` returns first
     if Lambda.depends_on_p():
         raise InternalInvariantError(
             f"cofactor {Lambda} depends on momenta (deg V = {sys.r})"

@@ -104,7 +104,7 @@ def load_system(text: str) -> NaturalHamiltonian:
     try:
         field = parse_field_spec(ftext)
     except ValueError as exc:
-        raise ParseError(str(exc), fline, 1) from None
+        raise ParseError(exc.args[0], fline, 1) from None
 
     mutext, muline = entries["mu"]
     parts = [p.strip() for p in mutext.split(",")]
@@ -121,7 +121,9 @@ def load_system(text: str) -> NaturalHamiltonian:
     try:
         V = parse_poly(vtext, ParseContext(VarSet(m), field))
     except ParseError as exc:
-        raise ParseError(f"in V: {exc}", vline, 1) from None
+        raw = text.splitlines()[vline - 1]
+        start = raw.index(vtext, raw.index("=") + 1)  # where vtext begins in its line
+        raise ParseError(f"in V: {exc.args[0]}", vline, start + exc.column) from None
     if V.depends_on_p():
         raise ParseError("V must depend on q-variables only", vline, 1)
     return make_system(mu, V)

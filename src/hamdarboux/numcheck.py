@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate, repeat
 from numbers import Real
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .hamsys import NaturalHamiltonian
 from .poly import MultiPoly
@@ -24,22 +23,6 @@ from .poly import MultiPoly
 class NotRealEvaluableError(ValueError):
     """Coefficients with a nonzero imaginary part cannot be evaluated on
     real trajectories."""
-
-
-class Trajectory(NamedTuple):
-    """The step h and every step's state as `integrate_rk4` wrote them;
-    `samples` is derived from these on read."""
-
-    h: float
-    # steps + 1 states: entry s holds step s's 2m coordinates
-    states: tuple[tuple[float, ...], ...]
-
-    @property
-    def samples(self) -> list[tuple[float, tuple[float, ...]]]:
-        """(t, state) per step, built on read: t accumulates h from 0.0 and
-        each state is an entry of `states`."""
-        times = accumulate(repeat(self.h, len(self.states) - 1), initial=0.0)
-        return list(zip(times, self.states))
 
 
 def _terms(polys: Sequence[MultiPoly], n: int) -> tuple[list, list[float]]:
@@ -171,11 +154,12 @@ def _state(x0, n: int) -> list[float]:
     return [float(v) for v in coords]
 
 
-def integrate_rk4(sys: NaturalHamiltonian, x0: Sequence[float], h: float, T: float) -> Trajectory:
+def integrate_rk4(sys: NaturalHamiltonian, x0: Sequence[float], h: float, T: float) -> tuple[tuple[float, ...], ...]:
     """Fixed-step classical RK4 for qdot_i = mu_i p_i, pdot_i = -dV/dq_i, from
     one state of 2m numbers, ending at T: T/h must be a positive whole number
     of steps, to a relative 1e-9. Each step calls the compiled vector field
-    four times and keeps the new state as a tuple of floats."""
+    four times; the steps + 1 states come back as tuples of 2m floats, entry
+    s holding step s's coordinates."""
     steps = _step_count(h, T)
     f = _vector_field(sys)
     y = tuple(_state(x0, 2 * sys.m))
@@ -187,7 +171,7 @@ def integrate_rk4(sys: NaturalHamiltonian, x0: Sequence[float], h: float, T: flo
         k4 = f(*[a + h * k for a, k in zip(y, k3)])
         y = tuple(a + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
         states.append(y)
-    return Trajectory(h=h, states=tuple(states))
+    return tuple(states)
 
 
 def drift(sys: NaturalHamiltonian, F: MultiPoly, x0: Sequence[float], h: float, T: float) -> float:

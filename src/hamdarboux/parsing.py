@@ -16,6 +16,7 @@ the field whose one nonzero component is positive, read off
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -24,12 +25,15 @@ from .poly import MultiPoly, VarSet
 
 
 class ParseError(ValueError):
-    """Syntax or context error with 1-based line/column position."""
+    """Syntax or context error at a 1-based line and column; args[0] is the bare message."""
 
     def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} (line {line}, column {column})")
+        super().__init__(message)
         self.line = line
         self.column = column
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (line {self.line}, column {self.column})"
 
 
 class ParseContext(NamedTuple):
@@ -233,7 +237,7 @@ def parse_poly(text: str, ctx: ParseContext) -> MultiPoly:
 
 
 def _component_strs(x: FieldElement) -> list[tuple[int, str]]:
-    """(sign, magnitude-string) per nonzero basis component, basis order."""
+    """(sign, magnitude-string) per nonzero basis component, basis order; ValueError past the int-string limit."""
     out: list[tuple[int, str]] = []
     d = x.spec.d
 
@@ -241,13 +245,17 @@ def _component_strs(x: FieldElement) -> list[tuple[int, str]]:
         if not value:
             return
         sign = 1 if value > 0 else -1
-        mag = abs(value)
-        if suffix and mag == 1:
+        try:
+            mag = str(abs(value))
+        except ValueError:  # past the interpreter's int-string limit
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            raise ValueError(f"a coefficient has more than {limit} digits and cannot be printed") from None
+        if suffix and mag == "1":
             out.append((sign, suffix))
         elif suffix:
             out.append((sign, f"{mag}*{suffix}"))
         else:
-            out.append((sign, str(mag)))
+            out.append((sign, mag))
 
     push(x.a, "")
     push(x.b, "i")

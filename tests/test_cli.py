@@ -59,6 +59,18 @@ def test_cofactor_json(capsys, s1_ext):
     assert report["timing_ms"] == 0
 
 
+def test_cofactor_of_a_quadratic_potential(capsys, tmp_path):
+    # deg V = 2 takes the cofactor check's q-only branch: the oscillator's
+    # q1 + i*p1 is p1 - i*q1 in monic form, with the constant cofactor -i
+    path = tmp_path / "oscillator.sys"
+    path.write_text("m = 2\nfield = Q(i,sqrt2)\nmu = 1, 1\nV = 1/2*q1^2 + 1/2*q2^2\n")
+    with pytest.warns(UserWarning, match="deg V = 2"):
+        code, report = run_json(capsys, ["cofactor", "--system", str(path), "--poly", "q1 + i*p1"])
+    assert code == 0
+    want = {"kind": "darboux_certificate", "poly": "p1 - i*q1", "cofactor": "-i", "verdict": True}
+    assert report["results"] == [want]
+
+
 def test_verify_negative_result_is_exit_zero(capsys, s1_q, tmp_path):
     code, report = run_json(
         capsys, ["verify-integral", "--system", s1_q, "--poly", "p1"]
@@ -346,14 +358,33 @@ def test_parse_error_exit_one(capsys, s1_q):
 
 def test_deep_nesting_exit_one(capsys, s1_q, tmp_path):
     # a --poly or a V nested past the parser's depth of 100 is a usage error
-    # with its position, not a crash
+    # with its position, not a crash; inside V the position is the 101st '('
+    # in the system file
     nested = "(" * 200 + "q1" + ")" * 200
     path = tmp_path / "nested.sys"
     path.write_text(f"m = 2\nfield = Q\nmu = 1, 1\nV = {nested}^4\n")
-    for argv in (["cofactor", "--system", s1_q, "--poly", nested], ["irreducible", "--system", str(path)]):
+    for argv, position in [
+        (["cofactor", "--system", s1_q, "--poly", nested], "(line 1, column 101)"),
+        (["irreducible", "--system", str(path)], "(line 4, column 105)"),
+    ]:
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "nesting deeper than 100 levels (line 1, column 101)" in err
+        assert err.startswith("error:") and err.count("(line ") == 1
+        assert f"nesting deeper than 100 levels {position}" in err
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="this interpreter converts int strings of any length",
+)
+def test_unprintable_coefficient_exit_one(capsys, s1_q):
+    # (10*p2)^5000 parses, but its coefficient has more digits than the
+    # interpreter converts to text: a usage error about the input, not
+    # advice on an interpreter setting
+    assert main(["verify-integral", "--system", s1_q, "--poly", "(10*p2)^5000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "set_int_max_str_digits" not in err
+    assert "digits and cannot be printed" in err
 
 
 def test_huge_field_parameter_is_a_parse_error(capsys, tmp_path):
@@ -467,15 +498,16 @@ def test_numcheck_names_never_load_numpy():
     script = """
 import sys
 import hamdarboux
-from hamdarboux import ParseContext, drift, integrate_rk4, load_system, parse_poly
+from hamdarboux import ParseContext, drift, load_system, parse_poly
+from hamdarboux.numcheck import integrate_rk4
 system = load_system("m = 2\\nfield = Q\\nmu = 1, 1\\nV = (q1^2 + q2^2)^2\\n")
 F = parse_poly("q1*p2 - q2*p1", ParseContext(system.varset, system.field))
 x0 = [0.1, 0.2, 0.3, 0.4]
 assert drift(system, F, x0, 1e-2, 0.5) <= 1e-6
-assert len(integrate_rk4(system, x0, 1e-2, 0.5).states) == 50 + 1
+assert len(integrate_rk4(system, x0, 1e-2, 0.5)) == 50 + 1
 assert "numpy" not in sys.modules
 numcheck = sys.modules["hamdarboux.numcheck"]
-names = {"NotRealEvaluableError", "Trajectory", "drift", "integrate_rk4"}
+names = {"NotRealEvaluableError", "drift"}
 assert all(getattr(hamdarboux, name) is getattr(numcheck, name) for name in names)
 assert names <= set(hamdarboux.__all__)
 """

@@ -38,6 +38,23 @@ def test_non_darboux_returns_none(sys_s1_ext):
     assert cofactor_of(sys_s1_ext, poly_of(sys_s1_ext, "q1^2 + p2")) is None
 
 
+def test_cofactors_of_low_degree_potentials():
+    # deg V = 2 validates a constant cofactor: the oscillator's q1 + i*p1 is
+    # p1 - i*q1 in monic form, with cofactor -i. For deg V <= 1, L_H lowers
+    # the weight (2 for q, 1 for p) by one, so a Darboux polynomial's
+    # cofactor is 0 and anything else is none
+    with pytest.warns(UserWarning, match="deg V = 2"):
+        oscillator = load_system("m = 2\nfield = Q(i,sqrt2)\nmu = 1, 1\nV = 1/2*q1^2 + 1/2*q2^2\n")
+    cert = cofactor_of(oscillator, poly_of(oscillator, "q1 + i*p1"))
+    assert (str(cert.F), str(cert.Lambda)) == ("p1 - i*q1", "-i")
+    assert certificate_holds(oscillator, cert)
+    with pytest.warns(UserWarning, match="deg V = 1"):
+        linear = load_system("m = 2\nfield = Q\nmu = 1, 1\nV = q1 + 2*q2\n")
+    cert = cofactor_of(linear, poly_of(linear, "2*p1 - p2"))
+    assert cert.Lambda.is_zero() and certificate_holds(linear, cert)
+    assert cofactor_of(linear, poly_of(linear, "p1")) is None
+
+
 def test_zero_polynomial_rejected(sys_s1):
     with pytest.raises(ValueError):
         cofactor_of(sys_s1, poly_of(sys_s1, "q1 - q1"))

@@ -120,9 +120,16 @@ def test_deep_nesting_is_a_parse_error():
         with pytest.raises(ParseError, match="^nesting deeper than 100 levels") as info:
             parse_poly(text, CTX_Q)
         assert (info.value.line, info.value.column) == (line, column)
-    with pytest.raises(ParseError) as info:
-        load_system("m = 2\nfield = Q\nmu = 1, 1\nV = " + "(" * 200 + "q1" + ")" * 200 + "^3\n")
-    assert info.value.line == 4 and "nesting deeper than 100 levels" in str(info.value)
+    # an error inside V is reported once, at its token's position in the file
+    cases = [
+        ("V = " + "(" * 200 + "q1" + ")" * 200 + "^3", "nesting deeper than 100 levels", 105),
+        ("V =   q1^4 + q3", "unknown variable 'q3' (m = 2)", 14),
+    ]
+    for line, message, column in cases:
+        with pytest.raises(ParseError) as info:
+            load_system(f"m = 2\nfield = Q\nmu = 1, 1\n{line}\n")
+        assert str(info.value) == f"in V: {message} (line 4, column {column})"
+        assert (info.value.line, info.value.column) == (4, column)
 
 
 @pytest.mark.skipif(
@@ -138,6 +145,20 @@ def test_overlong_literals_are_parse_errors():
         with pytest.raises(ParseError, match="^number too long") as info:
             parse_poly(text, CTX_E)
         assert (info.value.line, info.value.column) == (1, column)
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="this interpreter converts int strings of any length",
+)
+def test_unprintable_coefficients_are_value_errors():
+    # a coefficient of limit + 1 digits parses but has no text: a ValueError
+    # that gives the limit, on a rational and on an i component alike
+    limit = sys.get_int_max_str_digits()
+    for text, ctx in [(f"(10*p2)^{limit}", CTX_Q), (f"q1 + i*(10*p2)^{limit}", CTX_E)]:
+        P = parse_poly(text, ctx)
+        with pytest.raises(ValueError, match=f"^a coefficient has more than {limit} digits and cannot be printed$"):
+            format_poly(P)
 
 
 @pytest.mark.parametrize("ctx", [CTX_Q, CTX_E], ids=["Q", "Q(i,sqrt2)"])
@@ -190,6 +211,7 @@ def test_system_definition_rejections():
         ("m = 2\nfield = Q\nmu = 1, 1\nV = p1^2\n", "V must depend on q-variables only", 4),
         ("m = 2\nfield = Q\nmu = 1, 1\n", "missing key 'V'", 1),
         ("m = 2\nbogus = 3\nfield = Q\nmu = 1, 1\nV = q1^2\n", "unknown key 'bogus'", 2),
+        ("m = 2\nfield = Q(x)\nmu = 1, 1\nV = q1^2\n", "unrecognised field 'Q(x)'; expected Q or Q(i,sqrtD)", 2),
     ]
     for text, message, line in cases:
         with pytest.raises(ParseError) as info:
