@@ -5,7 +5,6 @@ from .corpus import CORPUS, CorpusEntry, run_corpus
 from .darboux import (
     DarbouxCertificate,
     InternalInvariantError,
-    ReversalVacuousError,
     certificate_holds,
     cofactor_of,
     reversal_integral,

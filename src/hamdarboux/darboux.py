@@ -1,5 +1,5 @@
 """Darboux-polynomial verification, cofactor extraction, and the
-time-reversal first-integral construction."""
+time-reversal first-integral construction, which holds at every deg V."""
 
 from __future__ import annotations
 
@@ -7,10 +7,6 @@ from typing import NamedTuple
 
 from .hamsys import NaturalHamiltonian, gamma_direction, lie_derivative, tau
 from .poly import InternalInvariantError, MultiPoly
-
-
-class ReversalVacuousError(ValueError):
-    """deg V odd: every Darboux polynomial is already a first integral."""
 
 
 class DarbouxCertificate(NamedTuple):
@@ -70,12 +66,9 @@ def verify_first_integral(sys: NaturalHamiltonian, F: MultiPoly) -> bool:
 
 def reversal_integral(sys: NaturalHamiltonian, cert: DarbouxCertificate) -> DarbouxCertificate:
     """From a Darboux polynomial F with cofactor Lambda, build the first
-    integral tau(F)*F; checks the cofactor sign flip of tau(F) en route."""
-    if sys.r % 2:
-        raise ReversalVacuousError(
-            "deg V is odd: every Darboux polynomial already has cofactor 0, "
-            "so the reversal construction is vacuous"
-        )
+    integral tau(F)*F; checks the cofactor sign flip of tau(F) en route.
+    Holds at every deg V: L_H(tau(G)) = -tau(L_H G), and a cofactor depends
+    on q alone (`_validate_cofactor` raises otherwise), so tau(Lambda) = Lambda."""
     if not certificate_holds(sys, cert):
         raise ValueError("invalid certificate for this system")
     reversed_cert = cofactor_of(sys, tau(cert.F))

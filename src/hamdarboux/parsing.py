@@ -313,7 +313,11 @@ def parse_field_spec(text: str) -> FieldSpec:
     match = _FIELD_RE.match(text)
     if match:
         try:
-            return quad_gauss(int(match.group(1)))
+            d = int(match.group(1))
+        except ValueError:  # longer than Python's int-string limit
+            raise ParseError("number too long", 1, 1) from None
+        try:
+            return quad_gauss(d)
         except ValueError as exc:
             raise ParseError(str(exc), 1, 1) from None
     raise ParseError(f"unrecognised field {text!r}; expected Q or Q(i,sqrtD)", 1, 1)

@@ -172,13 +172,10 @@ def check_theorem2_pipeline(
     sys: NaturalHamiltonian, cert: DarbouxCertificate
 ) -> TheoremReport:
     """From a proper Darboux certificate, construct tau(F)*F and check that it
-    is a first integral functionally independent of H."""
+    is a first integral functionally independent of H.  Every deg V is in
+    scope: an odd one can have proper certificates when its top form is
+    degenerate, as in `check_theorem1`'s counterexamples."""
     notes = []
-    if sys.r % 2:
-        return TheoremReport(
-            verdict=Verdict.HYPOTHESES_NOT_MET,
-            notes=[f"deg V = {sys.r} is odd; the theorem assumes an even degree"],
-        )
     nonzero_mu = sum(1 for x in sys.mu if not x.is_zero())
     if nonzero_mu < 2:
         return TheoremReport(

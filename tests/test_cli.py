@@ -407,6 +407,22 @@ def test_huge_field_parameter_is_a_parse_error(capsys, tmp_path):
         load_system(text)
 
 
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="this interpreter converts int strings of any length",
+)
+def test_overlong_field_parameter_exit_one(capsys, tmp_path):
+    # a d with more digits than the interpreter converts: a usage error at
+    # the field line, not advice on an interpreter setting
+    digits = "7" * (sys.get_int_max_str_digits() + 1)
+    path = tmp_path / "long_d.sys"
+    path.write_text(f"m = 2\nfield = Q(i,sqrt{digits})\nmu = 1, 1\nV = q1^4\n")
+    assert main(["irreducible", "--system", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: number too long (line 2, column 1)\n"
+    assert "set_int_max_str_digits" not in err
+
+
 def test_missing_file_exit_one(capsys):
     assert main(["cofactor", "--system", "/nonexistent.sys", "--poly", "p1"]) == 1
     assert "error:" in capsys.readouterr().err

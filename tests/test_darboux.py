@@ -3,13 +3,13 @@ import random
 import pytest
 
 from hamdarboux.darboux import (
-    ReversalVacuousError,
     certificate_holds,
     cofactor_of,
     reversal_integral,
     verify_first_integral,
 )
 from hamdarboux.hamsys import gamma_direction, load_system, tau
+from hamdarboux.structure import jacobian_independent
 
 from conftest import poly_of
 
@@ -113,8 +113,14 @@ def test_reversal_integral(sys_s3):
     assert str(integral.F) == "p2^2 + 2*q2^4"
 
 
-def test_reversal_requires_even_degree():
-    system = load_system("m = 2\nfield = Q\nmu = 1, 1\nV = q1^3\n")
-    cert = cofactor_of(system, poly_of(system, "p2"))
-    with pytest.raises(ReversalVacuousError):
-        reversal_integral(system, cert)
+def test_reversal_at_odd_degree():
+    # tau(F)*F is a first integral at every deg V: on the degenerate-top
+    # cubic, F = p2 + 2*q2 has cofactor 2 and tau(F)*F = -(p2^2 - 4*q2^2)
+    system = load_system("m = 2\nfield = Q\nmu = 1, 1\nV = q1^3 - 2*q2^2\n")
+    cert = cofactor_of(system, poly_of(system, "p2 + 2*q2"))
+    assert cert is not None and cert.proper
+    integral = reversal_integral(system, cert)
+    assert integral.Lambda.is_zero()
+    assert str(integral.F) == "p2^2 - 4*q2^2"
+    assert verify_first_integral(system, integral.F)
+    assert jacobian_independent(system, system.H, integral.F)

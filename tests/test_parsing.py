@@ -161,6 +161,23 @@ def test_unprintable_coefficients_are_value_errors():
             format_poly(P)
 
 
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="this interpreter converts int strings of any length",
+)
+def test_overlong_field_parameter_is_a_parse_error():
+    # a d longer than the interpreter's int-string limit is "number too long"
+    # at the field, not the interpreter's advice; quad_gauss's own message
+    # still passes through for a d that converts
+    digits = "7" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ParseError) as info:
+        parse_field_spec(f"Q(i,sqrt{digits})")
+    assert info.value.args == ("number too long",)
+    assert (info.value.line, info.value.column) == (1, 1)
+    with pytest.raises(ParseError, match="square-free"):
+        parse_field_spec("Q(i,sqrt4)")
+
+
 @pytest.mark.parametrize("ctx", [CTX_Q, CTX_E], ids=["Q", "Q(i,sqrt2)"])
 def test_round_trip_random(ctx):
     rng = random.Random(99)

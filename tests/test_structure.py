@@ -4,7 +4,7 @@ import warnings
 import pytest
 import sympy as sp
 
-from hamdarboux.darboux import cofactor_of
+from hamdarboux.darboux import cofactor_of, verify_first_integral
 from hamdarboux.hamsys import load_system, make_system
 from hamdarboux.parsing import format_poly
 from hamdarboux.search import search_darboux
@@ -176,11 +176,34 @@ def test_theorem2_pipeline(sys_s5):
     assert integral.Lambda.is_zero()
 
 
+@pytest.mark.parametrize(
+    "field, V, degree, count",
+    [
+        ("Q(i,sqrt2)", "q1^2 + q2^4", 8, 12),
+        ("Q", "q1^3 - 2*q2^2", 6, 4),
+        ("Q(i,sqrt2)", "q1^3 - 2*q2^2", 6, 4),
+    ],
+    ids=["anchor", "cubic-Q", "cubic-Q(i,sqrt2)"],
+)
+def test_theorem2_on_every_proper_certificate(field, V, degree, count):
+    # at either parity of deg V, every proper certificate the search finds
+    # yields tau(F)*F, a first integral independent of H
+    system = load_system(f"m = 2\nfield = {field}\nmu = 1, 1\nV = {V}\n")
+    proper = [c for c in search_darboux(system, degree).certificates if c.proper]
+    assert len(proper) == count
+    for cert in proper:
+        report = check_theorem2_pipeline(system, cert)
+        assert report.verdict is Verdict.CONSISTENT
+        (integral,) = report.evidence
+        assert verify_first_integral(system, integral.F)
+
+
 def test_theorem2_hypotheses(sys_s1_ext, sys_s3):
-    # odd-degree potential is out of scope
-    odd = load_system("m = 2\nfield = Q\nmu = 1, 1\nV = q1^3\n")
-    cert = cofactor_of(odd, poly_of(odd, "p2"))
-    assert check_theorem2_pipeline(odd, cert).verdict is Verdict.HYPOTHESES_NOT_MET
+    # an odd-degree potential is in scope: the degenerate-top cubic's proper
+    # certificate yields an independent integral
+    odd = load_system("m = 2\nfield = Q\nmu = 1, 1\nV = q1^3 - 2*q2^2\n")
+    cert = cofactor_of(odd, poly_of(odd, "p2 + 2*q2"))
+    assert check_theorem2_pipeline(odd, cert).verdict is Verdict.CONSISTENT
     # a non-proper certificate is out of scope
     cert = cofactor_of(sys_s3, poly_of(sys_s3, "p2^2 + 2*q2^4"))
     assert check_theorem2_pipeline(sys_s3, cert).verdict is Verdict.HYPOTHESES_NOT_MET
